@@ -15,12 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import ConfigError
+
 
 @dataclass
 class CacheLevelConfig:
     lines: int
     associativity: int
     hit_latency: int
+
+    def __post_init__(self) -> None:
+        if self.lines < 1 or self.associativity < 1:
+            raise ConfigError(
+                f"cache geometry must be positive: lines={self.lines}, "
+                f"associativity={self.associativity}"
+            )
+        if self.hit_latency < 0:
+            raise ConfigError(
+                f"cache hit_latency must be >= 0, got {self.hit_latency}"
+            )
 
     @property
     def sets(self) -> int:
@@ -41,6 +54,17 @@ class CacheConfig:
     #: FP loads bypass L1 (Itanium): minimum latency is the L2 hit cost
     fp_min_latency: int = 9
 
+    def __post_init__(self) -> None:
+        if self.line_words < 1:
+            raise ConfigError(
+                f"cache line_words must be >= 1, got {self.line_words}"
+            )
+        for name in ("memory_latency", "fp_min_latency"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"cache {name} must be >= 0, got {getattr(self, name)}"
+                )
+
 
 @dataclass
 class CacheStats:
@@ -52,24 +76,21 @@ class CacheStats:
 
 class _Level:
     def __init__(self, config: CacheLevelConfig, line_words: int) -> None:
-        self.config = config
-        self.line_shift = line_words
-        self._sets: list[dict[int, int]] = [dict() for _ in range(config.sets)]
+        self.line_words = line_words
+        self.associativity = config.associativity
+        self.nsets = config.sets
+        self._sets: list[dict[int, int]] = [dict() for _ in range(self.nsets)]
         self._clock = 0
 
-    def _locate(self, addr: int, line_words: int) -> tuple[int, int]:
-        line = addr // line_words
-        return line % self.config.sets, line
-
-    def access(self, addr: int, line_words: int) -> bool:
+    def access(self, addr: int) -> bool:
         """Touch the line; True on hit (LRU within the set)."""
         self._clock += 1
-        index, line = self._locate(addr, line_words)
-        bucket = self._sets[index]
+        line = addr // self.line_words
+        bucket = self._sets[line % self.nsets]
         if line in bucket:
             bucket[line] = self._clock
             return True
-        if len(bucket) >= self.config.associativity:
+        if len(bucket) >= self.associativity:
             victim = min(bucket, key=lambda l: bucket[l])
             del bucket[victim]
         bucket[line] = self._clock
@@ -98,21 +119,20 @@ class CacheHierarchy:
         self.observer = None
 
     def load_latency(self, addr: int, is_float: bool = False) -> int:
-        lw = self.config.line_words
         if is_float:
             # FP loads bypass L1; they are satisfied from L2 at best.
-            if self._l2.access(addr, lw):
+            if self._l2.access(addr):
                 self.stats.l2_hits += 1
                 return self.config.fp_min_latency
             self.stats.l2_misses += 1
             if self.observer is not None:
                 self.observer("cache.miss", level="l2", addr=addr, fp=True)
             return self.config.memory_latency
-        if self._l1.access(addr, lw):
+        if self._l1.access(addr):
             self.stats.l1_hits += 1
             return self.config.l1.hit_latency
         self.stats.l1_misses += 1
-        if self._l2.access(addr, lw):
+        if self._l2.access(addr):
             self.stats.l2_hits += 1
             if self.observer is not None:
                 self.observer("cache.miss", level="l1", addr=addr, fp=False)
@@ -125,6 +145,5 @@ class CacheHierarchy:
     def store_touch(self, addr: int) -> None:
         """Stores allocate in both levels without stalling the pipe
         (write-buffer model)."""
-        lw = self.config.line_words
-        self._l1.access(addr, lw)
-        self._l2.access(addr, lw)
+        self._l1.access(addr)
+        self._l2.access(addr)

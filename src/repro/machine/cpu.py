@@ -6,16 +6,32 @@ Time advances in *slots* of 1/``issue_width`` cycle: every retired
 instruction consumes one slot, and an instruction cannot issue before
 its source registers are ready.  Result-ready times come from latencies
 (ALU 1 cycle; loads from the cache model; successful ``ld.c`` **zero**
-— the paper's "0 cycle checks").  Taken branches add a bubble, failed
-``chk.a`` pays the recovery-trap penalty, and RSE spill/fill traffic
-stalls calls/returns.  This coarse model reproduces the relationships
-the evaluation section measures — many eliminated loads → fewer
-data-access cycles → modestly fewer CPU cycles, with FP loads worth
-more — without simulating Itanium bundles.
+— the paper's "0 cycle checks").  Taken branches add a bubble and a
+failed ``chk.a`` pays the recovery-trap penalty.  RSE spill/fill
+traffic is accounted apart from the slot clock: the cycles of
+``rse.call()``/``ret()`` feed only ``Counters.rse_cycles`` (Figure 11)
+and never stall an instruction.  This coarse model reproduces the
+relationships the evaluation section measures — many eliminated loads →
+fewer data-access cycles → modestly fewer CPU cycles, with FP loads
+worth more — without simulating Itanium bundles.
 
 Functional semantics mirror the IR interpreter exactly (shared
 ``wrap_int``/``int_div``/``format_value`` helpers), so interpreter and
 simulator outputs are directly comparable in differential tests.
+
+Execution
+---------
+Each function runs in its decoded form
+(:meth:`repro.target.isa.MFunction.decoded`: opcodes, resolved branch
+targets, read-register tuples, constant registers) with list-indexed
+register and ready files.  The simulator picks one of two loops over
+that form when it is constructed.  With no trace sink, ``RunProfile``,
+``FaultInjector`` or ``HostProfiler`` attached it runs
+:meth:`Simulator._run_fast`, which has no hooks at all.  Otherwise it
+runs :meth:`Simulator._run_probed`: the same dispatch, plus calls into
+one :class:`Probe` that composes whatever is attached.  Tracing and
+profiling never change simulator state, so with only those attached the
+two loops produce identical counters.
 """
 
 from __future__ import annotations
@@ -23,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.errors import MachineError, MachineLimitExceeded
-from repro.ir.expr import BinOpKind, UnOpKind
+from repro.errors import ConfigError, MachineError, MachineLimitExceeded
+from repro.ir.expr import UnOpKind
 from repro.ir.interp import (
     HEAP_BASE,
     STACK_BASE,
@@ -40,31 +56,36 @@ from repro.machine.rse import RegisterStackEngine, RSEConfig
 from repro.obs.profile import RunProfile
 from repro.obs.trace import NULL_TRACE, TraceContext
 from repro.target.isa import (
-    AllocH,
-    Alu,
-    Br,
-    Brnz,
-    CallF,
-    ChkA,
-    InvalaE,
-    Label,
-    Ld,
-    LdC,
-    Lea,
-    LoadKind,
+    OP_ALLOC,
+    OP_ARITH,
+    OP_BR,
+    OP_BRNZ,
+    OP_CALL,
+    OP_CHKA,
+    OP_CMP,
+    OP_DIV,
+    OP_INVALA,
+    OP_LD,
+    OP_LD_A,
+    OP_LD_SA,
+    OP_LDC,
+    OP_LEA,
+    OP_MOD,
+    OP_MOV,
+    OP_PREDLD,
+    OP_PRINT,
+    OP_RET,
+    OP_ST,
+    OP_UN,
     MFunction,
-    MovI,
-    Mov,
     MProgram,
-    PredLd,
-    PrintR,
-    Region,
-    RetF,
-    St,
-    Un,
 )
 
 Value = Union[int, float]
+
+#: signed 64-bit range; an integer result outside it wraps
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
 
 
 @dataclass
@@ -79,6 +100,21 @@ class MachineConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     rse: RSEConfig = field(default_factory=RSEConfig)
     max_instructions: int = 200_000_000
+
+    def __post_init__(self) -> None:
+        if self.issue_width < 1:
+            raise ConfigError(
+                f"issue_width must be >= 1, got {self.issue_width}"
+            )
+        for name in ("branch_penalty", "recovery_penalty"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        if self.max_instructions < 1:
+            raise ConfigError(
+                f"max_instructions must be >= 1, got {self.max_instructions}"
+            )
 
 
 class MachineResult:
@@ -115,15 +151,156 @@ class MachineResult:
         )
 
 
-class _Frame:
-    __slots__ = ("mf", "serial", "regs", "ready", "frame_base")
+def _bad_address(value: Value, mf: MFunction) -> MachineError:
+    if isinstance(value, float):
+        return MachineError(f"float used as address in {mf.name}")
+    return MachineError(f"invalid address {value} in {mf.name}")
 
-    def __init__(self, mf: MFunction, serial: int, frame_base: int) -> None:
-        self.mf = mf
-        self.serial = serial
-        self.regs: dict[int, Value] = {}
-        self.ready: dict[int, int] = {}  # reg -> slot time
-        self.frame_base = frame_base
+
+def _divide(op: int, lhs: Value, rhs: Value) -> Value:
+    """``OP_DIV`` / ``OP_MOD`` with IR semantics (C-style, wrapped)."""
+    if op == OP_MOD:
+        if rhs == 0:
+            raise MachineError("integer modulo by zero")
+        lhs, rhs = int(lhs), int(rhs)
+        if 0 <= lhs <= _INT_MAX and rhs > 0:
+            return lhs % rhs  # C and Python remainders agree here
+        return int_mod(lhs, rhs)
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        if rhs == 0:
+            raise MachineError("float division by zero")
+        return lhs / rhs
+    if rhs == 0:
+        raise MachineError("integer division by zero")
+    return int_div(lhs, rhs)
+
+
+def _unary(kind: UnOpKind, v: Value) -> Value:
+    if kind is UnOpKind.NEG:
+        return -v if isinstance(v, float) else wrap_int(-v)
+    if kind is UnOpKind.NOT:
+        return 0 if v else 1
+    if kind is UnOpKind.I2F:
+        return float(v)
+    if kind is UnOpKind.F2I:
+        return wrap_int(int(v))
+    raise MachineError(f"unsupported unary op {kind}")
+
+
+def _nop(*_args) -> None:
+    """A probe hook with nothing attached behind it."""
+
+
+class Probe:
+    """The probed loop's one instrumentation seam.
+
+    Composes whatever the simulator has attached — trace snapshots,
+    ``RunProfile`` attribution, ``FaultInjector`` context switches and
+    ``HostProfiler`` buckets — into the hooks the loop calls:
+
+    * per instruction: ``step()`` before issue, ``issued(instr, slots)``
+      after it and ``done(instr)`` after execution; each is None when
+      nothing is attached behind it;
+    * per event (guest attribution, no-ops without a profile):
+      ``penalty``, ``data``, ``check``, ``recovery`` and ``bind``;
+    * in place of component calls: ``alat_check``, ``alat_allocate``,
+      ``alat_snoop``, ``load_latency``, ``store_touch``, ``call``,
+      ``push_frame`` and ``pop_frame`` (timed into host buckets under a
+      host profiler, otherwise the plain methods), plus ``enter()``,
+      which starts an activation's host timeline (None without one).
+    """
+
+    def __init__(self, sim: "Simulator") -> None:
+        counters, obs, alat, cache = sim.counters, sim.obs, sim.alat, sim.cache
+        snap = obs.snapshot_every
+        inj = sim.injector
+        prof = sim.profile
+        hp = sim.host
+
+        def snapshot() -> None:
+            if counters.instructions % snap == 0:
+                obs.event("counters.snapshot", **counters.as_dict())
+
+        def context_switch() -> None:
+            if inj.context_switch():
+                alat.chaos_flush()
+
+        def snapshot_and_context_switch() -> None:
+            snapshot()
+            context_switch()
+
+        if snap and inj is not None:
+            self.step = snapshot_and_context_switch
+        elif snap:
+            self.step = snapshot
+        elif inj is not None:
+            self.step = context_switch
+        else:
+            self.step = None
+
+        self.penalty = prof.add_slots if prof is not None else _nop
+        self.data = prof.add_data if prof is not None else _nop
+        self.check = prof.check if prof is not None else _nop
+        self.recovery = prof.recovery if prof is not None else _nop
+        self.bind = prof.bind_tag if prof is not None else _nop
+        retire = prof.retire if prof is not None else None
+
+        if hp is None:
+            self.issued = retire
+            self.done = None
+            self.enter = None
+            self.call = sim._run_probed
+            self.push_frame, self.pop_frame = sim._push_frame, sim._pop_frame
+            self.alat_check, self.alat_allocate = alat.check, alat.allocate
+            self.alat_snoop = alat.snoop_store
+            self.load_latency = cache.load_latency
+            self.store_touch = cache.store_touch
+            return
+
+        # Host buckets chain timestamps: each mark ends one bucket
+        # segment and starts the next, so profiled time tiles the loop.
+        # A call saves its caller's mark; the callee's instructions
+        # bucket themselves and the call's own bucket defers them.
+        now = hp.now
+        mark = 0
+
+        def enter() -> None:
+            nonlocal mark
+            mark = now()
+
+        def issued(instr, slots: int) -> None:
+            nonlocal mark
+            if retire is not None:
+                retire(instr, slots)
+            t = now()
+            hp.add("sim.issue", t - mark)
+            hp.take_sub()
+            mark = t
+
+        def done(instr) -> None:
+            nonlocal mark
+            t = now()
+            hp.add(hp.op_key(instr.__class__), t - mark - hp.take_sub())
+            mark = t
+
+        def call(callee: MFunction, args: list[Value]) -> Optional[Value]:
+            nonlocal mark
+            saved = mark
+            t = now()
+            result = sim._run_probed(callee, args)
+            hp.take_sub()
+            hp.defer(now() - t)
+            mark = saved
+            return result
+
+        self.issued, self.done, self.enter, self.call = issued, done, enter, call
+        self.push_frame = hp.timed(sim._push_frame, "sim.frame", nested=False)
+        self.pop_frame = hp.timed(sim._pop_frame, "sim.frame", nested=False)
+        self.alat_check = hp.timed(alat.check, "sim.alat")
+        self.alat_allocate = hp.timed(alat.allocate, "sim.alat")
+        self.alat_snoop = hp.timed(alat.snoop_store, "sim.alat")
+        self.load_latency = hp.timed(cache.load_latency, "sim.cache")
+        self.store_touch = hp.timed(cache.store_touch, "sim.cache")
 
 
 class Simulator:
@@ -163,17 +340,21 @@ class Simulator:
         self._heap_top = HEAP_BASE
         self._serial = 0
         self._w = self.config.issue_width
-        # counters split kept here (Counters holds the public subset)
-        self.retired_direct_loads = 0
         if self.obs.enabled:
             self._attach_observers()
-        #: attribution collector; ``None`` keeps the hot loop on the
-        #: exact unprofiled path (profiling never mutates simulator
-        #: state, so counters stay bit-identical either way)
+        #: attribution collector (``None`` unless profiling)
         self.profile: Optional[RunProfile] = None
         if profile:
             self.profile = RunProfile(program, self._w)
             self._attach_profile_observer()
+        # The loop is chosen once: anything attached runs every
+        # activation through the probe, nothing attached runs none.
+        probed = (
+            self.obs.enabled or profile or injector is not None
+            or host_profiler is not None
+        )
+        self._probe = Probe(self) if probed else None
+        self._run_function = self._run_probed if probed else self._run_fast
         if host_profiler is not None:
             host_profiler.add("sim.init", host_profiler.now() - _t0)
 
@@ -181,10 +362,10 @@ class Simulator:
         """Hook the machine components into the trace context.
 
         Observers are only installed when tracing is enabled; otherwise
-        the components keep ``observer = None`` and the simulation takes
-        the exact same path as an uninstrumented build (events never
-        mutate simulator state, so simulated counters are identical
-        either way).
+        the components keep ``observer = None`` (events never mutate
+        simulator state, so simulated counters are identical either
+        way).  The probed loop keeps ``counters.instructions`` live, so
+        every event carries the retiring instruction's index.
         """
         obs = self.obs
         counters = self.counters
@@ -253,415 +434,429 @@ class Simulator:
             self.rse, profile=self.profile,
         )
 
-    # -- helpers ----------------------------------------------------------
+    # -- activations ------------------------------------------------------
 
-    def _charge_cycles(self, cycles: int) -> None:
-        self.time += cycles * self._w
-
-    def _fault(self, msg: str) -> None:
-        raise MachineError(msg)
-
-    def _read_reg(self, frame: _Frame, reg: int) -> Value:
-        return frame.regs.get(reg, 0)
-
-    def _load_value(self, addr: int) -> Value:
-        return self.mem.get(addr, 0)
-
-    # -- execution -----------------------------------------------------------
-
-    def _run_function(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
-        hp = self.host
-        _t0 = hp.now() if hp is not None else 0
+    def _push_frame(self, mf: MFunction, args: list[Value]) -> tuple:
+        """Start an activation of ``mf``: fresh register and ready files,
+        zeroed frame memory (MiniC semantics).  Returns ``(decoded,
+        regs, ready, serial, frame_base)``."""
+        dec = mf.decoded()
+        regs = dec.registers.copy()
+        # Arguments beyond the registers the code names are never read.
+        n = min(len(args), dec.register_count)
+        regs[:n] = args[:n]
         self._serial += 1
-        frame = _Frame(mf, self._serial, self._stack_top)
+        base = self._stack_top
         self._stack_top += mf.frame_words
-        for i, arg in enumerate(args):
-            frame.regs[i] = arg
-            frame.ready[i] = self.time
-        # zero-initialise the memory frame (MiniC semantics)
+        mem = self.mem
         for w in range(mf.frame_words):
-            self.mem[frame.frame_base + w] = 0
-        if hp is not None:
-            hp.add("sim.frame", hp.now() - _t0)
+            mem[base + w] = 0
+        # Ready time 0 never stalls: the slot clock only grows.
+        return dec, regs, [0] * len(regs), self._serial, base
 
-        try:
-            return self._execute(frame)
-        finally:
-            if hp is not None:
-                _t0 = hp.now()
-            for w in range(mf.frame_words):
-                self.mem.pop(frame.frame_base + w, None)
-            self._stack_top = frame.frame_base
-            if hp is not None:
-                hp.add("sim.frame", hp.now() - _t0)
+    def _pop_frame(self, mf: MFunction, base: int) -> None:
+        mem = self.mem
+        for w in range(mf.frame_words):
+            mem.pop(base + w, None)
+        self._stack_top = base
 
-    def _execute(self, frame: _Frame) -> Optional[Value]:
-        mf = frame.mf
-        instrs = mf.instrs
+    def _run_fast(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
+        """One activation on the hook-free loop.
+
+        The slot clock and the retired count live in locals and are
+        written back at calls, returns and faults (``in_call`` keeps a
+        callee's fault from being overwritten with the caller's stale
+        copies)."""
+        dec, regs, ready, serial, base = self._push_frame(mf, args)
+        code = dec.code
+        mem = self.mem
         counters = self.counters
-        pc = 0
+        alat = self.alat
+        load_latency = self.cache.load_latency
+        store_touch = self.cache.store_touch
         w = self._w
-        # Hoisted tracing state: ``snap`` is 0 unless a real sink is
-        # attached, so the disabled path pays one falsy check per
-        # retired instruction and nothing else.
-        obs = self.obs
-        snap = obs.snapshot_every
-        # Profiling state, hoisted like the tracing state: ``prof`` is
-        # None on unprofiled runs, costing one falsy check per retired
-        # instruction and nothing else.
-        prof = self.profile
-        # Fault-injection state, same pattern: one falsy check per
-        # retired instruction when no injector is attached.
-        inj = self.injector
-        # Host-profiling state: ``hp`` is None on unprofiled runs (one
-        # falsy check per segment).  Timestamps chain — each mark ends
-        # one bucket segment and starts the next — so profiled time
-        # tiles the loop with no unattributed gaps between marks.
-        hp = self.host
-        t_mark = hp.now() if hp is not None else 0
+        bubble = self.config.branch_penalty * w
+        recovery = self.config.recovery_penalty
+        limit = self.config.max_instructions
+        time = self.time
+        n = counters.instructions
+        pc = 0
+        in_call = False
+        try:
+            while True:
+                try:
+                    op, reads, a, b, c, d, e = code[pc]
+                except IndexError:
+                    raise MachineError(dec.fault_at(pc)) from None
+                pc += 1
+                n += 1
+                if n > limit:
+                    raise MachineLimitExceeded(f"exceeded {limit} instructions")
+                # issue: wait for source operands, take one slot
+                start = time
+                for r in reads:
+                    if ready[r] > start:
+                        start = ready[r]
+                time = start + 1
 
-        while True:
-            if pc >= len(instrs):
-                self._fault(f"{mf.name}: fell off the end of the function")
-            instr = instrs[pc]
-            pc += 1
-            if isinstance(instr, Label):
-                continue
-
-            counters.instructions += 1
-            if counters.instructions > self.config.max_instructions:
-                raise MachineLimitExceeded(
-                    f"exceeded {self.config.max_instructions} instructions"
-                )
-            if snap and counters.instructions % snap == 0:
-                obs.event("counters.snapshot", **counters.as_dict())
-            if inj is not None and inj.context_switch():
-                self.alat.chaos_flush()
-
-            # issue: wait for source operands
-            start = self.time
-            t0 = start
-            for r in instr.reads():
-                t = frame.ready.get(r)
-                if t is not None and t > start:
-                    start = t
-            self.time = start + 1  # one issue slot
-            if prof is not None:
-                # operand-stall + issue slots; penalty slots charged in
-                # the dispatch arms are added at their charge sites, so
-                # the per-instruction sums tile self.time exactly (a
-                # call's callee self-attributes its own instructions)
-                prof.retire(instr, self.time - t0)
-            if hp is not None:
-                t_now = hp.now()
-                hp.add("sim.issue", t_now - t_mark)
-                hp.take_sub()
-                t_mark = t_now
-
-            # execute
-            if isinstance(instr, MovI):
-                frame.regs[instr.rd] = instr.value
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Mov):
-                frame.regs[instr.rd] = self._read_reg(frame, instr.rs)
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Lea):
-                if instr.region is Region.GLOBAL:
-                    frame.regs[instr.rd] = instr.offset
-                else:
-                    frame.regs[instr.rd] = frame.frame_base + instr.offset
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Alu):
-                frame.regs[instr.rd] = self._alu(frame, instr)
-                # FP arithmetic has FMAC-like latency on Itanium.
-                frame.ready[instr.rd] = start + w * (4 if instr.is_float else 1)
-            elif isinstance(instr, Un):
-                frame.regs[instr.rd] = self._un(frame, instr)
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Ld):
-                self._do_load(frame, instr, start)
-            elif isinstance(instr, LdC):
-                self._do_check_load(frame, instr, start)
-            elif isinstance(instr, ChkA):
-                counters.check_instructions += 1
-                tag = (frame.serial, instr.rd)
-                if hp is None:
-                    ok = self.alat.check(tag, instr.clear)
-                else:
-                    _ta = hp.now()
-                    ok = self.alat.check(tag, instr.clear)
-                    hp.add_sub("sim.alat", hp.now() - _ta)
-                if prof is not None:
-                    prof.check(tag, instr, ok)
-                if not ok:
-                    counters.check_failures += 1
-                    counters.recovery_cycles += self.config.recovery_penalty
-                    self._charge_cycles(self.config.recovery_penalty)
-                    if prof is not None:
-                        prof.add_slots(instr, self.config.recovery_penalty * w)
-                        prof.recovery(tag, instr, self.config.recovery_penalty)
-                    pc = mf.label_index(instr.recovery_label)
-            elif isinstance(instr, InvalaE):
-                counters.explicit_invalidations += 1
-                self.alat.invalidate_entry((frame.serial, instr.rd))
-            elif isinstance(instr, St):
-                addr = self._addr(frame, instr.ra)
-                self.mem[addr] = self._read_reg(frame, instr.rs)
-                if hp is None:
-                    self.alat.snoop_store(addr)
-                    self.cache.store_touch(addr)
-                else:
-                    _ta = hp.now()
-                    self.alat.snoop_store(addr)
-                    _tc = hp.now()
-                    self.cache.store_touch(addr)
-                    hp.add_sub("sim.alat", _tc - _ta)
-                    hp.add_sub("sim.cache", hp.now() - _tc)
-                counters.retired_stores += 1
-            elif isinstance(instr, PredLd):
-                if self._read_reg(frame, instr.rp):
-                    addr = self._addr(frame, instr.ra)
-                    frame.regs[instr.rd] = self._load_value(addr)
-                    if hp is None:
-                        latency = self.cache.load_latency(addr, instr.is_float)
-                    else:
-                        _tc = hp.now()
-                        latency = self.cache.load_latency(addr, instr.is_float)
-                        hp.add_sub("sim.cache", hp.now() - _tc)
-                    frame.ready[instr.rd] = start + w * latency
+                if op == OP_ARITH:
+                    x = d(regs[b], regs[c])
+                    if not _INT_MIN <= x <= _INT_MAX and isinstance(x, int):
+                        x = wrap_int(x)
+                    regs[a] = x
+                    ready[a] = start + w * e
+                elif op == OP_CMP:
+                    regs[a] = 1 if d(regs[b], regs[c]) else 0
+                    ready[a] = start + w * e
+                elif op == OP_MOV:
+                    regs[a] = regs[b]
+                    ready[a] = start + w
+                elif op == OP_LD:
+                    addr = regs[b]
+                    if addr <= 0 or isinstance(addr, float):
+                        raise _bad_address(addr, mf)
+                    regs[a] = mem.get(addr, 0)
+                    latency = load_latency(addr, d)
+                    ready[a] = start + w * latency
                     counters.retired_loads += 1
-                    counters.predicated_reloads += 1
                     counters.data_access_cycles += latency
-                    if prof is not None:
-                        prof.add_data(instr, latency)
-                    if instr.indirect:
+                    if c:
                         counters.retired_indirect_loads += 1
-                    else:
-                        self.retired_direct_loads += 1
-            elif isinstance(instr, Br):
-                pc = mf.label_index(instr.label)
-                counters.branches += 1
-                self._charge_cycles(self.config.branch_penalty)
-                if prof is not None:
-                    prof.add_slots(instr, self.config.branch_penalty * w)
-            elif isinstance(instr, Brnz):
-                counters.branches += 1
-                if self._read_reg(frame, instr.rs):
-                    pc = mf.label_index(instr.label)
-                    self._charge_cycles(self.config.branch_penalty)
-                    if prof is not None:
-                        prof.add_slots(instr, self.config.branch_penalty * w)
-            elif isinstance(instr, CallF):
-                counters.calls += 1
-                callee = self.program.function(instr.callee)
-                self.rse.call(callee.nregs)
-                call_args = [self._read_reg(frame, r) for r in instr.arg_regs]
-                if hp is None:
-                    result = self._run_function(callee, call_args)
+                elif op == OP_LEA:
+                    regs[a] = base + b
+                    ready[a] = start + w
+                elif op == OP_BR:
+                    pc = a
+                    counters.branches += 1
+                    time += bubble
+                elif op == OP_BRNZ:
+                    counters.branches += 1
+                    if regs[a]:
+                        pc = b
+                        time += bubble
+                elif op == OP_ST:
+                    addr = regs[a]
+                    if addr <= 0 or isinstance(addr, float):
+                        raise _bad_address(addr, mf)
+                    mem[addr] = regs[b]
+                    alat.snoop_store(addr)
+                    store_touch(addr)
+                    counters.retired_stores += 1
+                elif op == OP_LD_A or op == OP_LD_SA:
+                    addr = regs[b]
+                    if addr <= 0 or isinstance(addr, float):
+                        if op == OP_LD_A:
+                            raise _bad_address(addr, mf)
+                        # ld.sa never faults: a bad address defers (NaT
+                        # -> dummy 0) and arms no entry, so later checks
+                        # reload
+                        regs[a] = 0.0 if d else 0
+                        ready[a] = start + w
+                        continue
+                    regs[a] = mem.get(addr, 0)
+                    latency = load_latency(addr, d)
+                    ready[a] = start + w * latency
+                    counters.retired_loads += 1
+                    counters.data_access_cycles += latency
+                    if c:
+                        counters.retired_indirect_loads += 1
+                    counters.retired_advanced_loads += 1
+                    alat.allocate((serial, a), addr)
+                elif op == OP_LDC:
+                    counters.check_instructions += 1
+                    tag = (serial, a)
+                    if alat.check(tag, c):
+                        # Check succeeded: zero cost, the register
+                        # already holds the value (the paper's
+                        # "processed like no-ops").
+                        continue
+                    counters.check_failures += 1
+                    addr = regs[b]
+                    if addr <= 0 or isinstance(addr, float):
+                        # Check reached before any advanced load ran on
+                        # this path: the address register is dead; so
+                        # is the result.
+                        regs[a] = 0.0 if e else 0
+                        continue
+                    regs[a] = mem.get(addr, 0)
+                    latency = load_latency(addr, e)
+                    ready[a] = start + w * latency
+                    counters.retired_loads += 1
+                    counters.data_access_cycles += latency
+                    if d:
+                        counters.retired_indirect_loads += 1
+                    if not c:
+                        alat.allocate(tag, addr)
+                elif op == OP_CHKA:
+                    counters.check_instructions += 1
+                    if not alat.check((serial, a), c):
+                        counters.check_failures += 1
+                        counters.recovery_cycles += recovery
+                        time += recovery * w
+                        pc = b
+                elif op == OP_PREDLD:
+                    if regs[b]:
+                        addr = regs[c]
+                        if addr <= 0 or isinstance(addr, float):
+                            raise _bad_address(addr, mf)
+                        regs[a] = mem.get(addr, 0)
+                        latency = load_latency(addr, e)
+                        ready[a] = start + w * latency
+                        counters.retired_loads += 1
+                        counters.predicated_reloads += 1
+                        counters.data_access_cycles += latency
+                        if d:
+                            counters.retired_indirect_loads += 1
+                elif op == OP_MOD or op == OP_DIV:
+                    regs[a] = _divide(op, regs[b], regs[c])
+                    ready[a] = start + w * e
+                elif op == OP_CALL:
+                    counters.calls += 1
+                    callee = self.program.function(a)
+                    self.rse.call(callee.nregs)
+                    call_args = [regs[r] for r in b]
+                    self.time = time
+                    counters.instructions = n
+                    in_call = True
+                    result = self._run_fast(callee, call_args)
+                    in_call = False
+                    time = self.time
+                    n = counters.instructions
+                    self.rse.ret()
+                    if c is not None:
+                        if result is None:
+                            raise MachineError(
+                                f"void call used as value: {dec.instrs[pc - 1]}"
+                            )
+                        regs[c] = result
+                        ready[c] = time + w
+                elif op == OP_RET:
+                    self.time = time
+                    counters.instructions = n
+                    return regs[a] if a is not None else None
                 else:
-                    # The callee's instructions bucket themselves inside
-                    # the nested _execute; keep them out of CallF.
-                    _tcall = hp.now()
-                    result = self._run_function(callee, call_args)
-                    hp.take_sub()
-                    hp.defer(hp.now() - _tcall)
-                self.rse.ret()
-                if instr.result_rd is not None:
-                    if result is None:
-                        self._fault(f"void call used as value: {instr}")
-                    frame.regs[instr.result_rd] = result
-                    frame.ready[instr.result_rd] = self.time + w
-            elif isinstance(instr, RetF):
-                if hp is not None:
-                    # This arm leaves the loop, so close its bucket here
-                    # instead of at the loop bottom.
-                    hp.add(
-                        "sim.op.RetF", hp.now() - t_mark - hp.take_sub()
-                    )
-                if instr.rs is not None:
-                    return self._read_reg(frame, instr.rs)
-                return None
-            elif isinstance(instr, AllocH):
-                words = int(self._read_reg(frame, instr.r_words))
-                if words < 0:
-                    self._fault(f"negative allocation: {instr}")
-                base = self._heap_top
-                self._heap_top += max(1, words)
-                frame.regs[instr.rd] = base
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, PrintR):
-                self.output.append(format_value(self._read_reg(frame, instr.rs)))
-            else:
-                self._fault(f"unknown instruction {instr!r}")
+                    self._execute_rare(dec, pc, regs, ready, serial, start)
+        except BaseException:
+            if not in_call:
+                self.time = time
+                counters.instructions = n
+            raise
+        finally:
+            self._pop_frame(mf, base)
 
-            if hp is not None:
-                t_now = hp.now()
-                hp.add(
-                    hp.op_key(instr.__class__),
-                    t_now - t_mark - hp.take_sub(),
-                )
-                t_mark = t_now
-
-    # -- memory ops -----------------------------------------------------------
-
-    def _addr(self, frame: _Frame, reg: int) -> int:
-        value = self._read_reg(frame, reg)
-        if isinstance(value, float):
-            self._fault(f"float used as address in {frame.mf.name}")
-        if value <= 0:
-            self._fault(f"invalid address {value} in {frame.mf.name}")
-        return int(value)
-
-    def _do_load(self, frame: _Frame, instr: Ld, start: int) -> None:
+    def _run_probed(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
+        """One activation on the probed loop: :meth:`_run_fast`'s
+        dispatch with every instrumentation point going through the
+        :class:`Probe`.  ``counters.instructions`` stays live here, so
+        observers and snapshots see the retiring instruction."""
+        probe = self._probe
+        dec, regs, ready, serial, base = probe.push_frame(mf, args)
+        code, instrs = dec.code, dec.instrs
+        mem = self.mem
         counters = self.counters
-        if instr.kind is LoadKind.SPEC_ADVANCED:
-            # ld.sa never faults: a bad address defers (NaT -> dummy 0).
-            raw = self._read_reg(frame, instr.ra)
-            if isinstance(raw, float) or raw <= 0:
-                frame.regs[instr.rd] = 0.0 if instr.is_float else 0
-                frame.ready[instr.rd] = start + self._w
-                # no ALAT entry: subsequent checks will reload
-                return
-            addr = int(raw)
-        else:
-            addr = self._addr(frame, instr.ra)
-        frame.regs[instr.rd] = self._load_value(addr)
-        hp = self.host
-        if hp is None:
-            latency = self.cache.load_latency(addr, instr.is_float)
-        else:
-            _tc = hp.now()
-            latency = self.cache.load_latency(addr, instr.is_float)
-            hp.add_sub("sim.cache", hp.now() - _tc)
-        frame.ready[instr.rd] = start + self._w * latency
-        counters.retired_loads += 1
-        counters.data_access_cycles += latency
-        if self.profile is not None:
-            self.profile.add_data(instr, latency)
-        if instr.indirect:
-            counters.retired_indirect_loads += 1
-        else:
-            self.retired_direct_loads += 1
-        if instr.kind in (LoadKind.ADVANCED, LoadKind.SPEC_ADVANCED):
-            counters.retired_advanced_loads += 1
-            if self.profile is not None:
-                self.profile.bind_tag((frame.serial, instr.rd), instr)
-            if hp is None:
-                self.alat.allocate((frame.serial, instr.rd), addr)
-            else:
-                _ta = hp.now()
-                self.alat.allocate((frame.serial, instr.rd), addr)
-                hp.add_sub("sim.alat", hp.now() - _ta)
+        step, issued, done = probe.step, probe.issued, probe.done
+        penalty, data, bind = probe.penalty, probe.data, probe.bind
+        alat_check, alat_allocate = probe.alat_check, probe.alat_allocate
+        alat_snoop = probe.alat_snoop
+        load_latency, store_touch = probe.load_latency, probe.store_touch
+        w = self._w
+        bubble = self.config.branch_penalty * w
+        recovery = self.config.recovery_penalty
+        limit = self.config.max_instructions
+        time = self.time
+        pc = 0
+        in_call = False
+        if probe.enter is not None:
+            probe.enter()
+        try:
+            while True:
+                try:
+                    op, reads, a, b, c, d, e = code[pc]
+                except IndexError:
+                    raise MachineError(dec.fault_at(pc)) from None
+                instr = instrs[pc]
+                pc += 1
+                counters.instructions += 1
+                if counters.instructions > limit:
+                    raise MachineLimitExceeded(f"exceeded {limit} instructions")
+                if step is not None:
+                    step()
+                t0 = time
+                start = time
+                for r in reads:
+                    if ready[r] > start:
+                        start = ready[r]
+                time = start + 1
+                if issued is not None:
+                    # operand-stall + issue slots; penalty slots are
+                    # added where they are charged, so the per-instruction
+                    # sums tile the slot clock exactly (a callee
+                    # attributes its own instructions)
+                    issued(instr, time - t0)
 
-    def _do_check_load(self, frame: _Frame, instr: LdC, start: int) -> None:
-        counters = self.counters
-        counters.check_instructions += 1
-        tag = (frame.serial, instr.rd)
-        hp = self.host
-        if hp is None:
-            hit = self.alat.check(tag, instr.clear)
-        else:
-            _ta = hp.now()
-            hit = self.alat.check(tag, instr.clear)
-            hp.add_sub("sim.alat", hp.now() - _ta)
-        if self.profile is not None:
-            self.profile.check(tag, instr, hit)
-        if hit:
-            # Check succeeded: zero cost, register already holds the
-            # value (the paper's "processed like no-ops").
-            return
-        counters.check_failures += 1
-        raw = self._read_reg(frame, instr.ra)
-        if isinstance(raw, float) or raw <= 0:
-            # Check reached before any advanced load ran on this path:
-            # the address register is dead; so is the result.
-            frame.regs[instr.rd] = 0.0 if instr.is_float else 0
-            return
-        addr = int(raw)
-        frame.regs[instr.rd] = self._load_value(addr)
-        if hp is None:
-            latency = self.cache.load_latency(addr, instr.is_float)
-        else:
-            _tc = hp.now()
-            latency = self.cache.load_latency(addr, instr.is_float)
-            hp.add_sub("sim.cache", hp.now() - _tc)
-        frame.ready[instr.rd] = start + self._w * latency
-        counters.retired_loads += 1
-        counters.data_access_cycles += latency
-        if self.profile is not None:
-            self.profile.add_data(instr, latency)
-        if instr.indirect:
-            counters.retired_indirect_loads += 1
-        else:
-            self.retired_direct_loads += 1
-        if not instr.clear:
-            if self.profile is not None:
-                self.profile.bind_tag(tag, instr)
-            if hp is None:
-                self.alat.allocate(tag, addr)
-            else:
-                _ta = hp.now()
-                self.alat.allocate(tag, addr)
-                hp.add_sub("sim.alat", hp.now() - _ta)
+                if op == OP_ARITH:
+                    x = d(regs[b], regs[c])
+                    if not _INT_MIN <= x <= _INT_MAX and isinstance(x, int):
+                        x = wrap_int(x)
+                    regs[a] = x
+                    ready[a] = start + w * e
+                elif op == OP_CMP:
+                    regs[a] = 1 if d(regs[b], regs[c]) else 0
+                    ready[a] = start + w * e
+                elif op == OP_MOV:
+                    regs[a] = regs[b]
+                    ready[a] = start + w
+                elif op == OP_LD or op == OP_LD_A or op == OP_LD_SA:
+                    addr = regs[b]
+                    if addr <= 0 or isinstance(addr, float):
+                        if op != OP_LD_SA:
+                            raise _bad_address(addr, mf)
+                        regs[a] = 0.0 if d else 0
+                        ready[a] = start + w
+                    else:
+                        regs[a] = mem.get(addr, 0)
+                        latency = load_latency(addr, d)
+                        ready[a] = start + w * latency
+                        counters.retired_loads += 1
+                        counters.data_access_cycles += latency
+                        data(instr, latency)
+                        if c:
+                            counters.retired_indirect_loads += 1
+                        if op != OP_LD:
+                            counters.retired_advanced_loads += 1
+                            bind((serial, a), instr)
+                            alat_allocate((serial, a), addr)
+                elif op == OP_LEA:
+                    regs[a] = base + b
+                    ready[a] = start + w
+                elif op == OP_BR:
+                    pc = a
+                    counters.branches += 1
+                    time += bubble
+                    penalty(instr, bubble)
+                elif op == OP_BRNZ:
+                    counters.branches += 1
+                    if regs[a]:
+                        pc = b
+                        time += bubble
+                        penalty(instr, bubble)
+                elif op == OP_ST:
+                    addr = regs[a]
+                    if addr <= 0 or isinstance(addr, float):
+                        raise _bad_address(addr, mf)
+                    mem[addr] = regs[b]
+                    alat_snoop(addr)
+                    store_touch(addr)
+                    counters.retired_stores += 1
+                elif op == OP_LDC:
+                    counters.check_instructions += 1
+                    tag = (serial, a)
+                    hit = alat_check(tag, c)
+                    probe.check(tag, instr, hit)
+                    if not hit:
+                        counters.check_failures += 1
+                        addr = regs[b]
+                        if addr <= 0 or isinstance(addr, float):
+                            regs[a] = 0.0 if e else 0
+                        else:
+                            regs[a] = mem.get(addr, 0)
+                            latency = load_latency(addr, e)
+                            ready[a] = start + w * latency
+                            counters.retired_loads += 1
+                            counters.data_access_cycles += latency
+                            data(instr, latency)
+                            if d:
+                                counters.retired_indirect_loads += 1
+                            if not c:
+                                bind(tag, instr)
+                                alat_allocate(tag, addr)
+                elif op == OP_CHKA:
+                    counters.check_instructions += 1
+                    tag = (serial, a)
+                    hit = alat_check(tag, c)
+                    probe.check(tag, instr, hit)
+                    if not hit:
+                        counters.check_failures += 1
+                        counters.recovery_cycles += recovery
+                        time += recovery * w
+                        penalty(instr, recovery * w)
+                        probe.recovery(tag, instr, recovery)
+                        pc = b
+                elif op == OP_PREDLD:
+                    if regs[b]:
+                        addr = regs[c]
+                        if addr <= 0 or isinstance(addr, float):
+                            raise _bad_address(addr, mf)
+                        regs[a] = mem.get(addr, 0)
+                        latency = load_latency(addr, e)
+                        ready[a] = start + w * latency
+                        counters.retired_loads += 1
+                        counters.predicated_reloads += 1
+                        counters.data_access_cycles += latency
+                        data(instr, latency)
+                        if d:
+                            counters.retired_indirect_loads += 1
+                elif op == OP_MOD or op == OP_DIV:
+                    regs[a] = _divide(op, regs[b], regs[c])
+                    ready[a] = start + w * e
+                elif op == OP_CALL:
+                    counters.calls += 1
+                    callee = self.program.function(a)
+                    self.rse.call(callee.nregs)
+                    call_args = [regs[r] for r in b]
+                    self.time = time
+                    in_call = True
+                    result = probe.call(callee, call_args)
+                    in_call = False
+                    time = self.time
+                    self.rse.ret()
+                    if c is not None:
+                        if result is None:
+                            raise MachineError(
+                                f"void call used as value: {instr}"
+                            )
+                        regs[c] = result
+                        ready[c] = time + w
+                elif op == OP_RET:
+                    self.time = time
+                    if done is not None:
+                        done(instr)
+                    return regs[a] if a is not None else None
+                else:
+                    self._execute_rare(dec, pc, regs, ready, serial, start)
+                if done is not None:
+                    done(instr)
+        except BaseException:
+            if not in_call:
+                self.time = time
+            raise
+        finally:
+            probe.pop_frame(mf, base)
 
-    # -- ALU semantics ----------------------------------------------------------
-
-    def _alu(self, frame: _Frame, instr: Alu) -> Value:
-        lhs = self._read_reg(frame, instr.rs1)
-        if isinstance(instr.src2, tuple):
-            rhs: Value = self._read_reg(frame, instr.src2[1])
-        else:
-            rhs = instr.src2
-        op = instr.op
-        if op is BinOpKind.ADD:
-            r: Value = lhs + rhs
-        elif op is BinOpKind.SUB:
-            r = lhs - rhs
-        elif op is BinOpKind.MUL:
-            r = lhs * rhs
-        elif op is BinOpKind.DIV:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                if rhs == 0:
-                    self._fault("float division by zero")
-                r = lhs / rhs
-            else:
-                if rhs == 0:
-                    self._fault("integer division by zero")
-                r = int_div(lhs, rhs)
-        elif op is BinOpKind.MOD:
-            if rhs == 0:
-                self._fault("integer modulo by zero")
-            r = int_mod(int(lhs), int(rhs))
-        elif op is BinOpKind.EQ:
-            r = 1 if lhs == rhs else 0
-        elif op is BinOpKind.NE:
-            r = 1 if lhs != rhs else 0
-        elif op is BinOpKind.LT:
-            r = 1 if lhs < rhs else 0
-        elif op is BinOpKind.LE:
-            r = 1 if lhs <= rhs else 0
-        elif op is BinOpKind.GT:
-            r = 1 if lhs > rhs else 0
-        elif op is BinOpKind.GE:
-            r = 1 if lhs >= rhs else 0
-        else:
-            self._fault(f"unsupported ALU op {op}")
-        if isinstance(r, int):
-            r = wrap_int(r)
-        return r
-
-    def _un(self, frame: _Frame, instr: Un) -> Value:
-        v = self._read_reg(frame, instr.rs)
-        if instr.op is UnOpKind.NEG:
-            return -v if isinstance(v, float) else wrap_int(-v)
-        if instr.op is UnOpKind.NOT:
-            return 0 if v else 1
-        if instr.op is UnOpKind.I2F:
-            return float(v)
-        if instr.op is UnOpKind.F2I:
-            return wrap_int(int(v))
-        self._fault(f"unsupported unary op {instr.op}")
-        raise AssertionError  # unreachable
+    def _execute_rare(
+        self, dec, pc: int, regs: list, ready: list, serial: int, start: int
+    ) -> None:
+        """The opcodes too rare to dispatch inline (shared by both
+        loops); ``pc`` is already past the instruction."""
+        op, _reads, a, b, c, _d, _e = dec.code[pc - 1]
+        w = self._w
+        if op == OP_INVALA:
+            self.counters.explicit_invalidations += 1
+            self.alat.invalidate_entry((serial, a))
+        elif op == OP_UN:
+            regs[a] = _unary(c, regs[b])
+            ready[a] = start + w
+        elif op == OP_ALLOC:
+            words = int(regs[b])
+            if words < 0:
+                raise MachineError(f"negative allocation: {dec.instrs[pc - 1]}")
+            regs[a] = self._heap_top
+            self._heap_top += max(1, words)
+            ready[a] = start + w
+        elif op == OP_PRINT:
+            self.output.append(format_value(regs[a]))
+        else:  # OP_FAULT: the decoder's message
+            raise MachineError(a)
 
 
 def run_machine(

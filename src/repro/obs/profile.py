@@ -102,8 +102,10 @@ class RunProfile:
 
     The hot-loop methods (:meth:`retire`, :meth:`add_slots`,
     :meth:`add_data`) key by instruction object identity — one dict
-    lookup per retired instruction when profiling is on, nothing at all
-    when it is off (the simulator holds ``None`` then).
+    lookup per retired instruction.  The simulator's
+    :class:`~repro.machine.cpu.Probe` binds them directly as its
+    attribution hooks, so they run only on the probed loop; an
+    unprofiled run never reaches this class.
     """
 
     def __init__(self, program, issue_width: int) -> None:

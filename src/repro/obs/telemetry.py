@@ -3,8 +3,8 @@
 Everything in :mod:`repro.obs` up to this module observes the *guest* —
 simulated cycles, ALAT traffic, per-line attribution.  This module
 observes the *host*: where the Python process itself spends wall-clock
-and allocations, which is what ROADMAP item 2 (flattening the two
-dominant hot loops) needs a trustworthy baseline for.
+and allocations, the baseline any speed-up of the two dominant hot loops
+(simulator dispatch, interpreter dispatch) is judged against.
 
 Three pieces:
 
@@ -16,10 +16,11 @@ Three pieces:
   issue/operand-stall segment (``sim.issue``), the cache and ALAT
   models (``sim.cache``, ``sim.alat``), frame setup/teardown
   (``sim.frame``, ``interp.frame``), and whatever the pipeline bracket
-  could not attribute (``sim.other``).  Opt-in: an unprofiled run pays
-  one ``is not None`` check per retired instruction.  Deliberately
-  *not* ``sys.setprofile`` — that would slow the loop ~10x and distort
-  exactly what it measures.
+  could not attribute (``sim.other``).  Opt-in: the simulator reaches
+  the profiler only from its probed loop (through
+  :class:`repro.machine.cpu.Probe`), so an unprofiled run pays nothing.
+  Deliberately *not* ``sys.setprofile`` — that would slow the loop ~10x
+  and distort exactly what it measures.
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — export a
   :class:`~repro.obs.trace.TraceContext`'s span tree (plus, optionally,
@@ -91,6 +92,23 @@ class HostProfiler:
         s = self._sub
         self._sub = 0
         return s
+
+    def timed(self, fn, key: str, nested: bool = True):
+        """``fn`` wrapped to record its time in bucket ``key``: through
+        :meth:`add_sub` when ``nested`` (the enclosing bucket segment
+        subtracts it), else through :meth:`add`.  This is how the
+        simulator's probe times the cache and ALAT models and frame
+        setup without a branch of its own at each call site."""
+        now = self.now
+        record = self.add_sub if nested else self.add
+
+        def timed_fn(*args):
+            t0 = now()
+            result = fn(*args)
+            record(key, now() - t0)
+            return result
+
+        return timed_fn
 
     # -- aggregation -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Fault-tolerant compilation service (ROADMAP item 1).
+"""Fault-tolerant compilation service.
 
 ``repro.service`` turns the one-shot, in-process ``compile_source``
 into a job queue that survives hostile conditions: requests fan out

@@ -1,10 +1,32 @@
 """Cache hierarchy and Register Stack Engine models."""
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.machine.cache import CacheConfig, CacheHierarchy, CacheLevelConfig
 from repro.machine.rse import RegisterStackEngine, RSEConfig
 
 
 # -- cache -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CacheConfig(line_words=0),
+        lambda: CacheConfig(
+            l1=CacheLevelConfig(lines=256, associativity=0, hit_latency=2)
+        ),
+        lambda: CacheConfig(
+            l2=CacheLevelConfig(lines=-1, associativity=8, hit_latency=9)
+        ),
+    ],
+)
+def test_bad_geometry_is_rejected_before_the_first_load(make):
+    # A typed error at construction, not a ZeroDivisionError at the first
+    # access (which the job service would take for a transient fault).
+    with pytest.raises(ConfigError):
+        CacheHierarchy(make())
 
 
 def test_first_access_misses_then_hits():

@@ -29,7 +29,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.machine.alat import ALATConfig
-from repro.machine.cpu import Simulator
+from repro.machine.cache import CacheConfig, CacheLevelConfig
+from repro.machine.cpu import MachineConfig, Simulator
 from repro.obs.sinks import MemorySink
 from repro.obs.trace import TraceContext
 from repro.pipeline import (
@@ -102,6 +103,52 @@ def test_alat_config_error_is_repro_error():
 def test_alat_config_accepts_valid_geometry():
     cfg = ALATConfig(entries=64, associativity=4, partial_bits=64)
     assert cfg.sets == 16
+
+
+# ---------------------------------------------------------------------------
+# MachineConfig / CacheConfig validation (same contract as ALATConfig)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("issue_width", 0),
+        ("issue_width", -1),
+        ("branch_penalty", -1),
+        ("recovery_penalty", -5),
+        ("max_instructions", 0),
+    ],
+)
+def test_machine_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        MachineConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("line_words", 0), ("line_words", -8), ("memory_latency", -1),
+     ("fp_min_latency", -9)],
+)
+def test_cache_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        CacheConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "lines,assoc,latency,match",
+    [(0, 4, 2, "positive"), (-8, 4, 2, "positive"), (256, 0, 2, "positive"),
+     (256, 4, -1, "hit_latency")],
+)
+def test_cache_level_config_rejects_bad_values(lines, assoc, latency, match):
+    with pytest.raises(ConfigError, match=match):
+        CacheLevelConfig(lines=lines, associativity=assoc, hit_latency=latency)
+
+
+def test_machine_config_accepts_zero_penalties():
+    cfg = MachineConfig(branch_penalty=0, recovery_penalty=0,
+                        max_instructions=1)
+    assert cfg.issue_width == 3
 
 
 # ---------------------------------------------------------------------------

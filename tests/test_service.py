@@ -289,6 +289,21 @@ def test_pool_compile_cold_then_verified_warm_hit(tmp_path):
     assert cold.extra.get("host") and not warm.extra
 
 
+def test_pool_bad_machine_geometry_fails_once_as_config_error():
+    # Bad geometry is a permanent, typed error: the pool must not retry it.
+    spec = compile_spec()
+    spec.payload["options"]["machine"]["cache"]["line_words"] = 0
+    policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
+    with JobPool(jobs=1, retry_policy=policy) as pool:
+        jid = pool.submit(spec)
+        pool.drain()
+    result = pool.results[jid]
+    assert result.state == FAILED
+    assert result.attempts == 1
+    assert result.error.type == "ConfigError"
+    assert pool.ledger.retries == 0
+
+
 # -- service matrix client ----------------------------------------------
 
 

@@ -6,9 +6,11 @@ on."""
 
 import pytest
 
-from repro.errors import MachineError
+from repro.errors import MachineError, MachineLimitExceeded
 from repro.ir.expr import BinOpKind, UnOpKind
 from repro.machine.cpu import MachineConfig, Simulator
+from repro.obs.sinks import MemorySink
+from repro.obs.trace import TraceContext
 from repro.target.isa import (
     AllocH,
     Alu,
@@ -334,3 +336,106 @@ def test_issue_width_scales_cycles():
     wide = Simulator(make_program(instrs), MachineConfig(issue_width=4)).run([])
     narrow = Simulator(make_program(instrs), MachineConfig(issue_width=1)).run([])
     assert narrow.counters.cpu_cycles > wide.counters.cpu_cycles
+
+
+# -- decoded form: edge cases, on both loops -----------------------------
+
+LOOPS = pytest.mark.parametrize("probed", [False, True], ids=["fast", "probed"])
+
+
+def simulate(program, args=(), probed=False):
+    """Run on the hook-free loop, or on the probed one (a memory trace
+    sink is enough to select it)."""
+    obs = TraceContext(MemorySink()) if probed else None
+    sim = Simulator(program, obs=obs)
+    return sim, sim.run(list(args))
+
+
+@LOOPS
+def test_unknown_label_faults_only_when_taken(probed):
+    def prog(taken):
+        return make_program(
+            [MovI(0, taken), Brnz(0, ".nowhere"), MovI(1, 3), RetF(1)]
+        )
+
+    assert simulate(prog(0), probed=probed)[1].exit_value == 3
+    with pytest.raises(MachineError, match="unknown label '.nowhere'"):
+        simulate(prog(1), probed=probed)
+    with pytest.raises(MachineError, match="unknown label '.gone'"):
+        simulate(make_program([Br(".gone"), RetF(0)]), probed=probed)
+
+
+@LOOPS
+def test_trailing_label_falls_off_the_end(probed):
+    with pytest.raises(MachineError, match="fell off the end"):
+        simulate(make_program([MovI(0, 1), Label(".end")]), probed=probed)
+    with pytest.raises(MachineError, match="fell off the end"):
+        simulate(
+            make_program([Br(".end"), RetF(0), Label(".end")]), probed=probed
+        )
+
+
+@LOOPS
+def test_registers_above_overwritten_nregs(probed):
+    program = make_program(
+        [MovI(10, 7), Mov(11, 10), Alu(BinOpKind.ADD, 12, 11, 1), RetF(12)],
+        nregs=2,
+    )
+    assert simulate(program, probed=probed)[1].exit_value == 8
+
+
+@LOOPS
+def test_main_takes_more_args_than_registers(probed):
+    program = make_program([RetF(0)], nregs=1)
+    assert simulate(program, [5, 6, 7], probed=probed)[1].exit_value == 5
+
+
+@LOOPS
+def test_emit_after_run_redecodes(probed):
+    program = make_program([MovI(0, 1), Br(".more")])
+    mf = program.function("main")
+    with pytest.raises(MachineError, match="unknown label"):
+        simulate(program, probed=probed)
+    stale = mf.decoded()
+    mf.emit(Label(".more"))
+    mf.emit(MovI(0, 2))
+    mf.emit(RetF(0))
+    assert mf.decoded() is not stale
+    assert simulate(program, probed=probed)[1].exit_value == 2
+
+
+def test_instruction_limit_fires_at_the_same_count_on_both_loops():
+    program = make_program([Label(".top"), MovI(0, 1), Br(".top")])
+    counts = []
+    for probed in (False, True):
+        obs = TraceContext(MemorySink()) if probed else None
+        sim = Simulator(program, MachineConfig(max_instructions=25), obs=obs)
+        with pytest.raises(MachineLimitExceeded, match="exceeded 25"):
+            sim.run([])
+        counts.append((sim.counters.instructions, sim.counters.branches))
+    assert counts[0] == counts[1] == (26, 12)
+
+
+def test_probed_observer_events_carry_the_live_instruction_count():
+    program = make_program(
+        [
+            Lea(0, Region.GLOBAL, 0x1000),    # 1
+            Ld(1, 0, LoadKind.ADVANCED),      # 2: cache.miss, alat.allocate
+            MovI(2, 5),                       # 3
+            St(0, 2),                         # 4: alat.collision
+            LdC(1, 0),                        # 5: alat.check (miss)
+            RetF(1),                          # 6
+        ]
+    )
+    sink = MemorySink()
+    Simulator(program, obs=TraceContext(sink)).run([])
+    seen = [
+        (e["event"], e["instr"]) for e in sink.events
+        if e["event"].startswith(("alat.", "cache."))
+    ]
+    assert seen == [
+        ("cache.miss", 2),
+        ("alat.allocate", 2),
+        ("alat.collision", 4),
+        ("alat.check", 5),
+    ]
