@@ -48,7 +48,7 @@ def sweep():
     return rows
 
 
-def test_alat_size_table(benchmark, sweep):
+def test_alat_size_table(sweep):
     def render():
         lines = [
             "Ablation A. ALAT capacity sweep (check failures / cycle gain % / evictions)",
@@ -64,7 +64,7 @@ def test_alat_size_table(benchmark, sweep):
         lines.append("-" * 78)
         return "\n".join(lines)
 
-    table = benchmark.pedantic(render, rounds=1, iterations=1)
+    table = render()
     publish_table("ablation_alat_size", table)
 
 

@@ -65,7 +65,7 @@ def gains():
     }
 
 
-def test_alias_analysis_table(benchmark, gains):
+def test_alias_analysis_table(gains):
     def render():
         lines = [
             "Ablation E. Speculative gain under different pointer analyses (cycle %)",
@@ -81,7 +81,7 @@ def test_alias_analysis_table(benchmark, gains):
         lines.append("-" * 64)
         return "\n".join(lines)
 
-    table = benchmark.pedantic(render, rounds=1, iterations=1)
+    table = render()
     publish_table("ablation_alias_analysis", table)
 
 

@@ -51,7 +51,7 @@ def _gain(counters, mode):
     return 100.0 * (base - counters[mode].cpu_cycles) / base
 
 
-def test_heuristics_table(benchmark, rows):
+def test_heuristics_table(rows):
     def render():
         lines = [
             "Ablation D. Profile-guided vs heuristic speculation (cycle gain %)",
@@ -67,7 +67,7 @@ def test_heuristics_table(benchmark, rows):
         lines.append("-" * 64)
         return "\n".join(lines)
 
-    table = benchmark.pedantic(render, rounds=1, iterations=1)
+    table = render()
     publish_table("ablation_heuristics", table)
 
 

@@ -86,7 +86,7 @@ def sweep():
     return {rate: _measure(rate) for rate in RATES}
 
 
-def test_misspec_rate_table(benchmark, sweep):
+def test_misspec_rate_table(sweep):
     def render():
         lines = [
             "Ablation C. Gain vs true aliasing rate (adversarial kernel)",
@@ -100,7 +100,7 @@ def test_misspec_rate_table(benchmark, sweep):
         lines.append("-" * 64)
         return "\n".join(lines)
 
-    table = benchmark.pedantic(render, rounds=1, iterations=1)
+    table = render()
     publish_table("ablation_misspec_rate", table)
 
 

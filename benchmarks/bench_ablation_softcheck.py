@@ -58,7 +58,7 @@ def pairs():
     return rows
 
 
-def test_softcheck_table(benchmark, pairs):
+def test_softcheck_table(pairs):
     def render():
         lines = [
             "Ablation B. ALAT vs software checks (same profile-guided decisions)",
@@ -80,7 +80,7 @@ def test_softcheck_table(benchmark, pairs):
         lines.append("-" * 78)
         return "\n".join(lines)
 
-    table = benchmark.pedantic(render, rounds=1, iterations=1)
+    table = render()
     publish_table("ablation_softcheck", table)
 
 

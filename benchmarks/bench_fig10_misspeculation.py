@@ -14,10 +14,8 @@ from repro.workloads import figure10_table
 from conftest import publish_table
 
 
-def test_fig10_table(benchmark, all_results):
-    table = benchmark.pedantic(
-        lambda: figure10_table(all_results), rounds=1, iterations=1
-    )
+def test_fig10_table(all_results):
+    table = figure10_table(all_results)
     publish_table("figure10_misspeculation", table)
 
 

@@ -17,10 +17,8 @@ from repro.workloads import figure11_table
 from conftest import publish_table
 
 
-def test_fig11_table(benchmark, all_results):
-    table = benchmark.pedantic(
-        lambda: figure11_table(all_results), rounds=1, iterations=1
-    )
+def test_fig11_table(all_results):
+    table = figure11_table(all_results)
     publish_table("figure11_rse", table)
 
 

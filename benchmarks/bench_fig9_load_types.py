@@ -19,10 +19,8 @@ from conftest import publish_table
 INDIRECT_HEAVY = ("ammp", "gzip", "mcf")
 
 
-def test_fig9_table(benchmark, all_results):
-    table = benchmark.pedantic(
-        lambda: figure9_table(all_results), rounds=1, iterations=1
-    )
+def test_fig9_table(all_results):
+    table = figure9_table(all_results)
     publish_table("figure9_load_types", table)
 
 

@@ -76,12 +76,10 @@ def test_static_cycles_close_to_profiled(rows):
     assert 100.0 * (total_s - total_p) / total_p <= 3.0
 
 
-def test_static_vs_profile_table(benchmark, rows):
+def test_static_vs_profile_table(rows):
     records = [
         {"bench": r.workload, "metrics": r.as_metrics()}
         for r in rows.values()
     ]
-    table = benchmark.pedantic(
-        lambda: comparison_table(records), rounds=1, iterations=1
-    )
+    table = comparison_table(records)
     publish_table("static_vs_profile", table)

@@ -1,10 +1,13 @@
 """Shared benchmark infrastructure.
 
 Each bench module regenerates one of the paper's evaluation figures.
-Results are cached across modules (every figure reads the same ten
-baseline/speculative runs), written to ``benchmarks/results/`` and
-echoed to the terminal at session end (pytest captures stdout during
-tests, so the tables are printed from the sessionfinish hook).
+The ten baseline/speculative runs every figure reads are made once per
+session, by the in-process matrix driver
+(``repro.service.matrix.run_matrix(jobs=0)``); tables are written to
+``benchmarks/results/`` and echoed to the terminal at session end
+(pytest captures stdout during tests, so the tables are printed from
+the sessionfinish hook).  Host timing is ``benchmarks/perf/``'s job,
+not these modules'.
 
 Observability: every session also dumps per-mode run metrics
 (``results/metrics.json``, via ``repro.obs.build_metrics`` — including
@@ -13,12 +16,12 @@ the ``host`` section with wall-clock and steps/sec).  Set
 structured event trace to ``results/traces/<bench>.<mode>.jsonl``.
 
 Regression gate: set ``REPRO_BENCH_HISTORY=1`` to append each run's
-tracked counters *and host metrics* to
-``benchmarks/history/<bench>.jsonl`` and flag regressions — counters
-against the previous record, host wall-clock/throughput against the
-median of the last ≤3 (or point it at an alternate history directory).
-The report is echoed at session end; flags never fail the figure tests
-themselves — CI gates separately via ``python -m repro.obs.regress``.
+tracked counters *and host metrics* to the history store
+``benchmarks/history/`` and flag regressions — counters against the
+previous record, host wall-clock/throughput against the median of the
+last ≤3 (or point it at an alternate store directory).  The report is
+echoed at session end; flags never fail the figure tests themselves —
+CI gates separately via ``python -m repro.obs.regress --store``.
 
 Results store: set ``REPRO_BENCH_STORE=1`` (or a directory path) to
 ingest every measurement into the experiment results store
@@ -157,23 +160,29 @@ def all_results():
     set)."""
     import json
 
-    from repro.obs import build_metrics
-    from repro.workloads import figures_as_dict, run_all_benchmarks
+    from repro.service.matrix import run_matrix
+    from repro.workloads import figures_as_dict, host_metrics_as_dict
 
     trace_dir = None
     if os.environ.get("REPRO_BENCH_TRACE"):
         trace_dir = str(RESULTS_DIR / "traces")
 
-    results = run_all_benchmarks(
-        trace_dir=trace_dir, profile_sites=bench_store() is not None
+    outcome = run_matrix(
+        jobs=0, trace_dir=trace_dir, profile_sites=bench_store() is not None
     )
+    if outcome.failures:
+        raise RuntimeError(
+            "benchmark matrix failed:\n"
+            + "\n".join(f.format() for f in outcome.failures)
+        )
+    results = outcome.results
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "figures.json").write_text(
         json.dumps(figures_as_dict(results), indent=2) + "\n"
     )
     metrics = {
         name: {
-            mode.label: build_metrics(mode.compile_output, mode.machine)
+            mode.label: mode.metrics
             for mode in (result.baseline, result.speculative)
         }
         for name, result in results.items()
@@ -184,11 +193,13 @@ def all_results():
 
     history = os.environ.get("REPRO_BENCH_HISTORY")
     if history:
-        from repro.workloads import gate_results
+        from repro.obs.regress import StoreHistory, gate_metrics
 
-        history_dir = str(HISTORY_DIR) if history == "1" else history
+        store_dir = HISTORY_DIR if history == "1" else history
         global _gate_report
-        _gate_report = gate_results(results, history_dir)
+        _gate_report = gate_metrics(
+            StoreHistory(store_dir), host_metrics_as_dict(results)
+        )
 
     store = bench_store()
     if store is not None:

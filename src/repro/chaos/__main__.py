@@ -60,9 +60,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="fan the campaign out across N repro.service workers "
-             "(0 = sequential in-process, the default); programs and "
-             "verdicts are identical to the sequential campaign's",
+        help="repro.service pool size: N forked workers, or 0 (the "
+             "default) to check every program in this process; the "
+             "report is the same at every size (--service-self-test "
+             "defaults to 2)",
     )
     parser.add_argument(
         "--service-self-test", action="store_true",
@@ -146,26 +147,15 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
-    if args.jobs:
-        from repro.chaos.service import run_campaign_service
-
-        report = run_campaign_service(
-            seed=args.seed,
-            runs=args.runs,
-            plans=default_fault_plans(args.seed, count=args.plans),
-            jobs=args.jobs,
-            minimize=args.minimize,
-            failures_dir=args.failures_dir,
-        )
-    else:
-        report = run_campaign(
-            seed=args.seed,
-            runs=args.runs,
-            plans=default_fault_plans(args.seed, count=args.plans),
-            minimize=args.minimize,
-            failures_dir=args.failures_dir,
-            progress=progress,
-        )
+    report = run_campaign(
+        seed=args.seed,
+        runs=args.runs,
+        plans=default_fault_plans(args.seed, count=args.plans),
+        minimize=args.minimize,
+        failures_dir=args.failures_dir,
+        progress=progress,
+        jobs=args.jobs,
+    )
     if args.as_json:
         print(json.dumps(report.as_dict(), indent=2))
     else:

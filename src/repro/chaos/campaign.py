@@ -52,6 +52,8 @@ from repro.pipeline.options import (
     SpecLintMode,
     SpecMode,
 )
+from repro.service.job import JobSpec, options_to_dict
+from repro.service.pool import JobPool
 
 #: interpreter fuel per oracle run — generous for generated programs
 #: (bounded loops), tight enough that a generator bug cannot hang a
@@ -107,6 +109,15 @@ class CampaignFailure:
             "reduced_source": self.reduced_source,
             "artifacts": self.artifacts,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CampaignFailure":
+        return cls(**{
+            **d,
+            "plan": FaultPlan(**d["plan"]),
+            "ref_args": tuple(d["ref_args"]),
+            "train_args": tuple(d["train_args"]),
+        })
 
 
 @dataclass
@@ -220,9 +231,9 @@ def check_program(
 ) -> list[CampaignFailure]:
     """Run one program through the full mode × plan matrix.
 
-    Public: ``repro.service.workers`` runs exactly this per ``chaos``
-    job, with ``report`` collecting the mergeable per-program counts
-    (``runs``, ``skipped``, ``faults_injected``)."""
+    ``repro.service.workers`` runs exactly this per ``chaos`` job, with
+    ``report`` collecting the mergeable per-program counts (``runs``,
+    ``skipped``, ``faults_injected``)."""
     try:
         oracle = run_program(
             program.source, list(program.ref_args), max_steps=INTERP_FUEL
@@ -400,6 +411,56 @@ def write_failure_artifacts(
 # -- the campaign --------------------------------------------------------
 
 
+#: programs per pool drain: results, and ``progress`` callbacks, arrive
+#: chunk by chunk instead of once at the end of the campaign
+CHUNK = 25
+
+
+def _program_job(program: GeneratedProgram, modes: list[dict],
+                 plans: list[Optional[dict]], seed: int) -> JobSpec:
+    return JobSpec(
+        kind="chaos",
+        payload={
+            "name": program.name,
+            "source": program.source,
+            "ref_args": list(program.ref_args),
+            "train_args": list(program.train_args),
+            "modes": modes,
+            "plans": plans,
+            "seed": seed,
+        },
+        label=f"chaos:{program.name}",
+    )
+
+
+def _job_failures(jr, report: CampaignReport) -> list[CampaignFailure]:
+    """Merge one ``chaos`` job into the report; returns its failures.
+    A job the pool could not complete is an honest ``crash`` failure —
+    fault tolerance must not hide broken runs."""
+    if not jr.ok:
+        payload = jr.spec.payload
+        return [
+            CampaignFailure(
+                program=payload["name"],
+                kind="crash",
+                mode="<service>",
+                plan=FaultPlan(),
+                detail=(
+                    f"service {jr.state}: "
+                    + (jr.error.format() if jr.error else "no result")
+                ),
+                source=payload["source"],
+                ref_args=tuple(payload["ref_args"]),
+                train_args=tuple(payload["train_args"]),
+            )
+        ]
+    artifact = jr.artifact
+    report.runs += artifact["runs"]
+    report.skipped += artifact["skipped"]
+    report.note_faults(artifact["faults_injected"])
+    return [CampaignFailure.from_dict(fd) for fd in artifact["failures"]]
+
+
 def run_campaign(
     seed: int = 0,
     runs: int = 200,
@@ -410,6 +471,7 @@ def run_campaign(
     failures_dir: Optional[str] = "chaos/failures",
     programs: Optional[list[GeneratedProgram]] = None,
     progress: Optional[Callable[[CampaignReport], None]] = None,
+    jobs: int = 0,
 ) -> CampaignReport:
     """Run ``runs`` generated programs (or the given ``programs``)
     through the mode × fault-plan differential matrix.
@@ -417,12 +479,16 @@ def run_campaign(
     Every compiled program is additionally simulated with **no** fault
     plan — the plain translation-validation run — so a miscompile that
     needs no fault to surface is still caught.
+
+    Each program is one ``chaos`` job on a ``jobs``-sized
+    :class:`~repro.service.pool.JobPool`; the default ``0`` runs them
+    in this process.  Programs are generated here and results merged in
+    submission order, so the report is the same at every pool size.
+    Minimisation, the expensive sequential tail, stays in this process.
     """
     modes = modes if modes is not None else default_modes()
     plans = plans if plans is not None else default_fault_plans(seed)
     report = CampaignReport(seed=seed)
-    plan_matrix: list[Optional[FaultPlan]] = [None] + list(plans)
-
     if programs is None:
         # str-seeded so (campaign seed, index) fully determines the
         # program; tuples are not valid random.Random seeds.
@@ -430,19 +496,24 @@ def run_campaign(
             generate_program(random.Random(f"{seed}:{i}"), i)
             for i in range(runs)
         ]
-    for program in programs:
-        report.programs += 1
-        failures = check_program(program, modes, plan_matrix, report)
-        for failure in failures:
-            if minimize and len(report.failures) < minimize_limit:
-                minimize_failure(failure, modes)
-            if failures_dir is not None:
-                write_failure_artifacts(
-                    failure, failures_dir, len(report.failures)
-                )
-            report.failures.append(failure)
-        if progress is not None:
-            progress(report)
+    mode_dicts = [options_to_dict(m) for m in modes]
+    plan_dicts = [None] + [p.as_dict() for p in plans]
+    specs = [_program_job(p, mode_dicts, plan_dicts, seed) for p in programs]
+
+    with JobPool(jobs=jobs) as pool:
+        for start in range(0, len(specs), CHUNK):
+            for jr in pool.run(specs[start:start + CHUNK]):
+                report.programs += 1
+                for failure in _job_failures(jr, report):
+                    if minimize and len(report.failures) < minimize_limit:
+                        minimize_failure(failure, modes)
+                    if failures_dir is not None:
+                        write_failure_artifacts(
+                            failure, failures_dir, len(report.failures)
+                        )
+                    report.failures.append(failure)
+                if progress is not None:
+                    progress(report)
     return report
 
 

@@ -23,8 +23,8 @@ pool under all three faults and audits the full contract:
 1. every job still completes (``failed == timed_out == 0`` terminally —
    injected hangs are retried, not surfaced);
 2. the ledger balances: ``submitted == completed + failed + timed_out``;
-3. every artifact hash is **byte-identical** to the sequential
-   ``compile_source`` path executed in-process (the oracle);
+3. every artifact hash is **byte-identical** to the same jobs run on
+   the in-process pool (``JobPool(jobs=0)``, the oracle);
 4. after corrupting K entries, the warm run quarantines exactly K,
    recomputes them to the same hashes, and serves the rest from cache;
 5. a final clean warm run serves 100% of jobs from the verified cache,
@@ -33,7 +33,6 @@ pool under all three faults and audits the full contract:
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,137 +174,30 @@ class ServiceChaosReport:
                     f"/{ledger['cache_hits'] + ledger['cache_misses']}"
                 )
         lines.append(
-            "  all artifacts byte-identical to sequential compile_source"
+            "  all artifacts byte-identical to the in-process pool"
         )
         return "\n".join(lines)
 
 
-def _sequential_reference(specs) -> tuple[dict[str, str], dict[str, float]]:
-    """Oracle: the exact worker handler, in-process and fault-free.
+def _in_process_reference(specs) -> tuple[dict[str, str], dict[str, float]]:
+    """Oracle: the same jobs on the in-process pool, fault-free.
     Returns ``({label: artifact sha}, {label: wall seconds})`` — the
     timings calibrate hang-victim deadlines so an honest retry always
     fits its budget even on a loaded host."""
-    import time
-
-    from repro.service.cache import artifact_sha
-    from repro.service.workers import HANDLERS
-    from repro.workloads.runner import clear_cache
-
-    shas: dict[str, str] = {}
-    walls: dict[str, float] = {}
-    for spec in specs:
-        clear_cache()
-        t0 = time.perf_counter()
-        artifact, _ = HANDLERS[spec.kind](spec.payload, {"attempt": 1,
-                                                         "worker": -1})
-        walls[spec.label] = time.perf_counter() - t0
-        shas[spec.label] = artifact_sha(artifact)
-    return shas, walls
-
-
-def run_campaign_service(
-    seed: int = 0,
-    runs: int = 200,
-    modes=None,
-    plans=None,
-    jobs: int = 2,
-    minimize: bool = False,
-    minimize_limit: int = 5,
-    failures_dir: Optional[str] = "chaos/failures",
-    obs=None,
-):
-    """The differential chaos campaign fanned out over the job pool.
-
-    Programs are generated in the parent (so the stream is identical to
-    the sequential campaign's) and shipped to workers one ``chaos`` job
-    per program; each worker runs the full mode × plan matrix for its
-    program and returns mergeable report increments.  Minimisation, the
-    expensive sequential tail, stays in the parent.  A job the pool
-    could not complete (crash budget, timeout) is an honest ``crash``
-    campaign failure — fault tolerance must not hide broken runs.
-    """
-    from repro.chaos.campaign import (
-        CampaignFailure,
-        CampaignReport,
-        default_modes,
-        minimize_failure,
-        write_failure_artifacts,
-    )
-    from repro.chaos.faults import FaultPlan, default_fault_plans
-    from repro.chaos.generator import generate_program
-    from repro.service.job import JobSpec, options_to_dict
     from repro.service.pool import JobPool
 
-    modes = modes if modes is not None else default_modes()
-    plans = plans if plans is not None else default_fault_plans(seed)
-    programs = [
-        generate_program(random.Random(f"{seed}:{i}"), i)
-        for i in range(runs)
-    ]
-    mode_dicts = [options_to_dict(m) for m in modes]
-    plan_dicts = [None] + [p.as_dict() for p in plans]
-    specs = [
-        JobSpec(
-            kind="chaos",
-            payload={
-                "name": p.name,
-                "source": p.source,
-                "ref_args": list(p.ref_args),
-                "train_args": list(p.train_args),
-                "modes": mode_dicts,
-                "plans": plan_dicts,
-                "seed": seed,
-            },
-            label=f"chaos:{p.name}",
-        )
-        for p in programs
-    ]
-
-    report = CampaignReport(seed=seed)
-    with JobPool(jobs=jobs, obs=obs) as pool:
+    with JobPool(jobs=0) as pool:
         results = pool.run(specs)
     for jr in results:
-        report.programs += 1
         if not jr.ok:
-            report.failures.append(
-                CampaignFailure(
-                    program=jr.spec.payload["name"],
-                    kind="crash",
-                    mode="<service>",
-                    plan=FaultPlan(),
-                    detail=(
-                        f"service {jr.state}: "
-                        + (jr.error.format() if jr.error else "no result")
-                    ),
-                    source=jr.spec.payload["source"],
-                    ref_args=tuple(jr.spec.payload["ref_args"]),
-                    train_args=tuple(jr.spec.payload["train_args"]),
-                )
+            raise ChaosServiceError(
+                f"reference: {jr.spec.label} {jr.state}: "
+                + (jr.error.format() if jr.error else "no result")
             )
-            continue
-        artifact = jr.artifact
-        report.runs += artifact["runs"]
-        report.skipped += artifact["skipped"]
-        report.note_faults(artifact["faults_injected"])
-        for fd in artifact["failures"]:
-            failure = CampaignFailure(
-                program=fd["program"],
-                kind=fd["kind"],
-                mode=fd["mode"],
-                plan=FaultPlan(**fd["plan"]),
-                detail=fd["detail"],
-                source=fd["source"],
-                ref_args=tuple(fd["ref_args"]),
-                train_args=tuple(fd["train_args"]),
-            )
-            if minimize and len(report.failures) < minimize_limit:
-                minimize_failure(failure, modes)
-            if failures_dir is not None:
-                write_failure_artifacts(
-                    failure, failures_dir, len(report.failures)
-                )
-            report.failures.append(failure)
-    return report
+    return (
+        {jr.spec.label: jr.artifact_sha for jr in results},
+        {jr.spec.label: jr.wall_ms / 1e3 for jr in results},
+    )
 
 
 def run_service_self_test(
@@ -339,7 +231,7 @@ def run_service_self_test(
         s.label for s in rng.sample(specs, min(plan.hangs, len(specs)))
     ]
 
-    reference, walls = _sequential_reference(specs)
+    reference, walls = _in_process_reference(specs)
     report.reference_shas = reference
 
     # Per-victim deadline: generous against its own honest runtime (a
@@ -367,7 +259,7 @@ def run_service_self_test(
             if jr.artifact_sha != reference[jr.spec.label]:
                 raise ChaosServiceError(
                     f"{label}: {jr.spec.label} artifact hash "
-                    f"{jr.artifact_sha} != sequential reference "
+                    f"{jr.artifact_sha} != in-process reference "
                     f"{reference[jr.spec.label]} — the service served a "
                     "wrong answer"
                 )

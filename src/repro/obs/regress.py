@@ -1,6 +1,6 @@
 """Benchmark history + regression gate.
 
-Every gated run appends one record per benchmark to the history backend
+Every gated run appends one record per benchmark to the history
 and compares the fresh numbers against the recorded baseline.  A
 counter that moved past its threshold raises a flag; cycle-count
 regressions are *failures* (CI gates on them), everything else is a
@@ -17,17 +17,16 @@ DESIGN §13/§14):
   and a median over a short window keeps one slow CI neighbour from
   poisoning the baseline.
 
-**History backends.**  The classic backend is per-bench JSONL under
-``benchmarks/history/`` (:class:`JsonlHistory`).  The results store
-(``repro.obs.store``) can serve the same role through
-:class:`StoreHistory`, which rebuilds the per-bench record sequence
-from stored run records — gating decisions and exit codes are identical
-for identical record sequences (``python -m repro.obs.store
-import-history`` migrates old JSONL history in).
+**History.**  The results store (``repro.obs.store``) is the gate's only
+history: :class:`StoreHistory` rebuilds the per-bench record sequence
+from the store's ``matrix`` and ``history`` suite run records (one
+history record per batch), and appends each gated sweep back as
+``history`` suite records.  Ablation and other suites never enter the
+baseline.
 
-**Retention.**  Both backends grow by one record per gated sweep and
-are never rewritten by the gate itself; ``--prune N`` (or
-``backend.prune(N)``) keeps the newest N records per benchmark —
+**Retention.**  The history grows by one batch per gated sweep and is
+never rewritten by the gate itself; ``--prune N`` (or
+``backend.prune(N)``) keeps the newest N records per run identity —
 anything older than the largest baseline window plus audit margin is
 dead weight.  The recommended policy is ``N >= 10`` (CI uses the
 default of keeping everything; prune in a scheduled job, not per run).
@@ -41,7 +40,7 @@ Also usable as a CLI against the benchmark harness's ``metrics.json``::
 
     python -m repro.obs.regress \
         --metrics benchmarks/results/metrics.json \
-        --history benchmarks/history [--store benchmarks/store] \
+        --store benchmarks/history \
         [--threshold 0.10] [--no-update] [--warn-only] [--allow-seed] \
         [--prune N]
 """
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -124,83 +122,15 @@ class Flag:
         )
 
 
-# -- history files ------------------------------------------------------
-
-
-def history_path(history_dir: str, bench: str) -> str:
-    return os.path.join(history_dir, f"{bench}.jsonl")
-
-
-def load_history(history_dir: str, bench: str) -> list[dict]:
-    path = history_path(history_dir, bench)
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def latest_record(history_dir: str, bench: str) -> Optional[dict]:
-    history = load_history(history_dir, bench)
-    return history[-1] if history else None
-
-
-def append_record(history_dir: str, record: dict) -> None:
-    os.makedirs(history_dir, exist_ok=True)
-    with open(history_path(history_dir, record["bench"]), "a",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-# -- history backends ---------------------------------------------------
-
-
-class JsonlHistory:
-    """The classic backend: one ``<bench>.jsonl`` per benchmark."""
-
-    def __init__(self, history_dir: str) -> None:
-        self.history_dir = history_dir
-
-    def load(self, bench: str) -> list[dict]:
-        return load_history(self.history_dir, bench)
-
-    def append(self, record: dict) -> None:
-        append_record(self.history_dir, record)
-
-    def prune(self, keep: int) -> dict[str, int]:
-        """Keep the newest ``keep`` records per benchmark; returns
-        ``{bench: removed}``.  Files are rewritten via a temp file +
-        atomic rename so a crash mid-prune cannot lose history."""
-        if keep < 1:
-            raise ValueError(f"prune keep must be >= 1, got {keep}")
-        removed: dict[str, int] = {}
-        if not os.path.isdir(self.history_dir):
-            return removed
-        for name in sorted(os.listdir(self.history_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            bench = name[: -len(".jsonl")]
-            history = self.load(bench)
-            if len(history) <= keep:
-                continue
-            path = history_path(self.history_dir, bench)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in history[-keep:]:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            removed[bench] = len(history) - keep
-        return removed
+# -- history -----------------------------------------------------------
 
 
 class StoreHistory:
-    """History served by the results store (``repro.obs.store``).
+    """The gate's history, served by the results store.
 
-    Run records grouped by their ``batch`` id reconstruct exactly the
-    per-sweep record sequence the JSONL backend would hold, so the gate
-    produces identical flags and exit codes over identical data.
-    Appends write per-mode run records (suite ``history``) back into
+    Run records grouped by their ``batch`` id reconstruct the per-sweep
+    record sequence (:func:`repro.obs.store.history.store_history`);
+    appends write per-mode run records (suite ``history``) back into
     the store.
     """
 
@@ -228,12 +158,6 @@ class StoreHistory:
         return {
             "/".join(group): n for group, n in report.by_group.items()
         }
-
-
-def _as_backend(history):
-    """``str`` paths mean the classic JSONL backend (the historical
-    call signature); anything else must already be a backend."""
-    return JsonlHistory(history) if isinstance(history, str) else history
 
 
 def make_record(
@@ -353,7 +277,7 @@ class GateReport:
 
 
 def gate_records(
-    history,
+    history: StoreHistory,
     records: dict[str, dict],
     threshold: float = DEFAULT_THRESHOLD,
     update: bool = True,
@@ -361,39 +285,37 @@ def gate_records(
 ) -> GateReport:
     """Gate a set of fresh per-benchmark records against history.
 
-    ``history`` is a directory path (classic JSONL backend) or a
-    backend object (:class:`JsonlHistory` / :class:`StoreHistory`).
-    Benchmarks with history are compared — counters against the latest
-    record (window of :data:`COUNTER_BASELINE_WINDOW` = 1, exact
-    because simulated), host metrics against the median of the last
+    ``history`` is a :class:`StoreHistory`.  Benchmarks with history
+    are compared — counters against the latest record (window of
+    :data:`COUNTER_BASELINE_WINDOW` = 1, exact because simulated), host
+    metrics against the median of the last
     ≤:data:`HOST_BASELINE_WINDOW` records (noisy) — and then the fresh
     record is appended (unless ``update`` is off — e.g. a CI dry run).
     First-run benchmarks are never flagged; with ``seed`` they are
     recorded as the initial history, without it they are only reported
     in ``seeded`` so the caller can refuse to gate them.
     """
-    backend = _as_backend(history)
     flags: list[Flag] = []
     seeded: list[str] = []
     checked: list[str] = []
     for bench, record in sorted(records.items()):
-        history_records = backend.load(bench)
+        history_records = history.load(bench)
         if not history_records:
             seeded.append(bench)
             if update and seed:
-                backend.append(record)
+                history.append(record)
         else:
             checked.append(bench)
             baseline = history_records[-COUNTER_BASELINE_WINDOW]
             flags.extend(compare_records(baseline, record, threshold))
             flags.extend(compare_host_metrics(history_records, record))
             if update:
-                backend.append(record)
+                history.append(record)
     return GateReport(flags, seeded, checked)
 
 
 def gate_metrics(
-    history,
+    history: StoreHistory,
     metrics: dict,
     threshold: float = DEFAULT_THRESHOLD,
     update: bool = True,
@@ -401,7 +323,7 @@ def gate_metrics(
 ) -> GateReport:
     """Gate the benchmark harness's ``metrics.json`` shape:
     ``{bench: {mode: {"counters": {...}, "host": {...}, ...}}}``.
-    ``history`` is a directory path or a history backend."""
+    ``history`` is a :class:`StoreHistory`."""
     records = {
         bench: make_record(
             bench,
@@ -435,17 +357,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "(benchmarks/results/metrics.json)",
     )
     parser.add_argument(
-        "--history",
-        help="history directory (benchmarks/history); the classic "
-        "JSONL backend",
-    )
-    parser.add_argument(
         "--store",
-        help="results-store directory (benchmarks/store); gate through "
-        "the store instead of per-bench JSONL history.  Identical "
-        "gating: same flags and exit codes over the same record "
-        "sequence (migrate old history in with "
-        "`python -m repro.obs.store import-history`).",
+        required=True,
+        help="results-store directory holding the history "
+        "(benchmarks/history)",
     )
     parser.add_argument(
         "--threshold",
@@ -478,13 +393,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "benchmark (retention; see module docstring)",
     )
     args = parser.parse_args(argv)
-    if not args.history and not args.store:
-        parser.error("one of --history or --store is required")
-    if args.history and args.store:
-        parser.error("--history and --store are mutually exclusive")
-    backend = (
-        StoreHistory(args.store) if args.store else JsonlHistory(args.history)
-    )
+    backend = StoreHistory(args.store)
 
     with open(args.metrics, "r", encoding="utf-8") as fh:
         metrics = json.load(fh)
@@ -511,10 +420,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             "error: no benchmark history for: "
             + ", ".join(report.seeded)
             + "\n  nothing to gate against in "
-            f"'{args.store or args.history}' — if this is a deliberate "
+            f"'{args.store}' — if this is a deliberate "
             "first run, pass --allow-seed to record the baseline; "
-            f"otherwise check the {'--store' if args.store else '--history'} "
-            "path.",
+            "otherwise check the --store path.",
             file=sys.stderr,
         )
         return EXIT_NO_HISTORY

@@ -8,14 +8,13 @@ Layers (each its own module):
   :func:`compare` over stored records;
 * :mod:`repro.obs.store.render` — ASCII renderings for the CLI;
 * :mod:`repro.obs.store.html` — the self-contained analytics dashboard;
-* :mod:`repro.obs.store.history` — bridge to the regression gate's
-  per-bench JSONL history;
+* :mod:`repro.obs.store.history` — the regression gate's history view
+  of the store;
 * also a CLI: ``python -m repro.obs.store {list,show,compare,series,
-  prune,dashboard,tables,ingest,import-history}``.
+  prune,dashboard,tables,ingest}``.
 """
 
 from repro.obs.store.core import (
-    PIPELINE_VERSION,
     SCHEMA_VERSION,
     PruneReport,
     ResultsStore,
@@ -25,6 +24,7 @@ from repro.obs.store.core import (
     machine_geometry,
     make_record,
     new_batch_id,
+    pipeline_version,
 )
 from repro.obs.store.html import render_dashboard, write_dashboard
 from repro.obs.store.query import (
@@ -46,7 +46,6 @@ from repro.obs.store.render import (
 )
 
 __all__ = [
-    "PIPELINE_VERSION",
     "PruneReport",
     "ResultsStore",
     "RunComparison",
@@ -66,6 +65,7 @@ __all__ = [
     "machine_geometry",
     "make_record",
     "new_batch_id",
+    "pipeline_version",
     "render_dashboard",
     "resolve_run",
     "runs",

@@ -9,8 +9,10 @@ one **run record** per measurement into a sharded JSONL store (default
 ``run_id``            content address: SHA-256 (truncated to 16 hex
                       chars) over the *identity* of the measurement —
                       source hash, bench, mode, kind, config dict,
-                      machine geometry, pipeline version.  Re-running
-                      the same configuration yields the same ``run_id``;
+                      machine geometry, pipeline version (a hash of
+                      the package's code, :func:`pipeline_version`).
+                      Re-running the same configuration on the same
+                      code yields the same ``run_id``;
                       records are never overwritten, so one ``run_id``
                       accumulates a time series of observations.
 ``kind``              ``run`` (a compile+simulate measurement),
@@ -49,6 +51,7 @@ complete line is valid on its own).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -68,11 +71,8 @@ except ImportError:  # pragma: no cover
 #: record format version; bump when the record shape changes
 SCHEMA_VERSION = 1
 
-#: pipeline version folded into every run id: two runs of the same
-#: source + options are only comparable content-addressed peers when
-#: the pipeline that produced them is the same.  Bump on any change
-#: that alters simulated counters for identical inputs.
-PIPELINE_VERSION = "1"
+#: the ``repro`` package root, whose code :func:`pipeline_version` hashes
+PACKAGE_ROOT = Path(__file__).resolve().parents[2]
 
 #: shard fan-out: records land in ``records-<first hex char>.jsonl``
 N_SHARDS = 16
@@ -85,6 +85,32 @@ class StoreError(ReproError):
 def canonical_json(value) -> str:
     """Deterministic JSON used for hashing (sorted keys, no spaces)."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def code_version(root) -> str:
+    """SHA-256 (truncated to 16 hex chars) over every ``.py`` file under
+    ``root``: each file's path relative to ``root``, then its bytes, in
+    sorted path order."""
+    root = Path(root)
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for rel, path in files:
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_version() -> str:
+    """The code version folded into every run id and artifact-cache
+    key: two runs of the same source + options are only comparable
+    content-addressed peers when the same code produced them, and any
+    edit to the package — to a compiler pass, a workload's source or
+    its inputs alike — changes it.  Computed once per process."""
+    return code_version(PACKAGE_ROOT)
 
 
 def source_sha(source: Optional[str]) -> Optional[str]:
@@ -111,7 +137,6 @@ def compute_run_id(
     config: Optional[dict] = None,
     machine: Optional[dict] = None,
     source_hash: Optional[str] = None,
-    pipeline_version: str = PIPELINE_VERSION,
 ) -> str:
     """The content address of one measurement configuration."""
     identity = {
@@ -121,7 +146,7 @@ def compute_run_id(
         "config": config or {},
         "machine": machine or {},
         "source": source_hash,
-        "pipeline": pipeline_version,
+        "pipeline": pipeline_version(),
         "schema": SCHEMA_VERSION,
     }
     digest = hashlib.sha256(canonical_json(identity).encode("utf-8"))
@@ -201,7 +226,7 @@ def make_record(
             time.time() if timestamp is None else timestamp, 3
         ),
         "git_rev": git_revision() if git_rev == "auto" else git_rev,
-        "pipeline_version": PIPELINE_VERSION,
+        "pipeline_version": pipeline_version(),
         "config": config or {},
         "metrics": metrics,
     }

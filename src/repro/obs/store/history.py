@@ -1,28 +1,21 @@
 """Bridge between the results store and ``repro.obs.regress`` history.
 
-The regression gate predates the store and speaks *history records*::
+The regression gate speaks *history records*::
 
     {"bench": ..., "timestamp": ..., "modes": {mode: {counter: value,
                                                       "host": {...}}}}
 
-one per gated sweep, appended to ``benchmarks/history/<bench>.jsonl``.
-The store speaks *run records* — one per (bench, mode) measurement,
-grouped into sweeps by their ``batch`` id.  This module converts both
-ways so the gate can read its baseline window through the store and
-old JSONL history can be migrated in (``python -m repro.obs.store
-import-history``) without changing a single gating decision:
+one per gated sweep.  The store speaks *run records* — one per (bench,
+mode) measurement, grouped into sweeps by their ``batch`` id.  This
+module converts both ways, so the store is the gate's history:
 
 * history record → per-mode run records sharing one batch
-  (:func:`history_record_to_run_records`, :func:`append_history_record`,
-  :func:`import_history`);
+  (:func:`append_history_record`);
 * run records → history records, batches ordered oldest-first
   (:func:`store_history`).
 """
 
 from __future__ import annotations
-
-import os
-from typing import Optional
 
 from repro.obs.store.core import (
     ResultsStore,
@@ -34,83 +27,49 @@ from repro.obs.store.core import (
 #: regression-gate history
 HISTORY_SUITE = "history"
 
-
-def history_record_to_run_records(
-    record: dict,
-    batch: Optional[str] = None,
-    suite: str = HISTORY_SUITE,
-) -> list[dict]:
-    """One gate history record as per-mode run records (shared batch)."""
-    batch = batch or new_batch_id()
-    out = []
-    for mode, entry in record.get("modes", {}).items():
-        counters = {k: v for k, v in entry.items() if k != "host"}
-        metrics: dict = {"counters": counters}
-        if entry.get("host"):
-            metrics["host"] = dict(entry["host"])
-        out.append(
-            make_record(
-                record["bench"],
-                mode,
-                metrics,
-                kind="run",
-                suite=suite,
-                batch=batch,
-                timestamp=record.get("timestamp"),
-                git_rev=None,
-            )
-        )
-    return out
+#: the suites whose run records are observations of the benchmark
+#: matrix, and so the gate's baseline; an ablation point or a CLI run
+#: of the same benchmark measures some other configuration
+GATE_SUITES = frozenset({"matrix", HISTORY_SUITE})
 
 
 def append_history_record(
     store: ResultsStore, record: dict, obs=None
 ) -> list[str]:
-    """Ingest one fresh gate record (the store-backed ``update`` path)."""
-    return store.ingest_many(
-        history_record_to_run_records(record), obs=obs
-    )
-
-
-def import_history(store: ResultsStore, history_dir: str, obs=None) -> int:
-    """Migrate every ``benchmarks/history/*.jsonl`` record into the
-    store (timestamps preserved, one batch per original record).
-    Returns the number of run records ingested."""
-    import json
-
-    count = 0
-    if not os.path.isdir(history_dir):
-        return 0
-    for name in sorted(os.listdir(history_dir)):
-        if not name.endswith(".jsonl"):
-            continue
-        path = os.path.join(history_dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                count += len(
-                    store.ingest_many(
-                        history_record_to_run_records(record), obs=obs
-                    )
-                )
-    return count
+    """Ingest one fresh gate history record as per-mode ``history`` run
+    records sharing one batch (the gate's ``update`` path)."""
+    batch = new_batch_id()
+    runs = []
+    for mode, entry in record.get("modes", {}).items():
+        counters = {k: v for k, v in entry.items() if k != "host"}
+        metrics: dict = {"counters": counters}
+        if entry.get("host"):
+            metrics["host"] = dict(entry["host"])
+        runs.append(
+            make_record(
+                record["bench"],
+                mode,
+                metrics,
+                suite=HISTORY_SUITE,
+                batch=batch,
+                timestamp=record.get("timestamp"),
+                git_rev=None,
+            )
+        )
+    return store.ingest_many(runs, obs=obs)
 
 
 def store_history(store: ResultsStore, bench: str) -> list[dict]:
     """The gate's history view of one benchmark, rebuilt from run
     records: batches become history records, ordered oldest-first.
 
-    Any ``kind="run"`` record for the benchmark participates, whatever
-    suite produced it — a matrix sweep and a CLI run are both
-    observations of the benchmark — so gating through the store sees
-    the same sequence the JSONL history would have accumulated.
+    Only ``kind="run"`` records of the :data:`GATE_SUITES` participate.
     """
     batches: dict[str, dict] = {}
     order: list[str] = []
     for rec in store.records():
-        if rec.get("kind") != "run" or rec.get("bench") != bench:
+        if (rec.get("kind") != "run" or rec.get("bench") != bench
+                or rec.get("suite") not in GATE_SUITES):
             continue
         batch = rec.get("batch", rec.get("run_id", "?"))
         if batch not in batches:

@@ -120,10 +120,27 @@ class CompilerOptions:
         return self.spec_mode is not SpecMode.NONE
 
     def describe(self) -> str:
+        """A name for the compiled program: every field that changes it
+        and is off its default is named, so two option sets share a
+        name only when they compile alike (``fallback`` and
+        ``speclint`` only act on failures; ``machine`` is keyed
+        separately wherever runs are identified)."""
         parts = [f"-O{int(self.opt_level)}"]
         if self.spec_mode is not SpecMode.NONE:
             parts.append(f"spec={self.spec_mode.value}")
         if self.alias_prob is not AliasProbSource.PROFILE:
             parts.append(f"alias-prob={self.alias_prob.value}")
+        if self.rounds != 1:
+            parts.append(f"rounds={self.rounds}")
+        if self.promotion_gate is not PromotionGate.WARN:
+            parts.append(f"gate={self.promotion_gate.value}")
+        for on, name in (
+            (self.use_type_filter, "no-type-filter"),
+            (self.loop_speculation, "no-loop-spec"),
+            (self.alat_partial, "no-alat-partial"),
+            (self.cleanup, "no-cleanup"),
+        ):
+            if not on:
+                parts.append(name)
         parts.append(self.alias_analysis.value)
         return " ".join(parts)

@@ -6,13 +6,17 @@ across a pool of forked workers with per-job wall-clock timeouts,
 bounded exponential-backoff retries, crash isolation with respawn, a
 structured error taxonomy across the process boundary, and a
 content-addressed artifact cache whose every read is checksum-verified
-(corrupt entries quarantined and recomputed, never served).
+(corrupt entries quarantined and recomputed, never served).  A pool of
+size 0 runs every job in-process, with the same handlers, retries,
+ledger and cache.
 
 Entry points:
 
 * :class:`JobPool` / :class:`JobSpec` — the programmatic API;
-* :func:`repro.service.matrix.run_matrix` — the workload matrix as a
-  service client (``python -m repro.workloads --jobs N``);
+* :func:`repro.service.matrix.run_matrix` — the workload matrix, the
+  one matrix driver (``python -m repro.workloads --jobs N``);
+* :func:`repro.chaos.campaign.run_campaign` — the chaos campaign, the
+  one campaign driver (``python -m repro.chaos --jobs N``);
 * ``python -m repro.service`` — batch CLI and long-lived serve mode;
 * :mod:`repro.chaos.service` — the service-level fault campaign.
 """

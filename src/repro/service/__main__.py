@@ -3,11 +3,12 @@
 Two modes:
 
 * **batch** (default): run the full workload matrix through the job
-  pool (``--jobs N``), print the matrix table plus the service ledger
-  and cache statistics, exit non-zero if any job failed or timed out.
-  ``--report-json`` writes the same counters+host shape the sequential
-  ``python -m repro.workloads`` emits, so the two paths are directly
-  diffable (CI's ``service-smoke`` does exactly that).
+  pool (``--jobs N``; ``0`` runs it in-process), print the matrix table
+  plus the service ledger and cache statistics, exit non-zero if any
+  job failed or timed out.  ``--report-json`` writes the same
+  counters+host shape ``python -m repro.workloads`` emits, so runs at
+  different pool sizes are directly diffable (CI's ``service-smoke``
+  does exactly that).
 
 * **serve** (``--serve``): a long-lived worker pool reading one JSON
   job request per stdin line (``{"kind": ..., "payload": ...,
@@ -86,7 +87,6 @@ def _serve(args, obs) -> int:
 def _batch(args, obs) -> int:
     """The workload matrix as the service's batch client."""
     from repro.service.matrix import run_matrix
-    from repro.workloads.report import host_metrics_as_dict, matrix_table
 
     outcome = run_matrix(
         jobs=args.jobs,
@@ -96,23 +96,7 @@ def _batch(args, obs) -> int:
         spec=args.alias_prob,
         timeout_s=args.timeout,
     )
-    if outcome.results:
-        print(matrix_table(outcome.results))
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as fh:
-                json.dump(host_metrics_as_dict(outcome.results), fh, indent=2)
-                fh.write("\n")
-    print(outcome.ledger.format(), file=sys.stderr)
-    if outcome.cache_stats is not None:
-        print(f"cache: {json.dumps(outcome.cache_stats)}", file=sys.stderr)
-    if outcome.degraded:
-        print(
-            "service degraded to sequential for: "
-            + ", ".join(outcome.degraded),
-            file=sys.stderr,
-        )
-    for failure in outcome.failures:
-        print(f"FAILED {failure.format()}", file=sys.stderr)
+    status = outcome.print_report(args.report_json)
     if args.ledger_json:
         with open(args.ledger_json, "w", encoding="utf-8") as fh:
             payload = dict(outcome.ledger.as_dict())
@@ -124,7 +108,7 @@ def _batch(args, obs) -> int:
             }
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    return 1 if outcome.failures else 0
+    return status
 
 
 def main(argv=None) -> int:
@@ -136,7 +120,8 @@ def main(argv=None) -> int:
         "and a verified artifact cache.",
     )
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes (default 2)")
+                        help="worker processes (default 2; 0 runs every "
+                        "job in this process)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="content-addressed artifact cache directory")
     parser.add_argument("--trace", metavar="FILE", default=None,
@@ -158,6 +143,8 @@ def main(argv=None) -> int:
                         help="write the service ledger, cache stats and "
                         "per-job artifact hashes as JSON")
     args = parser.parse_args(argv)
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0")
 
     obs = _make_obs(args.trace)
     try:

@@ -2,13 +2,14 @@
 
 The cache memoizes deterministic job artifacts (simulated counters,
 program output, machine stats) by the **content address** of the
-request: ``sha256(job kind + canonical payload + PIPELINE_VERSION)``.
-The payload covers the MiniC source, the full compiler options
-(including machine geometry) and the run/train arguments, so two
-requests share an entry exactly when the paper's pipeline would produce
-byte-identical results for them; bumping
-:data:`repro.obs.store.PIPELINE_VERSION` invalidates every entry at
-once.
+request: ``sha256(job kind + canonical payload + pipeline version)``.
+The payload names what to run — for a ``compile`` job the MiniC source,
+the full compiler options (including machine geometry) and the
+run/train arguments; for a ``bench`` job only the benchmark's name and
+treatment.  What the payload leaves out (the compiler, a workload's
+source and inputs) is covered by the pipeline version,
+:func:`repro.obs.store.pipeline_version`, a hash of the package's code:
+any code change invalidates every entry at once.
 
 The robustness contract mirrors the ALAT's own (an entry may be lost at
 any time, never wrong):
@@ -35,14 +36,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.store.core import PIPELINE_VERSION, canonical_json
+from repro.obs.store.core import canonical_json, pipeline_version
 
 #: cache entry format version (bump on shape changes)
 CACHE_SCHEMA = 1
 
 #: payload keys excluded from the content address: they steer side
-#: effects (where records are ingested), not the computed artifact.
-VOLATILE_PAYLOAD_KEYS = frozenset({"store", "batch", "suite"})
+#: effects (where records are ingested, where traces are written), not
+#: the computed artifact.
+VOLATILE_PAYLOAD_KEYS = frozenset({"store", "batch", "suite", "trace_dir"})
 
 
 def artifact_sha(artifact: dict) -> str:
@@ -61,7 +63,7 @@ def cache_key(kind: str, payload: dict) -> str:
             k: v for k, v in payload.items()
             if k not in VOLATILE_PAYLOAD_KEYS
         },
-        "pipeline": PIPELINE_VERSION,
+        "pipeline": pipeline_version(),
         "schema": CACHE_SCHEMA,
     }
     return hashlib.sha256(
@@ -162,7 +164,7 @@ class ArtifactCache:
         except (ValueError, KeyError, TypeError) as exc:
             self._quarantine(path, key, f"malformed entry: {exc}")
             return None
-        if version != PIPELINE_VERSION:
+        if version != pipeline_version():
             # Honest staleness, not corruption: recompute quietly.
             self.stats.stale += 1
             self.stats.misses += 1
@@ -211,7 +213,7 @@ class ArtifactCache:
         entry = {
             "schema": CACHE_SCHEMA,
             "key": key,
-            "pipeline_version": PIPELINE_VERSION,
+            "pipeline_version": pipeline_version(),
             "sha256": sha,
             "artifact": artifact,
         }

@@ -1,26 +1,27 @@
-"""The workload matrix as a service client.
+"""The workload matrix as a job-pool client — the one matrix driver.
 
 Builds one ``bench`` job per benchmark, runs them through a
-:class:`repro.service.pool.JobPool`, and reassembles the
-``{name: BenchmarkResult}`` map the figure tables consume — via the
-same :class:`repro.workloads.report.StoredMode` shim the results store
-uses, so a table rendered from service artifacts is byte-identical to
-one computed by the sequential path from the same measurements
-(simulated counters are deterministic; host wall times ride in the
-job's unhashed ``extra`` and are merged back for display only).
+:class:`repro.service.pool.JobPool` (in-process at ``jobs=0``, forked
+workers otherwise), and reassembles the ``{name: BenchmarkResult}`` map
+the figure tables consume from each job's per-mode run records
+(:meth:`repro.workloads.runner.BenchmarkResult.from_records`).
+Simulated counters are deterministic, so the tables are byte-identical
+whatever the pool size; host wall times ride in the job's unhashed
+``extra`` and are merged back for display only.
 
-Degradation contract: if the pool itself gives up (crash budget
-exhausted — :class:`~repro.service.job.ServiceError`), the benchmarks
-that did not complete are re-run sequentially in-process.  The service
-is an accelerator over ``compile_source``, never a new failure mode.
+Degradation lives in the pool: once its crash budget is spent it
+re-runs the unfinished jobs in-process, so a matrix never fails for
+lack of workers.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.service.job import COMPLETED, TIMEOUT, JobResult, JobSpec, ServiceError
+from repro.service.job import COMPLETED, TIMEOUT, JobResult, JobSpec, ServiceLedger
 from repro.service.pool import JobPool
 
 #: per-bench wall-clock budget: a full baseline+speculative measurement
@@ -34,187 +35,110 @@ BENCH_TIMEOUT_S = 300.0
 INTERP_TIMEOUT_TYPES = frozenset({"InterpTimeout", "InterpLimitExceeded"})
 
 
-def bench_spec(
-    name: str,
-    spec: str = "profile",
-    profile_sites: bool = False,
-    fuel: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-) -> JobSpec:
-    payload: dict = {"bench": name, "spec": spec}
-    if profile_sites:
-        payload["profile_sites"] = True
-    if fuel is not None:
-        payload["fuel"] = fuel
-    return JobSpec(
-        kind="bench",
-        payload=payload,
-        label=f"bench:{name}",
-        timeout_s=timeout_s if timeout_s is not None else BENCH_TIMEOUT_S,
-    )
-
-
 def build_matrix_specs(
     benchmarks: Optional[list[str]] = None,
     spec: str = "profile",
     profile_sites: bool = False,
     fuel: Optional[int] = None,
     timeout_s: Optional[float] = None,
+    trace_dir: Optional[str] = None,
 ) -> list[JobSpec]:
+    """One ``bench`` job per benchmark (default: all ten, in order)."""
     from repro.workloads.programs import BENCHMARKS
 
-    names = benchmarks if benchmarks is not None else list(BENCHMARKS)
-    return [
-        bench_spec(n, spec, profile_sites, fuel, timeout_s) for n in names
-    ]
-
-
-def _benchmark_result_from_artifact(name: str, artifact: dict, host: dict):
-    """One service bench artifact back into a BenchmarkResult (None when
-    a mode is missing — treated as a failure by the caller)."""
-    from repro.workloads.programs import get_workload
-    from repro.workloads.report import StoredMode
-    from repro.workloads.runner import BenchmarkResult
-
-    modes = artifact.get("modes", {})
-    if "baseline" not in modes or "speculative" not in modes:
-        return None
-
-    def rebuild(label: str) -> StoredMode:
-        record = dict(modes[label])
-        record["metrics"] = dict(record.get("metrics", {}))
-        record["metrics"]["host"] = dict(host.get(label, {}))
-        return StoredMode(record)
-
-    return BenchmarkResult(
-        workload=get_workload(name),
-        baseline=rebuild("baseline"),
-        speculative=rebuild("speculative"),
-        extras={
-            label: rebuild(label)
-            for label in modes
-            if label not in ("baseline", "speculative")
-        },
-    )
+    specs = []
+    for name in benchmarks if benchmarks is not None else list(BENCHMARKS):
+        payload: dict = {"bench": name, "spec": spec}
+        if profile_sites:
+            payload["profile_sites"] = True
+        if fuel is not None:
+            payload["fuel"] = fuel
+        if trace_dir is not None:
+            payload["trace_dir"] = trace_dir
+        specs.append(
+            JobSpec(
+                kind="bench",
+                payload=payload,
+                label=f"bench:{name}",
+                timeout_s=timeout_s if timeout_s is not None
+                else BENCH_TIMEOUT_S,
+            )
+        )
+    return specs
 
 
 def matrix_results(job_results: list[JobResult]):
-    """Split pool results into ``(results, failures)`` — the same pair
-    shape ``run_all_benchmarks`` + its ``failures`` list produce."""
-    from repro.workloads.runner import WorkloadFailure
+    """Split pool results into ``(results, failures)``."""
+    from repro.workloads.programs import get_workload
+    from repro.workloads.runner import BenchmarkResult, WorkloadFailure
 
     results: dict = {}
     failures: list[WorkloadFailure] = []
     for jr in job_results:
         name = jr.spec.payload["bench"]
         if jr.state == COMPLETED:
-            rebuilt = _benchmark_result_from_artifact(
-                name, jr.artifact, jr.extra.get("host", {})
+            results[name] = BenchmarkResult.from_records(
+                jr.artifact["modes"],
+                jr.extra.get("host", {}),
+                workload=get_workload(name),
             )
-            if rebuilt is not None:
-                results[name] = rebuilt
-                continue
-            failures.append(
-                WorkloadFailure(
-                    name, "ServiceError",
-                    "bench artifact is missing a mode", kind="error",
-                )
-            )
-        elif jr.state == TIMEOUT:
-            failures.append(
-                WorkloadFailure(
-                    name, "Timeout",
-                    jr.error.message if jr.error else "wall-clock timeout",
-                    kind="timeout",
-                )
-            )
-        else:
-            err = jr.error
-            failures.append(
-                WorkloadFailure(
-                    name,
-                    err.type if err else "Exception",
-                    err.message if err else "unknown failure",
-                    loc=err.loc if err else None,
-                    kind="timeout"
-                    if err and err.type in INTERP_TIMEOUT_TYPES
-                    else "error",
-                )
-            )
-    return results, failures
-
-
-def service_store_records(
-    results: dict,
-    suite: str = "matrix",
-    batch: Optional[str] = None,
-    config: Optional[dict] = None,
-) -> list[dict]:
-    """Store run records for a service matrix outcome.
-
-    Service artifacts already carry the store-record shape
-    (``StoredMode.record``: counters + options string + optional
-    per-site stats, with host metrics merged back in by
-    :func:`matrix_results`), so those modes are recorded directly; any
-    benchmark the pool degraded to a sequential in-process run is a
-    live :class:`~repro.workloads.runner.ModeResult` and goes through
-    the regular ``store_records`` path.  All records share one batch
-    id.
-    """
-    from repro.machine.cpu import MachineConfig
-    from repro.obs.store import make_record, new_batch_id
-    from repro.workloads.report import StoredMode
-    from repro.workloads.runner import store_records
-
-    batch = batch or new_batch_id()
-    live = {
-        name: result
-        for name, result in results.items()
-        if not isinstance(result.baseline, StoredMode)
-    }
-    records = (
-        store_records(live, suite=suite, batch=batch, config=config)
-        if live
-        else []
-    )
-    machine = MachineConfig()  # bench jobs run the default geometry
-    for name, result in sorted(results.items()):
-        if name in live:
             continue
-        for mode in [
-            result.baseline, result.speculative, *result.extras.values()
-        ]:
-            rec = mode.record
-            run_config = dict(rec.get("config") or {})
-            if config:
-                run_config.update(config)
-            records.append(
-                make_record(
-                    name,
-                    mode.label,
-                    dict(rec.get("metrics", {})),
-                    suite=suite,
-                    source=result.workload.source,
-                    config=run_config or None,
-                    machine=machine,
-                    sites=rec.get("sites"),
-                    batch=batch,
-                )
+        err = jr.error  # every failed or timed-out job carries one
+        timeout = jr.state == TIMEOUT or err.type in INTERP_TIMEOUT_TYPES
+        failures.append(
+            WorkloadFailure(
+                name, err.type, err.message, loc=err.loc,
+                kind="timeout" if timeout else "error",
             )
-    return records
+        )
+    return results, failures
 
 
 @dataclass
 class MatrixOutcome:
-    """Everything one service matrix run produced."""
+    """Everything one matrix run produced."""
 
     results: dict
     failures: list
     job_results: list[JobResult] = field(default_factory=list)
-    ledger: Optional[object] = None
+    ledger: Optional[ServiceLedger] = None
     cache_stats: Optional[dict] = None
-    #: benchmarks recomputed sequentially after the pool gave up
+    #: job labels the pool re-ran in-process after its crash budget
+    #: ran out
     degraded: list[str] = field(default_factory=list)
+
+    def print_report(self, report_json: Optional[str] = None) -> int:
+        """What both matrix CLIs print: the matrix table on stdout; the
+        ledger, cache stats, degraded jobs and failures on stderr.
+        ``report_json`` gets the counters+host JSON.  Returns the exit
+        status: 1 when any benchmark failed."""
+        from repro.workloads.report import host_metrics_as_dict, matrix_table
+
+        if self.results:
+            print(matrix_table(self.results))
+            if report_json:
+                with open(report_json, "w", encoding="utf-8") as fh:
+                    json.dump(host_metrics_as_dict(self.results), fh, indent=2)
+                    fh.write("\n")
+        print(self.ledger.format(), file=sys.stderr)
+        if self.cache_stats is not None:
+            print(f"cache: {json.dumps(self.cache_stats)}", file=sys.stderr)
+        if self.degraded:
+            print(
+                "service degraded to in-process for: "
+                + ", ".join(self.degraded),
+                file=sys.stderr,
+            )
+        for failure in self.failures:
+            print(f"FAILED {failure.format()}", file=sys.stderr)
+        if not self.failures:
+            return 0
+        print(
+            f"{len(self.failures)} benchmark(s) failed, "
+            f"{len(self.results)} succeeded",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def run_matrix(
@@ -226,61 +150,33 @@ def run_matrix(
     profile_sites: bool = False,
     fuel: Optional[int] = None,
     timeout_s: Optional[float] = None,
+    trace_dir: Optional[str] = None,
     pool_kwargs: Optional[dict] = None,
 ) -> MatrixOutcome:
-    """The full matrix through the pool, with sequential degradation."""
+    """The matrix through a ``jobs``-sized pool (``0``: in-process).
+
+    ``trace_dir`` streams every mode's event trace to
+    ``{trace_dir}/{bench}.{mode}.jsonl``; a cache hit would write none,
+    so a traced run skips the cache."""
     from repro.service.cache import ArtifactCache
 
     specs = build_matrix_specs(
-        benchmarks, spec, profile_sites, fuel, timeout_s
+        benchmarks, spec, profile_sites, fuel, timeout_s, trace_dir
     )
-    cache = ArtifactCache(cache_dir, obs=obs) if cache_dir else None
-    pool = JobPool(
+    cache = (
+        ArtifactCache(cache_dir, obs=obs)
+        if cache_dir and trace_dir is None else None
+    )
+    with JobPool(
         jobs=jobs, cache=cache, obs=obs, **(pool_kwargs or {})
-    )
-    ids: list[int] = []
-    degraded_error: Optional[ServiceError] = None
-    with pool:
-        ids = [pool.submit(s) for s in specs]
-        try:
-            pool.drain()
-        except ServiceError as exc:
-            degraded_error = exc
-
-    job_results = [pool.results[i] for i in ids if i in pool.results]
+    ) as pool:
+        job_results = pool.run(specs)
     results, failures = matrix_results(job_results)
-
-    degraded: list[str] = []
-    if degraded_error is not None:
-        # Slow-but-correct path: whatever the pool never finished runs
-        # sequentially in-process, exactly like pre-service clients.
-        from repro.service.workers import bench_spec_options
-        from repro.workloads.programs import BENCHMARKS
-        from repro.workloads.runner import WorkloadFailure, run_benchmark
-
-        names = benchmarks if benchmarks is not None else list(BENCHMARKS)
-        for name in names:
-            if name in results:
-                continue
-            degraded.append(name)
-            try:
-                results[name] = run_benchmark(
-                    name,
-                    use_cache=False,
-                    profile_sites=profile_sites,
-                    spec_options=bench_spec_options(spec),
-                    fuel=fuel,
-                )
-            except Exception as exc:
-                failures.append(
-                    WorkloadFailure(name, type(exc).__name__, str(exc))
-                )
-
     return MatrixOutcome(
         results=results,
         failures=failures,
         job_results=job_results,
         ledger=pool.ledger,
         cache_stats=cache.stats.as_dict() if cache else None,
-        degraded=degraded,
+        degraded=pool.degraded,
     )

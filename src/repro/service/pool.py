@@ -24,8 +24,14 @@ a transient error or a timeout consumes one attempt from the
 with exponential backoff + jitter; a worker crash requeues the job
 without consuming its retry budget (the job did nothing wrong) but
 spends the pool-wide ``crash_budget`` — when that is exhausted the pool
-raises :class:`~repro.service.job.ServiceError` so clients can degrade
-to the sequential slow-but-correct path.
+stops forking and re-runs its unfinished jobs in-process.
+
+``JobPool(jobs=0)`` is the in-process pool: each job runs inline through
+:func:`~repro.service.workers.execute_request`, with the same handlers,
+retry routing, ledger and cache as the forked pool.  It cannot enforce
+``timeout_s`` (nothing can stop an inline job); interpreter fuel and
+the simulator's ``max_instructions`` already stop runaway jobs.  This
+is the only place that chooses between running in-process and forking.
 
 The ledger invariant (``submitted == completed + failed + timed_out``)
 holds at :meth:`JobPool.drain` return by construction: every job leaves
@@ -54,14 +60,15 @@ from repro.service.job import (
     ServiceLedger,
 )
 from repro.service.retry import RetryPolicy, RetryState
-from repro.service.workers import CACHEABLE_KINDS, worker_main
+from repro.service.workers import CACHEABLE_KINDS, execute_request, worker_main
 
 #: default per-job wall-clock budget.  Generous: the host may be a
 #: loaded single-core box where a full bench job takes tens of seconds;
 #: the timeout exists to catch *hangs*, not slow honest work.
 DEFAULT_TIMEOUT_S = 300.0
 
-#: worker crashes tolerated per drain before the pool gives up
+#: worker crashes tolerated before the pool stops forking and runs the
+#: rest of its jobs in-process
 DEFAULT_CRASH_BUDGET = 8
 
 
@@ -132,7 +139,8 @@ class WorkerHandle:
 
 
 class JobPool:
-    """N workers + retry scheduler + artifact cache, one drain at a time.
+    """N workers (none at ``jobs=0``) + retry scheduler + artifact
+    cache, one drain at a time.
 
     ``fault_hook``, when set, is called once per event-loop iteration
     with the pool itself — the chaos harness uses it to SIGKILL random
@@ -151,8 +159,8 @@ class JobPool:
         rng: Optional[random.Random] = None,
         fault_hook: Optional[Callable[["JobPool"], None]] = None,
     ) -> None:
-        if jobs < 1:
-            raise ServiceError(f"pool needs at least one worker, got {jobs}")
+        if jobs < 0:
+            raise ServiceError(f"pool size must be >= 0, got {jobs}")
         self.n_workers = jobs
         self.cache = cache
         self.retry_policy = retry_policy or RetryPolicy()
@@ -169,6 +177,9 @@ class JobPool:
         self._pending: list[tuple[float, int, _Job]] = []
         self._ctx = multiprocessing.get_context("fork")
         self.workers: list[WorkerHandle] = []
+        #: labels of the jobs re-run in-process once the crash budget
+        #: ran out
+        self.degraded: list[str] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -272,9 +283,9 @@ class JobPool:
         )
         return True
 
-    def _dispatch(self, job: _Job, worker: WorkerHandle, now: float) -> None:
+    def _request(self, job: _Job) -> dict:
+        """The request for the job's next attempt."""
         job.retry.attempts += 1
-        job.start = now
         request = {
             "job_id": job.job_id,
             "kind": job.spec.kind,
@@ -284,8 +295,12 @@ class JobPool:
         if job.hang_ms:
             request["inject_hang_ms"] = job.hang_ms
             job.hang_ms = 0
+        return request
+
+    def _dispatch(self, job: _Job, worker: WorkerHandle, now: float) -> None:
+        job.start = now
         try:
-            worker.conn.send(request)
+            worker.conn.send(self._request(job))
         except (BrokenPipeError, OSError):
             # Worker died between harvests; treat like a crash mid-job.
             job.retry.attempts -= 1
@@ -295,6 +310,13 @@ class JobPool:
         timeout = job.spec.timeout_s or self.default_timeout_s
         worker.job = job
         worker.deadline = now + timeout
+
+    def _run_inline(self, job: _Job) -> None:
+        """One attempt in this process: the worker's request and
+        response, without the deadline (and without its injected hang)."""
+        job.start = time.monotonic()
+        response = execute_request(self._request(job), -1)
+        self._handle_response(job, response, time.monotonic())
 
     # -- failure paths --------------------------------------------------
 
@@ -311,7 +333,8 @@ class JobPool:
         job = worker.job
         worker.job = None
         worker.kill()
-        self._respawn(worker)
+        if not self._crash_budget_spent():
+            self._respawn(worker)
         if job is not None:
             job.retry.attempts -= 1  # the attempt never concluded
             job.crashes += 1
@@ -336,12 +359,24 @@ class JobPool:
                 )
             else:
                 self._reschedule(job, now, "worker-crash", now)
-        if self.ledger.worker_crashes > self.crash_budget:
-            raise ServiceError(
-                f"crash budget exhausted: {self.ledger.worker_crashes} "
-                f"worker crashes (budget {self.crash_budget}) — "
-                "degrade to sequential execution"
-            )
+
+    def _crash_budget_spent(self) -> bool:
+        return self.ledger.worker_crashes > self.crash_budget
+
+    def _stop_forking(self, now: float) -> None:
+        """The crash budget is spent: requeue the jobs still in flight
+        (their attempts never concluded), stop every worker, and run
+        whatever is left in-process from here on."""
+        for worker in self.workers:
+            job = worker.job
+            if job is not None:
+                worker.job = None
+                job.retry.attempts -= 1
+                heapq.heappush(self._pending, (now, job.job_id, job))
+            worker.kill()
+        self.workers.clear()
+        self.n_workers = 0
+        self.degraded = [job.spec.label for _, _, job in sorted(self._pending)]
 
     def _attempt_timed_out(self, worker: WorkerHandle, now: float) -> None:
         """Deadline hit: SIGKILL the worker (the only safe way to stop a
@@ -375,8 +410,8 @@ class JobPool:
         else:
             self._reschedule(job, now, "timeout", next_at)
 
-    def _handle_response(self, worker: WorkerHandle, response: dict,
-                         now: float) -> None:
+    def _harvest(self, worker: WorkerHandle, response: dict,
+                 now: float) -> None:
         job = worker.job
         worker.job = None
         worker.deadline = None
@@ -386,6 +421,9 @@ class JobPool:
                 f"{response.get('job_id')} from worker {worker.worker_id} "
                 f"which was running {job.job_id if job else 'nothing'}"
             )
+        self._handle_response(job, response, now)
+
+    def _handle_response(self, job: _Job, response: dict, now: float) -> None:
         wall_ms = response.get("wall_ms", 0.0)
         if response["ok"]:
             artifact = response["artifact"]
@@ -436,15 +474,21 @@ class JobPool:
         self.start()
         while self._pending or any(w.busy for w in self.workers):
             now = time.monotonic()
+            if self.workers and self._crash_budget_spent():
+                self._stop_forking(now)
             if self.fault_hook is not None:
                 self.fault_hook(self)
 
-            # 1 + 2: serve cache hits, dispatch due jobs to idle workers.
+            # 1 + 2: serve cache hits, dispatch due jobs to idle workers
+            # (or, without workers, run the first one inline).
             idle = [w for w in self.workers if not w.busy]
             while self._pending and self._pending[0][0] <= now:
                 _, _, job = heapq.heappop(self._pending)
                 if self._serve_from_cache(job):
                     continue
+                if not self.workers:
+                    self._run_inline(job)
+                    break
                 if idle:
                     self._dispatch(job, idle.pop(), now)
                 else:
@@ -458,10 +502,11 @@ class JobPool:
             if not busy:
                 if not self._pending:
                     break
-                # Everything is backing off: sleep until the first job
-                # is due (bounded, so chaos hooks keep firing).
-                due = self._pending[0][0]
-                time.sleep(min(0.05, max(0.0, due - now)))
+                # Nothing in flight: sleep until the first job is due
+                # (bounded, so chaos hooks keep firing).
+                delay = self._pending[0][0] - time.monotonic()
+                if delay > 0:
+                    time.sleep(min(0.05, delay))
                 continue
 
             # 3: block on the busy pipes, bounded by deadlines — and by
@@ -483,7 +528,7 @@ class JobPool:
                 except (EOFError, OSError):
                     self._worker_died(worker, now)
                     continue
-                self._handle_response(worker, response, now)
+                self._harvest(worker, response, now)
             for worker in self.workers:
                 if worker.busy and worker.deadline is not None \
                         and now >= worker.deadline:
@@ -491,9 +536,7 @@ class JobPool:
                     # the same tick beats the axe.
                     try:
                         if worker.conn.poll(0):
-                            self._handle_response(
-                                worker, worker.conn.recv(), now
-                            )
+                            self._harvest(worker, worker.conn.recv(), now)
                             continue
                     except (EOFError, OSError):
                         self._worker_died(worker, now)

@@ -1,11 +1,13 @@
 """Worker-side execution: the job handler registry and the worker loop.
 
-A worker is a forked process holding one end of a dedicated
-:class:`multiprocessing.Pipe`.  The protocol is deliberately minimal —
-the parent sends one request dict, the worker sends back exactly one
-response dict — because the pool's crash detection relies on it: a
-worker that dies mid-job (SIGKILL on deadline, a chaos kill, a real
-segfault) simply never sends its response, and the parent sees
+:func:`execute_request` runs one request in whatever process calls it:
+a forked worker, or the coordinator itself when the pool has no workers
+(``JobPool(jobs=0)``).  A worker is a forked process holding one end of
+a dedicated :class:`multiprocessing.Pipe`.  The protocol is deliberately
+minimal — the parent sends one request dict, the worker sends back
+exactly one response dict — because the pool's crash detection relies
+on it: a worker that dies mid-job (SIGKILL on deadline, a chaos kill, a
+real segfault) simply never sends its response, and the parent sees
 ``EOFError`` on the pipe.  There is no shared queue whose internal
 state a dying worker could corrupt.
 
@@ -16,8 +18,9 @@ Handlers are registered per job ``kind``:
     observable behaviour (cacheable);
 ``bench``
     one full workload-matrix benchmark (baseline + speculative modes),
-    returning store-record-shaped mode artifacts the figure tables can
-    rebuild from (cacheable);
+    returning each mode's run record
+    (:func:`repro.workloads.runner.run_record`) — the shape the store
+    keeps and the figure tables rebuild from (cacheable);
 ``chaos``
     one chaos-campaign program through its mode × fault-plan matrix,
     returning mergeable report increments (deterministic but not
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.service.job import ServiceError, serialize_error
 
@@ -114,30 +117,16 @@ def _run_bench(payload: dict, ctx: dict) -> tuple[dict, dict]:
     result = run_benchmark(
         name,
         use_cache=False,
+        trace_dir=payload.get("trace_dir"),
         profile_sites=bool(payload.get("profile_sites")),
         spec_options=bench_spec_options(payload.get("spec", "profile")),
         fuel=payload.get("fuel"),
     )
-    modes = [result.baseline, result.speculative, *result.extras.values()]
-    artifact: dict = {"bench": name, "modes": {}}
-    extra: dict = {"host": {}}
-    for mode in modes:
-        # Store-record shape (repro.workloads.report.StoredMode) minus
-        # the host block, which is nondeterministic and rides in extra.
-        artifact["modes"][mode.label] = {
-            "bench": name,
-            "mode": mode.label,
-            "metrics": {"counters": mode.counters.as_dict()},
-            "config": {"options": mode.options.describe()},
-        }
-        extra["host"][mode.label] = mode.host_metrics
-        if payload.get("profile_sites"):
-            from repro.workloads.runner import mode_sites
-
-            sites = mode_sites(mode)
-            if sites is not None:
-                artifact["modes"][mode.label]["sites"] = sites
-    return artifact, extra
+    artifact = {
+        "bench": name,
+        "modes": {mode.label: mode.record for mode in result.modes},
+    }
+    return artifact, {"host": {mode.label: mode.host for mode in result.modes}}
 
 
 # -- chaos: one program through the mode × plan matrix ------------------

@@ -19,11 +19,8 @@ from repro.workloads.runner import (
     BenchmarkResult,
     ModeResult,
     WorkloadFailure,
-    WorkloadMatrixError,
-    gate_results,
-    ingest_results,
     run_benchmark,
-    run_all_benchmarks,
+    run_record,
     store_records,
     BASELINE,
     SPECULATIVE,
@@ -46,11 +43,8 @@ __all__ = [
     "BenchmarkResult",
     "ModeResult",
     "WorkloadFailure",
-    "WorkloadMatrixError",
-    "gate_results",
-    "ingest_results",
     "run_benchmark",
-    "run_all_benchmarks",
+    "run_record",
     "store_records",
     "BASELINE",
     "SPECULATIVE",

@@ -1,17 +1,18 @@
 """``python -m repro.workloads`` — run the full benchmark matrix.
 
-Failing benchmarks are reported at the end instead of aborting the
-sweep; the exit status is 1 when any benchmark failed, 0 otherwise.
+The matrix runs through :func:`repro.service.matrix.run_matrix`;
+``--jobs N`` only sets the pool size (``0``, the default, runs every
+benchmark in this process).  Failing benchmarks are reported at the end
+instead of aborting the sweep; the exit status is 1 when any benchmark
+failed, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.workloads.report import host_metrics_as_dict, matrix_table
-from repro.workloads.runner import WorkloadFailure, run_all_benchmarks
+from repro.service.matrix import run_matrix
 
 
 def main(argv=None) -> int:
@@ -23,7 +24,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace-dir",
         default=None,
-        help="write per-mode JSONL event traces under this directory",
+        help="write per-mode JSONL event traces under this directory "
+        "(a traced run skips the artifact cache)",
     )
     parser.add_argument(
         "--report-json",
@@ -54,15 +56,14 @@ def main(argv=None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="fan the matrix out across N repro.service workers "
-        "(0 = sequential in-process, the default); failures keep the "
-        "same exit-code semantics as the sequential path",
+        help="repro.service pool size: N forked workers, or 0 (the "
+        "default) to run every benchmark in this process",
     )
     parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
-        help="service artifact cache directory (only with --jobs)",
+        help="service artifact cache directory",
     )
     parser.add_argument(
         "--fuel",
@@ -75,86 +76,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.jobs and args.trace_dir:
-        parser.error("--trace-dir requires the sequential path "
-                     "(drop --jobs)")
 
-    spec_options = None
-    if args.alias_prob == "static":
-        from repro.workloads.runner import STATIC_SPECULATIVE
+    outcome = run_matrix(
+        jobs=args.jobs,
+        cache_dir=args.cache,
+        spec=args.alias_prob,
+        profile_sites=bool(args.store),
+        fuel=args.fuel,
+        trace_dir=args.trace_dir,
+    )
+    if args.store and outcome.results:
+        from repro.obs.store import ResultsStore
+        from repro.workloads.runner import store_records
 
-        spec_options = STATIC_SPECULATIVE()
-    elif args.alias_prob == "hybrid":
-        from repro.pipeline import AliasProbSource
-        from repro.workloads.runner import SPECULATIVE
-
-        spec_options = SPECULATIVE()
-        spec_options.alias_prob = AliasProbSource.HYBRID
-
-    failures: list[WorkloadFailure] = []
-    if args.jobs:
-        from repro.service.matrix import run_matrix
-
-        outcome = run_matrix(
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            spec=args.alias_prob,
-            profile_sites=bool(args.store),
-            fuel=args.fuel,
+        run_ids = ResultsStore(args.store).ingest_many(
+            store_records(outcome.results, suite="matrix")
         )
-        results = outcome.results
-        failures.extend(outcome.failures)
-        print(outcome.ledger.format(), file=sys.stderr)
-        if outcome.degraded:
-            print(
-                "service degraded to sequential for: "
-                + ", ".join(outcome.degraded),
-                file=sys.stderr,
-            )
-    else:
-        results = run_all_benchmarks(
-            trace_dir=args.trace_dir,
-            failures=failures,
-            profile_sites=bool(args.store),
-            spec_options=spec_options,
-            fuel=args.fuel,
-        )
-    if results:
-        print(matrix_table(results))
-        if args.report_json:
-            with open(args.report_json, "w", encoding="utf-8") as fh:
-                json.dump(host_metrics_as_dict(results), fh, indent=2)
-                fh.write("\n")
-        if args.store:
-            from repro.obs.store import ResultsStore
-
-            if args.jobs:
-                from repro.service.matrix import service_store_records
-
-                run_ids = ResultsStore(args.store).ingest_many(
-                    service_store_records(results, suite="matrix")
-                )
-            else:
-                from repro.workloads.runner import ingest_results
-
-                run_ids = ingest_results(
-                    ResultsStore(args.store), results, suite="matrix"
-                )
-            print(
-                f"store: ingested {len(run_ids)} run record(s) into "
-                f"{args.store}",
-                file=sys.stderr,
-            )
-    for failure in failures:
-        print(f"FAILED {failure.format()}", file=sys.stderr)
-    if failures:
         print(
-            f"{len(failures)} benchmark(s) failed, "
-            f"{len(results)} succeeded",
+            f"store: ingested {len(run_ids)} run record(s) into "
+            f"{args.store}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return outcome.print_report(args.report_json)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Text renderings of the paper's evaluation figures.
 
 Each function takes the ``{name: BenchmarkResult}`` map produced by
-:func:`repro.workloads.runner.run_all_benchmarks` and returns the
+:func:`repro.service.matrix.run_matrix` and returns the
 figure as a formatted table, with the paper's observed values noted in
 the caption for side-by-side comparison (EXPERIMENTS.md records both).
 """
@@ -218,61 +218,22 @@ def host_metrics_as_dict(results: dict[str, BenchmarkResult]) -> dict:
 # -- regeneration from the results store --------------------------------
 
 
-class StoredMode:
-    """A :class:`ModeResult` stand-in rebuilt from one store record —
-    just enough surface (``counters``, ``host_metrics``,
-    ``retired_direct_loads``, ``label``) for the figure tables."""
-
-    def __init__(self, record: dict) -> None:
-        import dataclasses
-
-        from repro.machine.counters import Counters
-
-        metrics = record.get("metrics", {})
-        known = {f.name for f in dataclasses.fields(Counters)}
-        self.counters = Counters(**{
-            k: v for k, v in metrics.get("counters", {}).items()
-            if k in known
-        })
-        self.host_metrics = dict(metrics.get("host", {}))
-        self.label = record.get("mode", "?")
-        self.record = record
-
-    @property
-    def retired_direct_loads(self) -> int:
-        c = self.counters
-        return c.retired_loads - c.retired_indirect_loads
-
-
 def benchmark_results_from_records(
     latest: dict[str, dict[str, dict]],
 ) -> dict[str, BenchmarkResult]:
-    """Rebuild the ``{bench: BenchmarkResult}`` map the figure tables
-    consume from stored run records (``repro.obs.store.latest_matrix``
-    shape).  Reuses the real :class:`BenchmarkResult` reduction
-    properties, so a regenerated table is byte-identical to one
-    computed live from the same measurements.  Benchmarks missing
-    either mode are skipped."""
+    """The ``{bench: BenchmarkResult}`` map the figure tables consume,
+    from stored run records (``repro.obs.store.latest_matrix`` shape),
+    in the paper's reporting order.  Benchmarks missing either mode are
+    skipped."""
     from repro.workloads.programs import BENCHMARKS
 
     order = [b for b in BENCHMARKS if b in latest]
     order += [b for b in sorted(latest) if b not in BENCHMARKS]
-    out: dict[str, BenchmarkResult] = {}
-    for bench in order:
-        modes = latest[bench]
-        if "baseline" not in modes or "speculative" not in modes:
-            continue
-        out[bench] = BenchmarkResult(
-            workload=None,
-            baseline=StoredMode(modes["baseline"]),
-            speculative=StoredMode(modes["speculative"]),
-            extras={
-                label: StoredMode(rec)
-                for label, rec in modes.items()
-                if label not in ("baseline", "speculative")
-            },
-        )
-    return out
+    return {
+        bench: BenchmarkResult.from_records(latest[bench])
+        for bench in order
+        if {"baseline", "speculative"} <= set(latest[bench])
+    }
 
 
 #: deterministic figure tables recomputed from matrix run records:

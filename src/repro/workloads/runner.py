@@ -10,10 +10,11 @@ against the unoptimised interpreter before any number is reported.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import InterpTimeout, ReproError, SourceError
 from repro.machine.counters import Counters
 from repro.machine.cpu import MachineConfig, MachineResult
 from repro.obs import JsonlSink, TraceContext
@@ -25,7 +26,7 @@ from repro.pipeline import (
     compile_source,
     run_program,
 )
-from repro.workloads.programs import BENCHMARKS, Workload, get_workload
+from repro.workloads.programs import Workload, get_workload
 
 #: default interpreter fuel per workload run (oracle + profile train).
 #: Generous — the ref inputs retire a few million steps — but finite,
@@ -85,37 +86,41 @@ class WorkloadFailure:
         return f"{self.name}{where}: {self.exc_type}: {self.error}{tag}"
 
 
-class WorkloadMatrixError(ReproError):
-    """Raised at the *end* of a benchmark sweep that had failures.
-
-    Carries both the failures and the partial results so callers can
-    still report the benchmarks that did succeed."""
-
-    def __init__(
-        self,
-        failures: list[WorkloadFailure],
-        results: dict[str, "BenchmarkResult"],
-    ) -> None:
-        self.failures = failures
-        self.results = results
-        lines = [f"{len(failures)} of {len(failures) + len(results)} "
-                 f"benchmark(s) failed:"]
-        lines += [f"  {f.format()}" for f in failures]
-        super().__init__("\n".join(lines))
+#: ``build_metrics`` sections that measure the host, not the program:
+#: they stay out of a run record and ride beside it
+HOST_SECTIONS = ("phase_wall_ms", "phase_mem_kb", "host")
 
 
 @dataclass
 class ModeResult:
-    """One (benchmark, compilation mode) measurement."""
+    """One (benchmark, compilation mode) measurement.
+
+    ``record`` is its run record (:func:`run_record`) and ``host`` the
+    host-side sections kept out of it.  A live run also keeps its
+    options, compile output and machine result; a mode rebuilt from its
+    record (:meth:`from_record`) has none of them."""
 
     label: str
-    options: CompilerOptions
-    compile_output: CompileOutput
-    machine: MachineResult
+    counters: Counters
+    record: dict
+    host: dict = field(default_factory=dict)
+    options: Optional[CompilerOptions] = None
+    compile_output: Optional[CompileOutput] = None
+    machine: Optional[MachineResult] = None
 
-    @property
-    def counters(self) -> Counters:
-        return self.machine.counters
+    @classmethod
+    def from_record(cls, record: dict, host: Optional[dict] = None) -> "ModeResult":
+        """Rebuild from a run record; without ``host``, the host
+        sections are taken from the record's metrics (a store record
+        keeps them there)."""
+        metrics = record.get("metrics", {})
+        if host is None:
+            host = {k: metrics[k] for k in HOST_SECTIONS if k in metrics}
+        known = {f.name for f in dataclasses.fields(Counters)}
+        counters = Counters(**{
+            k: v for k, v in metrics.get("counters", {}).items() if k in known
+        })
+        return cls(record.get("mode", "?"), counters, record, host)
 
     @property
     def retired_direct_loads(self) -> int:
@@ -125,21 +130,81 @@ class ModeResult:
     @property
     def host_metrics(self) -> dict:
         """Host-side performance of this measurement (wall ms, simulate
-        wall ms, simulated steps per host second) — from the trace
-        context every compilation carries even when tracing is off."""
-        from repro.obs.report import build_host_metrics
+        wall ms, simulated steps per host second)."""
+        return self.host.get("host", {})
 
-        return build_host_metrics(self.machine, self.compile_output.obs)
+    @property
+    def metrics(self) -> dict:
+        """The whole ``build_metrics`` dict: the record's sections plus
+        the host ones."""
+        return {**self.record["metrics"], **self.host}
+
+
+def run_record(
+    bench: str,
+    label: str,
+    options: CompilerOptions,
+    output: CompileOutput,
+    machine: MachineResult,
+) -> tuple[dict, dict]:
+    """The run record of one live measurement, and its host sections.
+
+    The record holds the deterministic ``build_metrics`` sections, the
+    options string and machine geometry, and — when the run was
+    profiled — per-ALAT-site stats.  It is what a ``bench`` job returns
+    (the host sections ride in the job's ``extra``), what the results
+    store keeps, and what :meth:`BenchmarkResult.from_records` rebuilds
+    the figure tables from."""
+    from repro.obs import build_metrics
+
+    metrics = build_metrics(output, machine)
+    host = {k: metrics.pop(k) for k in HOST_SECTIONS if k in metrics}
+    record = {
+        "bench": bench,
+        "mode": label,
+        "config": {"options": options.describe()},
+        "machine": dataclasses.asdict(options.machine),
+        "metrics": metrics,
+    }
+    profile = machine.profile
+    if profile is not None and profile.sites:
+        record["sites"] = [site.as_dict() for site in profile.sites.values()]
+    return record, host
 
 
 @dataclass
 class BenchmarkResult:
     """Baseline vs speculative measurement for one benchmark."""
 
-    workload: Workload
+    workload: Optional[Workload]
     baseline: ModeResult
     speculative: ModeResult
     extras: dict[str, ModeResult] = field(default_factory=dict)
+
+    @classmethod
+    def from_records(
+        cls,
+        records: dict[str, dict],
+        host: Optional[dict[str, dict]] = None,
+        workload: Optional[Workload] = None,
+    ) -> "BenchmarkResult":
+        """Rebuild from ``{mode label: run record}`` (plus, when known,
+        ``{mode label: host sections}``).  The reduction properties are
+        the real ones, so a table rendered from records is byte-identical
+        to one computed from the live runs that wrote them."""
+        modes = {
+            label: ModeResult.from_record(
+                rec, None if host is None else host.get(label, {})
+            )
+            for label, rec in records.items()
+        }
+        return cls(
+            workload, modes.pop("baseline"), modes.pop("speculative"), modes
+        )
+
+    @property
+    def modes(self) -> list[ModeResult]:
+        return [self.baseline, self.speculative, *self.extras.values()]
 
     # -- Figure 8 -----------------------------------------------------
 
@@ -201,11 +266,7 @@ class BenchmarkResult:
         return 100.0 * c.rse_cycles / c.cpu_cycles
 
 
-_cache: dict[tuple, BenchmarkResult] = {}
-
-
-def clear_cache() -> None:
-    _cache.clear()
+_cache: dict[str, BenchmarkResult] = {}
 
 
 def _run_mode(
@@ -236,7 +297,10 @@ def _run_mode(
             f"  got:      {machine.output}\n"
             f"  expected: {expected_output}"
         )
-    return ModeResult(label, options, output, machine)
+    record, host = run_record(workload.name, label, options, output, machine)
+    return ModeResult(
+        label, machine.counters, record, host, options, output, machine
+    )
 
 
 def run_benchmark(
@@ -261,11 +325,23 @@ def run_benchmark(
     ``fuel`` bounds every interpreter run (the reference oracle and the
     profile-training run); default :data:`DEFAULT_INTERP_FUEL`.
     """
+    from repro.service.job import options_to_dict
+
     fuel = fuel if fuel is not None else DEFAULT_INTERP_FUEL
-    key = (name, id(machine_config) if machine_config else None,
-           tuple(sorted(extra_modes)) if extra_modes else None,
-           trace_dir, profile_sites,
-           spec_options.describe() if spec_options else None, fuel)
+    modes = {
+        "baseline": BASELINE(),
+        "speculative": spec_options if spec_options is not None
+        else SPECULATIVE(),
+        **(extra_modes or {}),
+    }
+    if machine_config is not None:
+        for options in modes.values():
+            options.machine = machine_config
+    key = json.dumps(
+        [name, {label: options_to_dict(o) for label, o in modes.items()},
+         trace_dir, profile_sites, fuel],
+        sort_keys=True,
+    )
     if use_cache and key in _cache:
         return _cache[key]
 
@@ -283,129 +359,23 @@ def run_benchmark(
     reference = run_program(
         workload.source, list(workload.ref_args), max_steps=fuel
     )
-
-    base_opts = BASELINE()
-    spec_opts = spec_options if spec_options is not None else SPECULATIVE()
-    if machine_config is not None:
-        base_opts.machine = machine_config
-        spec_opts.machine = machine_config
-
-    result = BenchmarkResult(
-        workload,
-        baseline=_run_mode(
-            workload, "baseline", base_opts, reference.output,
-            _obs("baseline"), profile=profile_sites, fuel=fuel,
-        ),
-        speculative=_run_mode(
-            workload, "speculative", spec_opts, reference.output,
-            _obs("speculative"), profile=profile_sites, fuel=fuel,
-        ),
-    )
-    for label, options in (extra_modes or {}).items():
-        if machine_config is not None:
-            options.machine = machine_config
-        result.extras[label] = _run_mode(
+    runs = {
+        label: _run_mode(
             workload, label, options, reference.output, _obs(label),
             profile=profile_sites, fuel=fuel,
         )
+        for label, options in modes.items()
+    }
+    result = BenchmarkResult(
+        workload, runs.pop("baseline"), runs.pop("speculative"), runs
+    )
 
     if use_cache:
         _cache[key] = result
     return result
 
 
-def run_all_benchmarks(
-    machine_config: Optional[MachineConfig] = None,
-    trace_dir: Optional[str] = None,
-    failures: Optional[list[WorkloadFailure]] = None,
-    profile_sites: bool = False,
-    spec_options: Optional[CompilerOptions] = None,
-    fuel: Optional[int] = None,
-) -> dict[str, BenchmarkResult]:
-    """All ten benchmarks, in the paper's reporting order.
-
-    A failing benchmark no longer aborts the sweep: its exception is
-    recorded as a :class:`WorkloadFailure` and the remaining benchmarks
-    still run.  Pass ``failures`` (a list to append into) to collect
-    them yourself; otherwise a non-empty failure set raises
-    :class:`WorkloadMatrixError` — after the sweep — with the partial
-    results attached.
-    """
-    collected: list[WorkloadFailure] = failures if failures is not None else []
-    results: dict[str, BenchmarkResult] = {}
-    for name in BENCHMARKS:
-        try:
-            results[name] = run_benchmark(
-                name, machine_config, trace_dir=trace_dir,
-                profile_sites=profile_sites, spec_options=spec_options,
-                fuel=fuel,
-            )
-        except Exception as exc:
-            loc = None
-            if isinstance(exc, SourceError) and exc.line:
-                loc = f"{exc.line}:{exc.column}"
-            collected.append(
-                WorkloadFailure(
-                    name, type(exc).__name__, str(exc), loc,
-                    kind="timeout" if isinstance(exc, InterpTimeout)
-                    else "error",
-                )
-            )
-    if failures is None and collected:
-        raise WorkloadMatrixError(collected, results)
-    return results
-
-
-def gate_results(
-    results: dict[str, BenchmarkResult],
-    history_dir: str,
-    threshold: Optional[float] = None,
-    update: bool = True,
-):
-    """Append fresh measurements to ``{history_dir}/{bench}.jsonl`` and
-    flag regressions: simulated counters against the latest recorded
-    run, host wall-clock/throughput against the median of the last ≤3
-    (loose warn-then-fail bands — see ``repro.obs.regress``).
-
-    Returns the :class:`repro.obs.GateReport`; ``report.failed`` means a
-    gating metric (cpu cycles, or host time past the fail band)
-    regressed past its threshold.  First runs seed the history without
-    flagging.
-    """
-    from repro.obs.regress import DEFAULT_THRESHOLD, gate_records, make_record
-
-    records = {
-        name: make_record(
-            name,
-            {
-                mode.label: mode.counters.as_dict()
-                for mode in (result.baseline, result.speculative)
-            },
-            {
-                mode.label: mode.host_metrics
-                for mode in (result.baseline, result.speculative)
-            },
-        )
-        for name, result in results.items()
-    }
-    return gate_records(
-        history_dir,
-        records,
-        threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
-        update=update,
-    )
-
-
 # -- results-store ingestion --------------------------------------------
-
-
-def mode_sites(mode: ModeResult) -> Optional[list[dict]]:
-    """Per-ALAT-site stats of one measurement (runs made with
-    ``profile_sites``), as plain dicts; None when not profiled."""
-    profile = getattr(mode.machine, "profile", None)
-    if profile is None or not profile.sites:
-        return None
-    return [site.as_dict() for site in profile.sites.values()]
 
 
 def store_records(
@@ -414,51 +384,28 @@ def store_records(
     batch: Optional[str] = None,
     config: Optional[dict] = None,
 ) -> list[dict]:
-    """One store run record per (benchmark, mode) measurement.
-
-    Records share one ``batch`` id (the sweep), carry the full
-    ``build_metrics`` payload, the compiler options string plus any
-    sweep ``config`` extras as the run's config, the machine geometry,
-    and — when the run was profiled — per-site ALAT stats.
-    """
-    from repro.obs import build_metrics
+    """One store run record per (benchmark, mode) measurement: the
+    mode's run record with its host sections merged back into the
+    metrics, and any sweep ``config`` extras merged into its config.
+    Records share one ``batch`` id (the sweep)."""
     from repro.obs.store import make_record, new_batch_id
 
     batch = batch or new_batch_id()
     records = []
     for name, result in sorted(results.items()):
-        modes = [result.baseline, result.speculative,
-                 *result.extras.values()]
-        for mode in modes:
-            metrics = build_metrics(mode.compile_output, mode.machine)
-            run_config = {"options": mode.options.describe()}
-            if config:
-                run_config.update(config)
+        for mode in result.modes:
+            rec = mode.record
             records.append(
                 make_record(
                     name,
                     mode.label,
-                    metrics,
+                    mode.metrics,
                     suite=suite,
-                    source=result.workload.source,
-                    config=run_config,
-                    machine=mode.options.machine,
-                    sites=mode_sites(mode),
+                    source=get_workload(name).source,
+                    config={**rec["config"], **(config or {})},
+                    machine=rec["machine"],
+                    sites=rec.get("sites"),
                     batch=batch,
                 )
             )
     return records
-
-
-def ingest_results(
-    store,
-    results: dict[str, BenchmarkResult],
-    suite: str = "matrix",
-    config: Optional[dict] = None,
-    obs: Optional[TraceContext] = None,
-) -> list[str]:
-    """Write one sweep's measurements into a
-    :class:`repro.obs.store.ResultsStore`; returns the run ids."""
-    return store.ingest_many(
-        store_records(results, suite=suite, config=config), obs=obs
-    )

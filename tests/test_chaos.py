@@ -440,15 +440,11 @@ def test_interp_timeout_is_backwards_compatible():
 
 def test_workload_matrix_survives_one_failure(monkeypatch):
     import repro.workloads.runner as runner
-    from repro.workloads import (
-        BENCHMARKS,
-        WorkloadFailure,
-        WorkloadMatrixError,
-        run_all_benchmarks,
-    )
+    from repro.service.matrix import run_matrix
 
     real = runner.run_benchmark
-    victim = list(BENCHMARKS)[1]
+    names = ["vortex", "vpr", "bzip2"]
+    victim = names[1]
 
     def flaky(name, *args, **kwargs):
         if name == victim:
@@ -457,18 +453,12 @@ def test_workload_matrix_survives_one_failure(monkeypatch):
 
     monkeypatch.setattr(runner, "run_benchmark", flaky)
 
-    failures: list[WorkloadFailure] = []
-    results = run_all_benchmarks(failures=failures)
-    assert victim not in results
-    assert len(results) == len(BENCHMARKS) - 1
-    assert [f.name for f in failures] == [victim]
-    assert failures[0].exc_type == "RuntimeError"
-
-    # without a collector the sweep still finishes, then raises
-    with pytest.raises(WorkloadMatrixError) as exc_info:
-        run_all_benchmarks()
-    assert len(exc_info.value.results) == len(BENCHMARKS) - 1
-    assert victim in str(exc_info.value)
+    outcome = run_matrix(jobs=0, benchmarks=names)
+    assert list(outcome.results) == ["vortex", "bzip2"]
+    assert [f.name for f in outcome.failures] == [victim]
+    assert outcome.failures[0].exc_type == "RuntimeError"
+    assert outcome.failures[0].kind == "error"
+    assert outcome.ledger.balanced()
 
 
 # ---------------------------------------------------------------------------

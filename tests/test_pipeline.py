@@ -101,6 +101,31 @@ def test_describe():
     assert "-O3" in text and "profile" in text
 
 
+def test_describe_names_every_option_set_apart():
+    """Chaos minimisation finds a failing mode by its name, and store
+    run ids key on it: option sets that compile differently must not
+    share one."""
+    from repro.chaos.campaign import default_modes
+    from repro.pipeline import PromotionGate
+    from repro.service.workers import bench_spec_options
+    from repro.workloads.runner import BASELINE, SPECULATIVE, STATIC_SPECULATIVE
+
+    static_warn = STATIC_SPECULATIVE()
+    static_warn.promotion_gate = PromotionGate.WARN
+    modes = [
+        *default_modes(), STATIC_SPECULATIVE(), static_warn,
+        bench_spec_options("hybrid"),
+    ]
+    names = [m.describe() for m in modes]
+    assert len(set(names)) == len(names), names
+    # the paper's two configurations keep their names
+    assert BASELINE().describe() == "-O3 andersen"
+    assert SPECULATIVE().describe() == "-O3 spec=profile andersen"
+    off = CompilerOptions(use_type_filter=False, loop_speculation=False,
+                          alat_partial=False, cleanup=False)
+    assert off.describe() != CompilerOptions().describe()
+
+
 def test_machine_config_threading():
     from repro import MachineConfig
 

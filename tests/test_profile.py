@@ -24,11 +24,10 @@ from repro.obs import (
 from repro.obs.regress import (
     EXIT_NO_HISTORY,
     Flag,
+    StoreHistory,
     compare_records,
     gate_metrics,
     gate_records,
-    latest_record,
-    load_history,
     main as regress_main,
     make_record,
 )
@@ -231,17 +230,17 @@ def _counters(cycles=1000, loads=50):
 
 
 def test_gate_seeds_then_passes_then_flags(tmp_path):
-    hist = str(tmp_path / "history")
+    hist = StoreHistory(str(tmp_path / "history"))
     rec = make_record("gzip", {"speculative": _counters()})
 
     first = gate_records(hist, {"gzip": rec})
     assert first.seeded == ["gzip"] and not first.flags and not first.failed
-    assert len(load_history(hist, "gzip")) == 1
+    assert len(hist.load("gzip")) == 1
 
     # identical second run: checked, no flags, history grows
     second = gate_records(hist, {"gzip": make_record("gzip", {"speculative": _counters()})})
     assert second.checked == ["gzip"] and not second.flags
-    assert len(load_history(hist, "gzip")) == 2
+    assert len(hist.load("gzip")) == 2
 
     # >10% cycle regression: fail-severity flag
     bad = make_record("gzip", {"speculative": _counters(cycles=1200)})
@@ -251,11 +250,11 @@ def test_gate_seeds_then_passes_then_flags(tmp_path):
     assert flag.counter == "cpu_cycles" and flag.bench == "gzip"
     assert flag.pct == pytest.approx(20.0)
     assert "REGRESSION" in str(flag)
-    assert latest_record(hist, "gzip")["modes"]["speculative"]["cpu_cycles"] == 1200
+    assert hist.load("gzip")[-1]["modes"]["speculative"]["cpu_cycles"] == 1200
 
 
 def test_gate_warn_counters_do_not_fail(tmp_path):
-    hist = str(tmp_path / "h")
+    hist = StoreHistory(str(tmp_path / "h"))
     gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
     worse_loads = make_record("b", {"speculative": _counters(loads=100)})
     report = gate_records(hist, {"b": worse_loads})
@@ -265,7 +264,7 @@ def test_gate_warn_counters_do_not_fail(tmp_path):
 
 
 def test_gate_within_threshold_is_quiet(tmp_path):
-    hist = str(tmp_path / "h")
+    hist = StoreHistory(str(tmp_path / "h"))
     gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
     slightly = make_record("b", {"speculative": _counters(cycles=1050)})
     report = gate_records(hist, {"b": slightly}, threshold=0.10)
@@ -274,13 +273,13 @@ def test_gate_within_threshold_is_quiet(tmp_path):
 
 
 def test_gate_no_update_leaves_history_untouched(tmp_path):
-    hist = str(tmp_path / "h")
+    hist = StoreHistory(str(tmp_path / "h"))
     gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
     gate_records(
         hist, {"b": make_record("b", {"speculative": _counters(cycles=9999)})},
         update=False,
     )
-    assert len(load_history(hist, "b")) == 1
+    assert len(hist.load("b")) == 1
 
 
 def test_compare_records_skips_new_modes_and_zero_baselines():
@@ -303,36 +302,36 @@ def test_gate_metrics_consumes_harness_shape_and_cli(tmp_path):
         }
     }
     hist = str(tmp_path / "history")
-    report = gate_metrics(hist, metrics)
+    report = gate_metrics(StoreHistory(hist), metrics)
     assert report.seeded == ["gzip"]
 
     mpath = tmp_path / "metrics.json"
     # regressed speculative cycles beyond threshold
     metrics["gzip"]["speculative"]["counters"]["cpu_cycles"] = 2000
     mpath.write_text(json.dumps(metrics))
-    rc = regress_main(["--metrics", str(mpath), "--history", hist])
+    rc = regress_main(["--metrics", str(mpath), "--store", hist])
     assert rc == 1
     rc = regress_main(
-        ["--metrics", str(mpath), "--history", hist, "--warn-only", "--no-update"]
+        ["--metrics", str(mpath), "--store", hist, "--warn-only", "--no-update"]
     )
     assert rc == 0
 
 
 def test_gate_cli_refuses_to_gate_without_history(tmp_path, capsys):
     """No history and no --allow-seed: a distinct exit code plus a clear
-    message, and nothing written — a misconfigured --history path must
+    message, and nothing written — a misconfigured --store path must
     not silently seed and pass CI."""
     metrics = {"gzip": {"speculative": {"counters": _counters()}}}
     mpath = tmp_path / "metrics.json"
     mpath.write_text(json.dumps(metrics))
     hist = str(tmp_path / "nonexistent-history")
 
-    rc = regress_main(["--metrics", str(mpath), "--history", hist])
+    rc = regress_main(["--metrics", str(mpath), "--store", hist])
     assert rc == EXIT_NO_HISTORY and rc not in (0, 1)
     err = capsys.readouterr().err
     assert "no benchmark history" in err and "gzip" in err
     assert "--allow-seed" in err
-    assert load_history(hist, "gzip") == []
+    assert StoreHistory(hist).load("gzip") == []
 
 
 def test_gate_cli_allow_seed_records_baseline(tmp_path):
@@ -342,15 +341,15 @@ def test_gate_cli_allow_seed_records_baseline(tmp_path):
     hist = str(tmp_path / "history")
 
     rc = regress_main(
-        ["--metrics", str(mpath), "--history", hist, "--allow-seed"]
+        ["--metrics", str(mpath), "--store", hist, "--allow-seed"]
     )
     assert rc == 0
-    assert len(load_history(hist, "gzip")) == 1
+    assert len(StoreHistory(hist).load("gzip")) == 1
 
     # with history present, subsequent runs gate normally
-    rc = regress_main(["--metrics", str(mpath), "--history", hist])
+    rc = regress_main(["--metrics", str(mpath), "--store", hist])
     assert rc == 0
-    assert len(load_history(hist, "gzip")) == 2
+    assert len(StoreHistory(hist).load("gzip")) == 2
 
 
 # -- JsonlSink exception safety -----------------------------------------

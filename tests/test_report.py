@@ -151,9 +151,10 @@ def test_synthetic_flamegraph_accounting():
 
 
 def _stored_matrix_results():
-    """Two benches of fixed counters/host numbers rendered through the
-    store's :class:`StoredMode` path — deterministic inputs, so the
-    figure and matrix renderers can be golden-tested byte-for-byte."""
+    """Two benches of fixed counters/host numbers rebuilt from store run
+    records (``BenchmarkResult.from_records``) — deterministic inputs,
+    so the figure and matrix renderers can be golden-tested
+    byte-for-byte."""
     from repro.obs.store import make_record
     from repro.workloads.report import benchmark_results_from_records
 
@@ -225,9 +226,9 @@ def test_figures_as_dict_golden():
 
 
 def test_stored_mode_reconstructs_derived_ratios():
-    """The stored view must rebuild the two derived counter properties
-    the figure tables lean on (they are @property on Counters, not
-    persisted fields)."""
+    """A mode rebuilt from its record must rebuild the two derived
+    counter properties the figure tables lean on (they are @property on
+    Counters, not persisted fields)."""
     results = _stored_matrix_results()
     spec = results["gzip"].speculative
     assert spec.counters.misspeculation_ratio == pytest.approx(2 / 40)

@@ -4,7 +4,8 @@ The retry/backoff tests run against a fake clock and a seeded RNG (no
 sleeps); the pool tests use ``probe`` jobs — deterministic
 misbehaviour on demand (transient failures, permanent taxonomy errors,
 hangs, worker suicide) — so every failure-routing path is exercised
-with real forked processes in well under a second each.
+with real forked processes in well under a second each, and on the
+in-process pool (``jobs=0``) where a path does not need a process.
 """
 
 from __future__ import annotations
@@ -234,9 +235,28 @@ def test_pool_timeout_consumes_retry_budget_when_retryable():
     assert pool.ledger.timeout_attempts == 2
 
 
-def test_pool_rejects_zero_workers():
+def test_pool_jobs_zero_runs_in_process():
+    import multiprocessing
+
+    policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
+    children = set(multiprocessing.active_children())
+    with JobPool(jobs=0, retry_policy=policy) as pool:
+        ok, flaky, perm = pool.run([
+            probe("ok", value=7),
+            probe("flaky", fail_attempts=1, value=1),
+            probe("permanent", error="config"),
+        ])
+        assert pool.workers == []
+        assert set(multiprocessing.active_children()) == children
+    # Same handlers and routing as a worker, run by the coordinator.
+    assert ok.state == COMPLETED and ok.artifact == {"value": 7}
+    assert ok.extra == {"worker": -1}
+    assert flaky.state == COMPLETED and flaky.attempts == 2
+    assert perm.state == FAILED and perm.attempts == 1
+    assert perm.error.type == "ConfigError"
+    assert pool.ledger.balanced() and pool.ledger.retries == 1
     with pytest.raises(ServiceError):
-        JobPool(jobs=0)
+        JobPool(jobs=-1)
 
 
 SIMPLE = """
@@ -319,6 +339,53 @@ def test_matrix_fuel_exhaustion_is_structured_timeout_failure(tmp_path):
     assert outcome.ledger.balanced()
 
 
+def test_matrix_degrades_in_process_with_the_same_failure():
+    """A pool out of crash budget re-runs its unfinished jobs in-process:
+    the failure it reports is the one ``jobs=0`` reports."""
+    from repro.service.matrix import run_matrix
+
+    rng = random.Random(0)
+
+    def kill_the_busy_worker(pool):
+        # Hang the job's first attempt, then kill its worker mid-hang.
+        if not pool.inject_hang_on_pending(rng, 60000):
+            pool.kill_random_busy_worker(rng)
+
+    outcome = run_matrix(
+        jobs=1, benchmarks=["gzip"], fuel=200,
+        pool_kwargs={"crash_budget": 0, "fault_hook": kill_the_busy_worker},
+    )
+    assert outcome.ledger.worker_crashes == 1
+    assert outcome.degraded == ["bench:gzip"]
+    inline = run_matrix(jobs=0, benchmarks=["gzip"], fuel=200)
+    assert outcome.failures == inline.failures
+    (failure,) = outcome.failures
+    assert failure.kind == "timeout" and failure.name == "gzip"
+    assert outcome.ledger.balanced()
+
+
+def test_matrix_records_match_across_pool_sizes():
+    from repro.service.matrix import run_matrix
+    from repro.workloads.runner import store_records
+
+    records = [
+        store_records(
+            run_matrix(jobs=jobs, benchmarks=["vortex"],
+                       profile_sites=True).results
+        )
+        for jobs in (0, 2)
+    ]
+    inline, forked = records
+    assert [r["run_id"] for r in inline] == [r["run_id"] for r in forked]
+    for a, b in zip(inline, forked):
+        assert a["metrics"].keys() == b["metrics"].keys()
+        for section in ("counters", "alat", "cache", "rse", "pre"):
+            assert a["metrics"][section] == b["metrics"][section]
+        assert a.get("sites") == b.get("sites")
+        assert "host" in a["metrics"] and "phase_wall_ms" in a["metrics"]
+    assert inline[1]["sites"]  # the speculative mode was site-profiled
+
+
 # -- service-level chaos -------------------------------------------------
 
 
@@ -338,13 +405,12 @@ def test_service_chaos_self_test_small(tmp_path):
 
 
 def test_campaign_service_matches_sequential():
+    """The campaign on forked workers reports exactly what the
+    in-process pool reports."""
     from repro.chaos.campaign import run_campaign
-    from repro.chaos.service import run_campaign_service
 
     seq = run_campaign(seed=5, runs=3, failures_dir=None)
-    svc = run_campaign_service(seed=5, runs=3, jobs=2, failures_dir=None)
+    svc = run_campaign(seed=5, runs=3, jobs=2, failures_dir=None)
     assert svc.programs == seq.programs == 3
-    assert svc.runs == seq.runs
-    assert svc.skipped == seq.skipped
-    assert svc.faults_injected == seq.faults_injected
-    assert not seq.failures and not svc.failures
+    assert svc.as_dict() == seq.as_dict()
+    assert not seq.failures

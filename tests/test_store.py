@@ -16,27 +16,23 @@ import pytest
 
 from repro.obs.regress import (
     EXIT_NO_HISTORY,
-    JsonlHistory,
     StoreHistory,
     gate_records,
 )
 from repro.obs.regress import main as regress_main
 from repro.obs.regress import make_record as make_history_record
 from repro.obs.store import (
-    PIPELINE_VERSION,
     ResultsStore,
     StoreError,
     compute_run_id,
     make_record,
     new_batch_id,
+    pipeline_version,
     render_dashboard,
 )
 from repro.obs.store.__main__ import main as store_main
-from repro.obs.store.history import (
-    append_history_record,
-    import_history,
-    store_history,
-)
+from repro.obs.store.core import code_version
+from repro.obs.store.history import append_history_record, store_history
 from repro.obs.store.query import (
     compare_records,
     get_metric,
@@ -84,7 +80,7 @@ def test_record_round_trip(tmp_path):
     assert got["bench"] == "gzip" and got["mode"] == "speculative"
     assert got["metrics"]["counters"]["cpu_cycles"] == 1000
     assert got["sites"][0]["line"] == 7
-    assert got["pipeline_version"] == PIPELINE_VERSION
+    assert got["pipeline_version"] == pipeline_version()
 
 
 def test_run_id_is_content_addressed():
@@ -99,6 +95,23 @@ def test_run_id_is_content_addressed():
     )
     # re-running one configuration accumulates records under one id
     assert _record(ts=1.0)["run_id"] == _record(ts=2.0)["run_id"]
+
+
+def test_pipeline_version_follows_the_code(tmp_path):
+    """Run ids and cache keys carry a hash of the package's code, so a
+    one-byte edit anywhere in it changes them."""
+    import shutil
+
+    from repro.obs.store.core import PACKAGE_ROOT
+
+    tree = tmp_path / "repro"
+    shutil.copytree(PACKAGE_ROOT, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert code_version(tree) == pipeline_version()
+    target = tree / "workloads" / "programs.py"
+    data = target.read_bytes()
+    target.write_bytes(data.replace(b"420", b"421", 1))
+    assert code_version(tree) != pipeline_version()
 
 
 def test_ingest_rejects_incomplete_records(tmp_path):
@@ -311,40 +324,34 @@ def test_history_round_trip(tmp_path):
     assert rebuilt["modes"]["speculative"]["host"]["wall_ms"] == 100.0
 
 
-def test_import_history_migrates_jsonl(tmp_path):
-    hist_dir = tmp_path / "history"
-    jsonl = JsonlHistory(str(hist_dir))
-    for ts in (1.0, 2.0):
-        jsonl.append(_history_rec("gzip", 1000, ts=ts))
-    jsonl.append(_history_rec("vpr", 800, ts=1.5))
+def test_gate_history_reads_matrix_and_history_suites_only(tmp_path):
+    """An ablation point ingested in the same batch as the matrix
+    measures another configuration: it must not become the baseline."""
     store = ResultsStore(tmp_path / "store")
-    assert import_history(store, str(hist_dir)) == 3
-    assert [r["timestamp"] for r in store_history(store, "gzip")] == [1.0, 2.0]
-    assert import_history(store, str(tmp_path / "missing")) == 0
+    batch = new_batch_id()
+    store.ingest(_record(ts=1.0, batch=batch, metrics=_metrics(1000)))
+    store.ingest(_record(ts=1.5, batch=batch, suite="ablation:alat_size",
+                         config={"alat_entries": 2},
+                         metrics=_metrics(1900)))
+    store.ingest(_record(ts=2.0, suite="cli", metrics=_metrics(5000)))
+    history = StoreHistory(store)
+    (rebuilt,) = history.load("gzip")
+    assert rebuilt["modes"]["speculative"]["cpu_cycles"] == 1000
 
-
-def test_gate_parity_between_backends(tmp_path):
-    """The tentpole's compatibility claim: gating through the store
-    produces the same flags as the classic JSONL backend."""
-    jsonl = JsonlHistory(str(tmp_path / "history"))
-    backed = StoreHistory(str(tmp_path / "store"))
-    for backend in (jsonl, backed):
-        backend.append(_history_rec("gzip", 1000, ts=1.0))
-
-    current = _history_rec("gzip", 1300, ts=2.0)  # +30% cycles
-    reports = [
-        gate_records(backend, {"gzip": current}, update=False)
-        for backend in (jsonl, backed)
-    ]
-    for report in reports:
-        assert report.failed
-        assert [f.counter for f in report.flags] == ["cpu_cycles"]
-    assert str(reports[0].flags[0]) == str(reports[1].flags[0])
-
-    clean = _history_rec("gzip", 1010, ts=2.0)
-    for backend in (jsonl, backed):
-        assert not gate_records(backend, {"gzip": clean},
-                                update=False).flags
+    current = _history_rec("gzip", 1300, ts=3.0)  # +30% cycles
+    report = gate_records(history, {"gzip": current}, update=False)
+    assert report.failed
+    cycles = next(f for f in report.flags if f.counter == "cpu_cycles")
+    assert (cycles.previous, cycles.severity) == (1000, "fail")
+    clean = _history_rec("gzip", 1010, ts=3.0)
+    assert "cpu_cycles" not in {
+        f.counter for f in gate_records(history, {"gzip": clean},
+                                        update=False).flags
+    }
+    # an accepted sweep is appended as ``history`` records, and gates next
+    gate_records(history, {"gzip": current})
+    assert [r["modes"]["speculative"]["cpu_cycles"]
+            for r in history.load("gzip")] == [1000, 1300]
 
 
 def test_regress_cli_store_backend_exit_codes(tmp_path, capsys):

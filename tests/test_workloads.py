@@ -46,11 +46,26 @@ def test_runner_validates_output():
 
 
 def test_runner_cache():
-    from repro.workloads.runner import _cache
-
     a = run_benchmark("vpr")
     b = run_benchmark("vpr")
     assert a is b  # memoized
+
+
+def test_runner_cache_keys_on_full_options():
+    """Two extra modes under one label but with different options are
+    different measurements; the memo must not serve one for the other."""
+    from repro.pipeline import CompilerOptions, OptLevel, SpecMode
+
+    def extra(level):
+        return {"x": CompilerOptions(opt_level=level, spec_mode=SpecMode.NONE,
+                                     fallback=False)}
+
+    o3 = run_benchmark("vortex", extra_modes=extra(OptLevel.O3))
+    o0 = run_benchmark("vortex", extra_modes=extra(OptLevel.O0))
+    assert o0 is not o3
+    assert (o0.extras["x"].counters.cpu_cycles
+            != o3.extras["x"].counters.cpu_cycles)
+    assert run_benchmark("vortex", extra_modes=extra(OptLevel.O0)) is o0
 
 
 def test_baseline_and_speculative_options_differ():
@@ -92,17 +107,19 @@ def test_report_tables_render():
 # -- CLI exit-code contract ---------------------------------------------
 
 
+def _outcome(failures):
+    from repro.service.job import ServiceLedger
+    from repro.service.matrix import MatrixOutcome
+
+    return MatrixOutcome(results={}, failures=failures, ledger=ServiceLedger())
+
+
 def test_cli_exits_nonzero_on_any_workload_failure(monkeypatch, capsys):
     import repro.workloads.__main__ as cli
     from repro.workloads.runner import WorkloadFailure
 
-    def failing_sweep(failures=None, **kwargs):
-        failures.append(
-            WorkloadFailure("gzip", "RuntimeError", "boom", kind="error")
-        )
-        return {}
-
-    monkeypatch.setattr(cli, "run_all_benchmarks", failing_sweep)
+    failure = WorkloadFailure("gzip", "RuntimeError", "boom", kind="error")
+    monkeypatch.setattr(cli, "run_matrix", lambda **kw: _outcome([failure]))
     assert cli.main([]) == 1
     err = capsys.readouterr().err
     assert "FAILED gzip" in err
@@ -112,9 +129,7 @@ def test_cli_exits_nonzero_on_any_workload_failure(monkeypatch, capsys):
 def test_cli_exits_zero_on_clean_sweep(monkeypatch):
     import repro.workloads.__main__ as cli
 
-    monkeypatch.setattr(
-        cli, "run_all_benchmarks", lambda failures=None, **kwargs: {}
-    )
+    monkeypatch.setattr(cli, "run_matrix", lambda **kw: _outcome([]))
     assert cli.main([]) == 0
 
 
