@@ -18,9 +18,12 @@ Three failure kinds:
     an injected fault is missing from ``ALATStats`` or from the
     ``chaos.fault`` trace rows — the observability layer lied.
 
-Failures are minimised with line-level ddmin (``repro.chaos.reducer``)
-and written to ``chaos/failures/`` as ``<stem>.minic`` /
-``<stem>.min.minic`` / ``<stem>.json``.
+Divergences and compile crashes are minimised with line-level ddmin
+(``repro.chaos.reducer``): a reduced divergence still disagrees with the
+oracle under the same mode and plan, and a reduced crash still fails to
+compile the same way (:func:`compile_crash`).  Failures are written to
+``chaos/failures/`` as ``<stem>.minic`` / ``<stem>.min.minic`` /
+``<stem>.json``.
 
 ``run_self_test`` proves the harness has teeth: it disables the ld.c
 insertion in ``repro.pre.ssapre`` (a real miscompile — a speculated
@@ -41,7 +44,7 @@ from typing import Callable, Optional
 from repro.chaos.faults import FaultInjector, FaultPlan, default_fault_plans
 from repro.chaos.generator import GeneratedProgram, generate_program
 from repro.chaos.reducer import ReductionError, reduce_source
-from repro.errors import InterpError, ReproError
+from repro.errors import InterpError, ReproError, SpecLintError
 from repro.machine.cpu import Simulator
 from repro.obs.sinks import MemorySink
 from repro.obs.trace import TraceContext
@@ -355,6 +358,42 @@ def divergence_predicate(
     return interesting
 
 
+def compile_crash(
+    source: str, mode: CompilerOptions, train_args
+) -> Optional[tuple]:
+    """How compiling ``source`` under ``mode`` fails: None when it
+    compiles, else the exception type plus, for a speclint error, the
+    set of error rule ids (``SPEC002``, …)."""
+    try:
+        compile_source(source, mode, train_args=list(train_args))
+    except Exception as exc:
+        rules = None
+        if isinstance(exc, SpecLintError):
+            rules = frozenset(d.rule for d in exc.report.errors)
+        return (type(exc), rules)
+    return None
+
+
+def crash_predicate(
+    mode: CompilerOptions,
+    ref_args,
+    train_args,
+    crash: tuple,
+) -> Callable[[str], bool]:
+    """Interestingness for ddmin on a compile crash: the candidate's
+    oracle still runs, and compiling it under the same mode fails the
+    same way (:func:`compile_crash` equals ``crash``)."""
+
+    def interesting(source: str) -> bool:
+        try:
+            run_program(source, list(ref_args), max_steps=INTERP_FUEL)
+        except Exception:
+            return False
+        return compile_crash(source, mode, train_args) == crash
+
+    return interesting
+
+
 def _mode_by_description(description: str, modes: list[CompilerOptions]):
     for mode in modes:
         if mode.describe() == description:
@@ -367,16 +406,25 @@ def minimize_failure(
     modes: list[CompilerOptions],
     max_tests: int = 800,
 ) -> None:
-    """Attach a 1-minimal reproducer to a divergence failure in place."""
-    if failure.kind != "divergence":
-        return
+    """Attach a 1-minimal reproducer to a divergence or compile-crash
+    failure in place."""
     mode = _mode_by_description(failure.mode, modes)
     if mode is None:
         return
-    plan = failure.plan if failure.plan.name != "none" else None
-    predicate = divergence_predicate(
-        mode, plan, failure.ref_args, failure.train_args
-    )
+    if failure.kind == "divergence":
+        plan = failure.plan if failure.plan.name != "none" else None
+        predicate = divergence_predicate(
+            mode, plan, failure.ref_args, failure.train_args
+        )
+    elif failure.kind == "crash" and failure.detail.startswith("compile:"):
+        crash = compile_crash(failure.source, mode, failure.train_args)
+        if crash is None:
+            return  # did not crash again: nothing to reduce against
+        predicate = crash_predicate(
+            mode, failure.ref_args, failure.train_args, crash
+        )
+    else:
+        return
     try:
         failure.reduced_source = reduce_source(
             failure.source, predicate, max_tests=max_tests

@@ -14,6 +14,32 @@ layout (all in words):
 All storage is zero-initialised (MiniC defines deterministic zero init
 so that every compilation mode observes identical values).
 
+Decoded execution
+-----------------
+An :class:`Interpreter` lowers each :class:`Function` once, on its first
+call, into closures: one per expression and one per statement.  Each
+basic block becomes a tuple of statement closures plus a decoded
+terminator, and one loop runs them.  Decoding settles what a tree walker
+would look up on every visit:
+
+* **variables** — a temporary becomes an index into the frame's register
+  file (a zero-filled list whose slot 0 holds the frame's base address),
+  a local or parameter with a memory home becomes ``base + offset``, and
+  a global becomes a constant address;
+* **operators** — each operator kind and result type has its own closure;
+* **hooks** — only a traced interpreter compiles :class:`MemoryTracer`
+  calls into its load and store closures (and keeps the address owner
+  map they report), and only a host-profiled one times its statement
+  closures, so an unhooked run makes no hook test per statement.
+
+Decoded functions are cached on the interpreter, not on the
+:class:`Function`: passes rewrite functions and blocks in place after
+the alias-profiling run, and a cache on the IR would serve stale code.
+Steps are charged one statement at a time (a callee reads the counter),
+so the step budget always trips at the same statement.  Every runtime
+error is raised when the offending code runs, never while decoding, with
+the message and type a statement-by-statement reading of the IR implies.
+
 Speculation annotations (:class:`SpecFlag`) do not change IR semantics:
 a check statement re-executes its load, which is exactly the reload the
 hardware would perform on an ALAT miss.  The interpreter is thus the
@@ -29,12 +55,13 @@ package builds the alias profile (paper section 3.1) from these events.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Union
 
 from repro.errors import InterpError, InterpLimitExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> ir)
     from repro.obs.telemetry import HostProfiler
+from repro.ir.cfg import BasicBlock
 from repro.ir.expr import (
     AddrOf,
     BinOp,
@@ -65,13 +92,17 @@ from repro.ir.stmt import (
     Store,
 )
 from repro.ir.symbols import Variable
-from repro.ir.types import FloatType, Type
+from repro.ir.types import FloatType
 
 GLOBAL_BASE = 0x1000
 STACK_BASE = 0x10_0000
 HEAP_BASE = 0x100_0000
 
+Value = Union[int, float]
+
 _INT_MASK = (1 << 64) - 1
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
 
 
 def wrap_int(v: int) -> int:
@@ -82,6 +113,8 @@ def wrap_int(v: int) -> int:
 
 def int_div(a: int, b: int) -> int:
     """C-style integer division (truncates toward zero)."""
+    if 0 <= a <= _INT_MAX and b > 0:
+        return a // b  # C and Python quotients agree here
     if b == 0:
         raise InterpError("integer division by zero")
     q = abs(a) // abs(b)
@@ -90,9 +123,19 @@ def int_div(a: int, b: int) -> int:
 
 def int_mod(a: int, b: int) -> int:
     """C-style remainder: ``a == int_div(a,b)*b + int_mod(a,b)``."""
+    if 0 <= a <= _INT_MAX and b > 0:
+        return a % b  # C and Python remainders agree here
     if b == 0:
         raise InterpError("integer modulo by zero")
-    return wrap_int(a - int_div(a, b) * b)
+    r = abs(a) % abs(b)  # the remainder takes the dividend's sign
+    return wrap_int(-r if a < 0 else r)
+
+
+def _as_int(v: Value) -> int:
+    """``wrap_int(int(v))``: the value a non-float variable holds."""
+    if v.__class__ is int and _INT_MIN <= v <= _INT_MAX:
+        return v  # type: ignore[return-value]
+    return wrap_int(int(v))
 
 
 def format_value(value: Union[int, float]) -> str:
@@ -100,6 +143,29 @@ def format_value(value: Union[int, float]) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def layout_globals(module: Module) -> tuple[dict[int, int], dict[int, Value]]:
+    """Assign every global a word address (declaration order, starting
+    at ``GLOBAL_BASE``) and build the initial data image.
+
+    The interpreter and the code generator both lay globals out with
+    this, so their data images are interchangeable.
+    """
+    addrs: dict[int, int] = {}
+    data: dict[int, Value] = {}
+    addr = GLOBAL_BASE
+    for g in module.globals:
+        addrs[g.id] = addr
+        init = module.global_inits.get(g.id)
+        if init is not None:
+            if isinstance(init, list):
+                for i, v in enumerate(init):
+                    data[addr + i] = v
+            else:
+                data[addr] = init
+        addr += max(1, g.type.size_words())
+    return addrs, data
 
 
 #: Owner tags attributed to addresses: ("var", variable_id, variable) for
@@ -128,19 +194,9 @@ class InterpStats:
     def __repr__(self) -> str:
         return (
             f"InterpStats(steps={self.steps}, direct_loads={self.direct_loads}, "
-            f"indirect_loads={self.indirect_loads}, stores={self.stores})"
+            f"indirect_loads={self.indirect_loads}, stores={self.stores}, "
+            f"calls={self.calls})"
         )
-
-
-class _Frame:
-    """One activation record."""
-
-    def __init__(self, fn: Function, base: int) -> None:
-        self.fn = fn
-        self.base = base
-        self.regs: dict[int, Union[int, float]] = {}  # temp var id -> value
-        self.var_addrs: dict[int, int] = {}  # var id -> word address
-        self.size = 0
 
 
 class InterpResult:
@@ -159,6 +215,545 @@ class InterpResult:
         return f"InterpResult(exit={self.exit_value}, {len(self.output)} lines)"
 
 
+# -- decoded form ---------------------------------------------------------
+
+#: A decoded expression or statement: called with the frame's register
+#: file (slot 0 = frame base address, then one slot per temporary).
+Op = Callable[[list], Any]
+
+# terminator kinds of a decoded block
+_JUMP, _BRANCH, _RETURN, _FALL = range(4)
+
+
+class _Block:
+    """A decoded basic block: statement closures, then the terminator.
+
+    ``kind`` selects the terminator: ``_JUMP`` goes to ``then``;
+    ``_BRANCH`` calls ``value`` and goes to ``then`` or ``orelse``;
+    ``_RETURN`` returns ``value(r)``; ``_FALL`` (no terminator) raises
+    ``value()``.
+    """
+
+    __slots__ = ("body", "kind", "value", "then", "orelse")
+
+    def __init__(self) -> None:
+        self.body: tuple[Op, ...] = ()
+        self.kind = _FALL
+        self.value: Any = None
+        self.then: Optional[_Block] = None
+        self.orelse: Optional[_Block] = None
+
+
+class _Code:
+    """A decoded function."""
+
+    __slots__ = ("entry", "size", "nregs", "params", "owner")
+
+    def __init__(self, entry: _Block, size: int, nregs: int,
+                 params: tuple, owner: Optional[list]) -> None:
+        self.entry = entry
+        #: words of memory-home locals and parameters in one frame
+        self.size = size
+        #: register-file length (slot 0 is the frame base)
+        self.nregs = nregs
+        #: one ``write(r, value)`` per parameter
+        self.params = params
+        #: owner tag per frame word (traced interpreters only)
+        self.owner = owner
+
+
+def _fault(error: Callable[[], Exception]) -> Op:
+    """An operation that raises ``error()`` when it runs."""
+
+    def fault(r):
+        raise error()
+
+    return fault
+
+
+def _nop(r) -> None:
+    return None
+
+
+def _true(r) -> int:
+    return 1
+
+
+# Operator closures.  Arithmetic on a non-float result type wraps an int
+# result to 64 bits (a float result passes through); comparisons and
+# logicals give 0 or 1; division and modulo are C-style.
+
+
+def _add(a: Op, b: Op, wrap: bool) -> Op:
+    if not wrap:
+        return lambda r: a(r) + b(r)
+
+    def add(r):
+        v = a(r) + b(r)
+        if _INT_MIN <= v <= _INT_MAX or v.__class__ is not int:
+            return v
+        return wrap_int(v)
+
+    return add
+
+
+def _sub(a: Op, b: Op, wrap: bool) -> Op:
+    if not wrap:
+        return lambda r: a(r) - b(r)
+
+    def sub(r):
+        v = a(r) - b(r)
+        if _INT_MIN <= v <= _INT_MAX or v.__class__ is not int:
+            return v
+        return wrap_int(v)
+
+    return sub
+
+
+def _mul(a: Op, b: Op, wrap: bool) -> Op:
+    if not wrap:
+        return lambda r: a(r) * b(r)
+
+    def mul(r):
+        v = a(r) * b(r)
+        if _INT_MIN <= v <= _INT_MAX or v.__class__ is not int:
+            return v
+        return wrap_int(v)
+
+    return mul
+
+
+def _div(a: Op, b: Op, wrap: bool) -> Op:
+    def div(r):
+        x = a(r)
+        y = b(r)
+        if isinstance(x, float) or isinstance(y, float):
+            if y == 0:
+                raise InterpError("float division by zero")
+            return x / y
+        return int_div(x, y)
+
+    return div
+
+
+def _mod(a: Op, b: Op, wrap: bool) -> Op:
+    def mod(r):
+        x = a(r)
+        y = b(r)
+        if isinstance(x, float) or isinstance(y, float):
+            raise InterpError("modulo on float operands")
+        return int_mod(x, y)
+
+    return mod
+
+
+_BINOPS: dict[BinOpKind, Callable[[Op, Op, bool], Op]] = {
+    BinOpKind.ADD: _add,
+    BinOpKind.SUB: _sub,
+    BinOpKind.MUL: _mul,
+    BinOpKind.DIV: _div,
+    BinOpKind.MOD: _mod,
+    BinOpKind.AND: lambda a, b, w: lambda r: 1 if (a(r) and b(r)) else 0,
+    BinOpKind.OR: lambda a, b, w: lambda r: 1 if (a(r) or b(r)) else 0,
+    BinOpKind.EQ: lambda a, b, w: lambda r: 1 if a(r) == b(r) else 0,
+    BinOpKind.NE: lambda a, b, w: lambda r: 1 if a(r) != b(r) else 0,
+    BinOpKind.LT: lambda a, b, w: lambda r: 1 if a(r) < b(r) else 0,
+    BinOpKind.LE: lambda a, b, w: lambda r: 1 if a(r) <= b(r) else 0,
+    BinOpKind.GT: lambda a, b, w: lambda r: 1 if a(r) > b(r) else 0,
+    BinOpKind.GE: lambda a, b, w: lambda r: 1 if a(r) >= b(r) else 0,
+}
+
+
+def _neg(a: Op) -> Op:
+    def neg(r):
+        v = a(r)
+        return -v if isinstance(v, float) else wrap_int(-v)
+
+    return neg
+
+
+_UNOPS: dict[UnOpKind, Callable[[Op], Op]] = {
+    UnOpKind.NEG: _neg,
+    UnOpKind.NOT: lambda a: lambda r: 0 if a(r) else 1,
+    UnOpKind.I2F: lambda a: lambda r: float(a(r)),
+    UnOpKind.F2I: lambda a: lambda r: wrap_int(int(a(r))),
+}
+
+
+class _Decoder:
+    """Lowers one function into closures for one interpreter."""
+
+    def __init__(self, interp: "Interpreter", fn: Function) -> None:
+        self.interp = interp
+        self.fn = fn
+        self.mem = interp.mem
+        self.stats = interp.stats
+        self.tracer = interp.tracer
+        self.host = interp.host
+        #: var id -> word offset of its memory home in the frame
+        self.offsets: dict[int, int] = {}
+        #: owner tag per frame word, kept only for a tracer
+        self.owner: Optional[list[OwnerTag]] = (
+            [] if interp.tracer is not None else None
+        )
+        size = 0
+        for var in fn.all_variables():
+            if var.has_memory_home:
+                words = max(1, var.type.size_words())
+                self.offsets[var.id] = size
+                if self.owner is not None:
+                    self.owner.extend([("var", var.id, var)] * words)
+                size += words
+        self.size = size
+        #: temporary var id -> register-file slot
+        self.slots: dict[int, int] = {}
+        self.blocks: dict[BasicBlock, _Block] = {}
+        self.pending: list[tuple[BasicBlock, _Block]] = []
+
+    def function(self) -> _Code:
+        fn = self.fn
+        if fn.blocks:
+            entry = self.block(fn.blocks[0])
+        else:
+            entry = _Block()
+            entry.value = lambda: fn.entry  # raises: the function has no blocks
+        while self.pending:
+            self.fill(*self.pending.pop())
+        params = tuple(self.writer(p) for p in fn.params)
+        return _Code(entry, self.size, len(self.slots) + 1, params, self.owner)
+
+    # -- blocks and statements ------------------------------------------
+
+    def block(self, b: BasicBlock) -> _Block:
+        """The decoded form of ``b``, filled in later (blocks form cycles)."""
+        blk = self.blocks.get(b)
+        if blk is None:
+            blk = self.blocks[b] = _Block()
+            self.pending.append((b, blk))
+        return blk
+
+    def fill(self, b: BasicBlock, blk: _Block) -> None:
+        body = []
+        term: Optional[Stmt] = None
+        for stmt in b.stmts:
+            if isinstance(stmt, (Return, Jump, CondBranch)):
+                term = stmt
+                break
+            op = self.stmt(stmt, stmt)
+            if self.host is not None:
+                op = self.timed(op, stmt)
+            body.append(op)
+        blk.body = tuple(body)
+        if term is None:
+            label, name = b.label, self.fn.name
+            blk.value = lambda: InterpError(f"fell off end of block {label} in {name}")
+        elif isinstance(term, Return):
+            blk.kind = _RETURN
+            blk.value = self.expr(term.expr, term) if term.expr is not None else _nop
+        elif isinstance(term, Jump):
+            blk.kind = _JUMP
+            blk.then = self.block(term.target)
+            if self.host is not None:
+                # a profiled jump is a branch on a timed constant
+                blk.kind, blk.value, blk.orelse = _BRANCH, _true, blk.then
+        else:
+            blk.kind = _BRANCH
+            blk.value = self.expr(term.cond, term)
+            blk.then = self.block(term.then_block)
+            blk.orelse = self.block(term.else_block)
+        if self.host is not None and term is not None:
+            blk.value = self.timed(blk.value, term)
+
+    def timed(self, op: Op, stmt: Stmt) -> Op:
+        """``op`` charging its host time, less the time its calls
+        account for themselves, to ``interp.op.<statement class>``."""
+        hp = self.host
+        key = hp.op_key(stmt.__class__, "interp.op.")
+        now, add, take_sub = hp.now, hp.add, hp.take_sub
+
+        def timed_op(r):
+            t0 = now()
+            v = op(r)
+            add(key, now() - t0 - take_sub())
+            return v
+
+        return timed_op
+
+    def stmt(self, stmt: Stmt, ctx: Stmt) -> Op:
+        """Decode one statement.  ``ctx`` is the statement a load inside
+        it reports: itself, or the ``chk.a`` whose recovery it is."""
+        if isinstance(stmt, Assign):
+            return self.assign(stmt, ctx)
+        if isinstance(stmt, Store):
+            return self.store(stmt, ctx)
+        if isinstance(stmt, Call):
+            return self.call(stmt, ctx)
+        if isinstance(stmt, Alloc):
+            return self.alloc(stmt, ctx)
+        if isinstance(stmt, Print):
+            return self.print(stmt, ctx)
+        if isinstance(stmt, EvalStmt):
+            return self.expr(stmt.expr, ctx)
+        if isinstance(stmt, InvalidateCheck):
+            return _nop  # ALAT-only effect; no IR-level semantics
+        if isinstance(stmt, ConditionalReload):
+            return self.reload(stmt, ctx)
+        return _fault(lambda: InterpError(f"cannot execute statement {stmt!r}"))
+
+    def assign(self, stmt: Assign, ctx: Stmt) -> Op:
+        if stmt.spec_flag.is_branching_check and stmt.recovery:
+            # chk.a: the interpreter models the always-fail case — the
+            # recovery reloads address and value from memory, which is
+            # idempotent and therefore also correct when hardware would
+            # have skipped it.
+            ops = tuple(self.stmt(s, ctx) for s in stmt.recovery)
+
+            def recover(r):
+                for op in ops:
+                    op(r)
+
+            return recover
+        ev = self.expr(stmt.expr, ctx)
+        write = self.writer(stmt.target)
+        if stmt.spec_flag in (SpecFlag.LD_SA, SpecFlag.LD_C, SpecFlag.LD_C_NC):
+            # Speculative loads must not fault on paths where the
+            # original never loaded: ld.sa defers exceptions, and a
+            # check reached before any advanced load executed may see a
+            # garbage (zero) address register.  The dummy value is dead
+            # on every such path.
+            dummy = 0.0 if stmt.target.type.is_float else 0
+
+            def speculative(r):
+                try:
+                    v = ev(r)
+                except InterpError:
+                    v = dummy
+                write(r, v)
+
+            return speculative
+        return lambda r: write(r, ev(r))
+
+    def store(self, stmt: Store, ctx: Stmt) -> Op:
+        ea = self.expr(stmt.addr, ctx)
+        ev = self.expr(stmt.value, ctx)
+        mem, stats = self.mem, self.stats
+        if self.tracer is None:
+            def store(r):
+                a = ea(r)
+                if isinstance(a, float):
+                    raise InterpError(f"float used as address in {stmt}")
+                if a == 0:
+                    raise InterpError(f"null dereference in {stmt}")
+                v = ev(r)
+                if a <= 0:
+                    raise InterpError(f"store to invalid address {a}")
+                mem[a] = v
+                stats.stores += 1
+            return store
+        on_store, owner = self.tracer.on_indirect_store, self.interp.owner
+
+        def traced_store(r):
+            a = ea(r)
+            if isinstance(a, float):
+                raise InterpError(f"float used as address in {stmt}")
+            if a == 0:
+                raise InterpError(f"null dereference in {stmt}")
+            v = ev(r)
+            if a <= 0:
+                raise InterpError(f"store to invalid address {a}")
+            mem[a] = v
+            stats.stores += 1
+            on_store(stmt, a, owner.get(a))
+
+        return traced_store
+
+    def call(self, stmt: Call, ctx: Stmt) -> Op:
+        module = self.interp.module
+        callee = module.functions.get(stmt.callee)
+        if callee is None:
+            return _fault(lambda: module.function(stmt.callee))  # raises IRError
+        args = tuple(self.expr(a, ctx) for a in stmt.args)
+        invoke = self.interp._invoke
+        if stmt.result is None:
+            return lambda r: invoke(callee, [a(r) for a in args])
+        write = self.writer(stmt.result)
+
+        def call(r):
+            result = invoke(callee, [a(r) for a in args])
+            if result is None:
+                raise InterpError(f"void call used as value: {stmt}")
+            write(r, result)
+
+        return call
+
+    def alloc(self, stmt: Alloc, ctx: Stmt) -> Op:
+        count = self.expr(stmt.count, ctx)
+        write = self.writer(stmt.target)
+        interp = self.interp
+        owner = interp.owner if self.tracer is not None else None
+        tag = ("heap", stmt.sid)
+
+        def alloc(r):
+            n = int(count(r))
+            if n < 0:
+                raise InterpError(f"negative allocation count in {stmt}")
+            words = max(1, stmt.elem_type.size_words() * n)
+            base = interp._heap_top
+            if owner is not None:
+                owner.update(dict.fromkeys(range(base, base + words), tag))
+            interp._heap_top = base + words
+            write(r, base)
+
+        return alloc
+
+    def print(self, stmt: Print, ctx: Stmt) -> Op:
+        ev = self.expr(stmt.expr, ctx)
+        output, on_print = self.interp.output, self.interp.on_print
+        if on_print is None:
+            return lambda r: output.append(format_value(ev(r)))
+
+        def print_(r):
+            text = format_value(ev(r))
+            output.append(text)
+            on_print(stmt, text)
+
+        return print_
+
+    def reload(self, stmt: ConditionalReload, ctx: Stmt) -> Op:
+        store_addr = self.expr(stmt.store_addr, ctx)
+        home_addr = self.expr(stmt.home_addr, ctx)
+        write, mem = self.writer(stmt.temp), self.mem
+
+        def reload(r):
+            s = store_addr(r)
+            h = home_addr(r)
+            if s == h:
+                if isinstance(h, float):
+                    raise InterpError(f"float used as address in {stmt}")
+                if h == 0:
+                    raise InterpError(f"null dereference in {stmt}")
+                write(r, mem.get(h, 0))
+
+        return reload
+
+    # -- variables --------------------------------------------------------
+
+    def slot(self, var: Variable) -> int:
+        """The register-file slot of a temporary."""
+        s = self.slots.get(var.id)
+        if s is None:
+            s = self.slots[var.id] = len(self.slots) + 1
+        return s
+
+    def home(self, var: Variable) -> tuple[Optional[int], Optional[int], Callable]:
+        """``(address, offset, missing)`` of a variable with a memory home:
+        a global's constant address or a frame offset.  When it has no
+        home here, both are None and ``missing()`` is the error to raise
+        when code naming it runs."""
+        if var.is_global:
+            addr = self.interp._global_addrs.get(var.id)
+            return addr, None, lambda: KeyError(var.id)
+        off = self.offsets.get(var.id)
+        return None, off, lambda: InterpError(
+            f"variable {var.name} has no address in frame"
+        )
+
+    def writer(self, var: Variable) -> Callable[[list, Value], None]:
+        """``write(r, value)``: coerce ``value`` to ``var``'s type and
+        store it in ``var``."""
+        coerce = float if isinstance(var.type, FloatType) else _as_int
+        mem = self.mem
+        addr, off, missing = self.home(var)
+        if not var.has_memory_home:
+            s = self.slot(var)
+
+            def write(r, v):
+                r[s] = coerce(v)
+        elif addr is not None:
+            def write(r, v):
+                mem[addr] = coerce(v)
+        elif off is not None:
+            def write(r, v):
+                mem[r[0] + off] = coerce(v)
+        else:
+            def write(r, v):
+                coerce(v)
+                raise missing()
+        return write
+
+    # -- expressions ------------------------------------------------------
+
+    def expr(self, e: Expr, ctx: Stmt) -> Op:
+        if isinstance(e, (ConstInt, ConstFloat)):
+            value = e.value
+            return lambda r: value
+        if isinstance(e, VarRead):
+            return self.var_read(e.var)
+        if isinstance(e, AddrOf):
+            addr, off, missing = self.home(e.var)
+            if addr is not None:
+                return lambda r: addr
+            if off is not None:
+                return lambda r: r[0] + off
+            return _fault(missing)
+        if isinstance(e, Load):
+            return self.load(e, ctx)
+        if isinstance(e, BinOp):
+            a = self.expr(e.left, ctx)
+            b = self.expr(e.right, ctx)
+            return _BINOPS[e.op](a, b, not e.type.is_float)
+        if isinstance(e, UnOp):
+            return _UNOPS[e.op](self.expr(e.operand, ctx))
+        return _fault(lambda: InterpError(f"cannot evaluate expression {e!r}"))
+
+    def var_read(self, var: Variable) -> Op:
+        if not var.has_memory_home:
+            s = self.slot(var)
+            return lambda r: r[s]
+        mem, stats = self.mem, self.stats
+        addr, off, missing = self.home(var)
+        if addr is not None:
+            def read(r):
+                stats.direct_loads += 1
+                return mem.get(addr, 0)
+        elif off is not None:
+            def read(r):
+                stats.direct_loads += 1
+                return mem.get(r[0] + off, 0)
+        else:
+            def read(r):
+                stats.direct_loads += 1
+                raise missing()
+        return read
+
+    def load(self, e: Load, ctx: Stmt) -> Op:
+        ea = self.expr(e.addr, ctx)
+        mem, stats = self.mem, self.stats
+        if self.tracer is None:
+            def load(r):
+                a = ea(r)
+                if isinstance(a, float):
+                    raise InterpError(f"float used as address in {ctx}")
+                if a == 0:
+                    raise InterpError(f"null dereference in {ctx}")
+                stats.indirect_loads += 1
+                return mem.get(a, 0)
+            return load
+        on_load, owner = self.tracer.on_indirect_load, self.interp.owner
+
+        def traced_load(r):
+            a = ea(r)
+            if isinstance(a, float):
+                raise InterpError(f"float used as address in {ctx}")
+            if a == 0:
+                raise InterpError(f"null dereference in {ctx}")
+            stats.indirect_loads += 1
+            on_load(e, ctx, a, owner.get(a))
+            return mem.get(a, 0)
+
+        return traced_load
+
+
 class Interpreter:
     """Executes a :class:`Module` starting at ``main``."""
 
@@ -174,355 +769,137 @@ class Interpreter:
         self.tracer = tracer
         self.max_steps = max_steps
         #: optional :class:`repro.obs.telemetry.HostProfiler` — buckets
-        #: host wall-clock per dispatched statement class
-        #: (``interp.op.Assign``, …).  Purely observational.
+        #: host wall-clock per statement class (``interp.op.Assign``, …),
+        #: frame set-up (``interp.frame``) and decoding
+        #: (``interp.decode``).  Purely observational.
         self.host = host_profiler
         #: observer invoked with (Print stmt, formatted text) per output
         #: line — translation validation uses it to attribute the first
         #: divergent print back to a source Loc.
         self.on_print = on_print
-        self.mem: dict[int, Union[int, float]] = {}
+        self._global_addrs, self.mem = layout_globals(module)
+        #: address -> owner tag; filled only when a tracer reads it
         self.owner: dict[int, OwnerTag] = {}
+        if tracer is not None:
+            for g in module.globals:
+                base = self._global_addrs[g.id]
+                for w in range(max(1, g.type.size_words())):
+                    self.owner[base + w] = ("var", g.id, g)
         self.stats = InterpStats()
         self.output: list[str] = []
         self._stack_top = STACK_BASE
         self._heap_top = HEAP_BASE
-        self._global_addrs: dict[int, int] = {}
-        self._frames: list[_Frame] = []
-        self._active_stmt: Optional[Stmt] = None
-        self._layout_globals()
-
-    # -- memory layout ------------------------------------------------
-
-    def _layout_globals(self) -> None:
-        addr = GLOBAL_BASE
-        for g in self.module.globals:
-            self._global_addrs[g.id] = addr
-            words = max(1, g.type.size_words())
-            for w in range(words):
-                self.owner[addr + w] = ("var", g.id, g)
-            init = self.module.global_inits.get(g.id)
-            if init is not None:
-                if isinstance(init, list):
-                    for i, v in enumerate(init):
-                        self.mem[addr + i] = v
-                else:
-                    self.mem[addr] = init
-            addr += words
+        self._codes: dict[Function, _Code] = {}
+        # Decoding, frame push and pop, and the call a decoded Call
+        # statement makes; a host profiler gets timed versions.
+        self._decode, self._push, self._pop = (
+            self._decode_function, self._push_frame, self._pop_frame
+        )
+        self._invoke = self._call
+        if host_profiler is not None:
+            hp = host_profiler
+            self._decode = hp.timed(self._decode, "interp.decode", nested=False)
+            self._push = hp.timed(self._push, "interp.frame", nested=False)
+            self._pop = hp.timed(self._pop, "interp.frame", nested=False)
+            self._invoke = _deferred(hp, self._call)
 
     def var_address(self, var: Variable) -> int:
-        """Word address of a variable with a memory home."""
+        """Word address of a global variable."""
         if var.is_global:
             return self._global_addrs[var.id]
-        frame = self._frames[-1]
-        try:
-            return frame.var_addrs[var.id]
-        except KeyError:
-            raise InterpError(f"variable {var.name} has no address in frame") from None
-
-    def _read_mem(self, addr: int) -> Union[int, float]:
-        return self.mem.get(addr, 0)
-
-    def _write_mem(self, addr: int, value: Union[int, float]) -> None:
-        if addr <= 0:
-            raise InterpError(f"store to invalid address {addr}")
-        self.mem[addr] = value
+        raise InterpError(f"variable {var.name} has no address outside a frame")
 
     # -- running --------------------------------------------------------
 
-    def run(self, args: Optional[list[Union[int, float]]] = None) -> InterpResult:
+    def run(self, args: Optional[list[Value]] = None) -> InterpResult:
         """Run ``main`` with the given arguments."""
-        main = self.module.main
-        result = self._call(main, args or [])
+        result = self._call(self.module.main, args or [])
         exit_value = int(result) if result is not None else 0
         return InterpResult(exit_value, self.output, self.stats)
 
-    def _call(self, fn: Function, args: list[Union[int, float]]) -> Optional[Union[int, float]]:
+    def _decode_function(self, fn: Function) -> _Code:
+        code = self._codes[fn] = _Decoder(self, fn).function()
+        return code
+
+    def _call(self, fn: Function, args: list[Value]) -> Optional[Value]:
         if len(args) != len(fn.params):
             raise InterpError(
                 f"{fn.name} expects {len(fn.params)} args, got {len(args)}"
             )
-        hp = self.host
-        _t0 = hp.now() if hp is not None else 0
-        frame = _Frame(fn, self._stack_top)
-        addr = self._stack_top
-        for var in fn.all_variables():
-            if not var.has_memory_home:
-                continue
-            frame.var_addrs[var.id] = addr
-            words = max(1, var.type.size_words())
-            for w in range(words):
-                self.owner[addr + w] = ("var", var.id, var)
-                self.mem[addr + w] = 0  # deterministic zero init
-            addr += words
-        frame.size = addr - self._stack_top
-        self._stack_top = addr
-        self._frames.append(frame)
-        self.stats.calls += 1
-
-        for p, a in zip(fn.params, args):
-            self._write_var(p, a)
-        if hp is not None:
-            hp.add("interp.frame", hp.now() - _t0)
-
+        code = self._codes.get(fn)
+        if code is None:
+            code = self._decode(fn)
+        r = self._push(code, args)
         try:
-            return self._run_function(fn)
+            return self._run(code, r)
         finally:
-            if hp is not None:
-                _t0 = hp.now()
-            popped = self._frames.pop()
-            by_id = {v.id: v for v in popped.fn.all_variables()}
-            for var_id, base in popped.var_addrs.items():
-                for w in range(max(1, by_id[var_id].type.size_words())):
-                    self.owner.pop(base + w, None)
-                    self.mem.pop(base + w, None)
-            self._stack_top = popped.base
-            if hp is not None:
-                hp.add("interp.frame", hp.now() - _t0)
+            self._pop(code, r[0])
 
-    def _run_function(self, fn: Function) -> Optional[Union[int, float]]:
-        block = fn.entry
-        idx = 0
-        # Host-profiling state: ``hp`` is None on unprofiled runs (one
-        # falsy check per dispatched statement).  Timestamps chain so
-        # attributed time tiles the dispatch loop without gaps.
-        hp = self.host
-        t_mark = hp.now() if hp is not None else 0
-        while True:
-            if idx >= len(block.stmts):
-                raise InterpError(f"fell off end of block {block.label} in {fn.name}")
-            stmt = block.stmts[idx]
-            self._active_stmt = stmt
-            self.stats.steps += 1
-            if self.stats.steps > self.max_steps:
-                raise InterpLimitExceeded(
-                    f"interpreter exceeded {self.max_steps} steps"
-                )
-            if isinstance(stmt, Return):
-                result = (
-                    self._eval(stmt.expr) if stmt.expr is not None else None
-                )
-                if hp is not None:
-                    hp.add(
-                        "interp.op.Return",
-                        hp.now() - t_mark - hp.take_sub(),
-                    )
-                return result
-            if isinstance(stmt, Jump):
-                block, idx = stmt.target, 0
-                if hp is not None:
-                    t_now = hp.now()
-                    hp.add("interp.op.Jump", t_now - t_mark - hp.take_sub())
-                    t_mark = t_now
-                continue
-            if isinstance(stmt, CondBranch):
-                taken = self._eval(stmt.cond)
-                block = stmt.then_block if taken else stmt.else_block
-                idx = 0
-                if hp is not None:
-                    t_now = hp.now()
-                    hp.add(
-                        "interp.op.CondBranch",
-                        t_now - t_mark - hp.take_sub(),
-                    )
-                    t_mark = t_now
-                continue
-            self._exec(stmt)
-            idx += 1
-            if hp is not None:
-                t_now = hp.now()
-                hp.add(
-                    hp.op_key(stmt.__class__, "interp.op."),
-                    t_now - t_mark - hp.take_sub(),
-                )
-                t_mark = t_now
-
-    # -- statement execution ---------------------------------------------
-
-    def _exec(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            if stmt.spec_flag.is_branching_check and stmt.recovery:
-                # chk.a: the interpreter models the always-fail case —
-                # the recovery reloads address and value from memory,
-                # which is idempotent and therefore also correct when
-                # hardware would have skipped it.
-                for recovery_stmt in stmt.recovery:
-                    self._exec(recovery_stmt)
-                return
-            if stmt.spec_flag in (SpecFlag.LD_SA, SpecFlag.LD_C, SpecFlag.LD_C_NC):
-                # Speculative loads must not fault on paths where the
-                # original never loaded: ld.sa defers exceptions, and a
-                # check reached before any advanced load executed may
-                # see a garbage (zero) address register.  The dummy
-                # value is dead on every such path.
-                try:
-                    value = self._eval(stmt.expr)
-                except InterpError:
-                    value = 0.0 if stmt.target.type.is_float else 0
-                self._write_var(stmt.target, value)
-                return
-            self._write_var(stmt.target, self._eval(stmt.expr))
-        elif isinstance(stmt, Store):
-            addr = self._as_addr(self._eval(stmt.addr), stmt)
-            value = self._eval(stmt.value)
-            self._write_mem(addr, value)
-            self.stats.stores += 1
-            if self.tracer is not None:
-                self.tracer.on_indirect_store(stmt, addr, self.owner.get(addr))
-        elif isinstance(stmt, Call):
-            callee = self.module.function(stmt.callee)
-            args = [self._eval(a) for a in stmt.args]
-            hp = self.host
-            if hp is None:
-                result = self._call(callee, args)
-            else:
-                # The callee's dispatch loop accounts for its own time;
-                # defer the whole call so the Call bucket only keeps
-                # argument evaluation + frame bookkeeping residue.
-                _t = hp.now()
-                result = self._call(callee, args)
-                hp.take_sub()
-                hp.defer(hp.now() - _t)
-            if stmt.result is not None:
-                if result is None:
-                    raise InterpError(f"void call used as value: {stmt}")
-                self._write_var(stmt.result, result)
-        elif isinstance(stmt, Alloc):
-            count = int(self._eval(stmt.count))
-            if count < 0:
-                raise InterpError(f"negative allocation count in {stmt}")
-            words = max(1, stmt.elem_type.size_words() * count)
-            base = self._heap_top
-            for w in range(words):
-                self.owner[base + w] = ("heap", stmt.sid)
-            self._heap_top += words
-            self._write_var(stmt.target, base)
-        elif isinstance(stmt, Print):
-            text = format_value(self._eval(stmt.expr))
-            self.output.append(text)
-            if self.on_print is not None:
-                self.on_print(stmt, text)
-        elif isinstance(stmt, EvalStmt):
-            self._eval(stmt.expr)
-        elif isinstance(stmt, InvalidateCheck):
-            pass  # ALAT-only effect; no IR-level semantics
-        elif isinstance(stmt, ConditionalReload):
-            store_addr = self._eval(stmt.store_addr)
-            home_addr = self._eval(stmt.home_addr)
-            if store_addr == home_addr:
-                addr = self._as_addr(home_addr, stmt)
-                self._write_var(stmt.temp, self._read_mem(addr))
-        else:
-            raise InterpError(f"cannot execute statement {stmt!r}")
-
-    def _write_var(self, var: Variable, value: Union[int, float]) -> None:
-        value = self._coerce(var.type, value)
-        if var.has_memory_home:
-            self._write_mem(self.var_address(var), value)
-        else:
-            self._frames[-1].regs[var.id] = value
-
-    @staticmethod
-    def _coerce(ty: Type, value: Union[int, float]) -> Union[int, float]:
-        if isinstance(ty, FloatType):
-            return float(value)
-        if isinstance(value, float):
-            return wrap_int(int(value))
-        return wrap_int(int(value))
-
-    @staticmethod
-    def _as_addr(value: Union[int, float], stmt: Stmt) -> int:
-        if isinstance(value, float):
-            raise InterpError(f"float used as address in {stmt}")
-        if value == 0:
-            raise InterpError(f"null dereference in {stmt}")
-        return int(value)
-
-    # -- expression evaluation ---------------------------------------------
-
-    def _eval(self, expr: Expr) -> Union[int, float]:
-        if isinstance(expr, ConstInt):
-            return expr.value
-        if isinstance(expr, ConstFloat):
-            return expr.value
-        if isinstance(expr, VarRead):
-            var = expr.var
-            if var.has_memory_home:
-                self.stats.direct_loads += 1
-                return self._read_mem(self.var_address(var))
-            frame = self._frames[-1]
-            return frame.regs.get(var.id, 0)
-        if isinstance(expr, AddrOf):
-            return self.var_address(expr.var)
-        if isinstance(expr, Load):
-            addr_val = self._eval(expr.addr)
-            addr = self._as_addr(addr_val, self._active_stmt)
-            self.stats.indirect_loads += 1
-            if self.tracer is not None:
-                self.tracer.on_indirect_load(
-                    expr, self._active_stmt, addr, self.owner.get(addr)
-                )
-            return self._read_mem(addr)
-        if isinstance(expr, BinOp):
-            return self._eval_binop(expr)
-        if isinstance(expr, UnOp):
-            return self._eval_unop(expr)
-        raise InterpError(f"cannot evaluate expression {expr!r}")
-
-    def _eval_binop(self, expr: BinOp) -> Union[int, float]:
-        op = expr.op
-        if op is BinOpKind.AND:
-            return 1 if (self._eval(expr.left) and self._eval(expr.right)) else 0
-        if op is BinOpKind.OR:
-            return 1 if (self._eval(expr.left) or self._eval(expr.right)) else 0
-        lhs = self._eval(expr.left)
-        rhs = self._eval(expr.right)
-        if op is BinOpKind.ADD:
-            r = lhs + rhs
-        elif op is BinOpKind.SUB:
-            r = lhs - rhs
-        elif op is BinOpKind.MUL:
-            r = lhs * rhs
-        elif op is BinOpKind.DIV:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                if rhs == 0:
-                    raise InterpError("float division by zero")
-                r = lhs / rhs
-            else:
-                r = int_div(lhs, rhs)
-        elif op is BinOpKind.MOD:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                raise InterpError("modulo on float operands")
-            r = int_mod(lhs, rhs)
-        elif op is BinOpKind.EQ:
-            r = 1 if lhs == rhs else 0
-        elif op is BinOpKind.NE:
-            r = 1 if lhs != rhs else 0
-        elif op is BinOpKind.LT:
-            r = 1 if lhs < rhs else 0
-        elif op is BinOpKind.LE:
-            r = 1 if lhs <= rhs else 0
-        elif op is BinOpKind.GT:
-            r = 1 if lhs > rhs else 0
-        elif op is BinOpKind.GE:
-            r = 1 if lhs >= rhs else 0
-        else:
-            raise InterpError(f"unknown binop {op}")
-        if isinstance(r, int) and not expr.type.is_float:
-            r = wrap_int(r)
+    def _push_frame(self, code: _Code, args: list[Value]) -> list:
+        """Push a frame: zero its memory, and return its register file
+        with the parameters written."""
+        base = self._stack_top
+        top = base + code.size
+        frame = range(base, top)
+        self.mem.update(dict.fromkeys(frame, 0))  # deterministic zero init
+        if code.owner is not None:
+            self.owner.update(zip(frame, code.owner))
+        self._stack_top = top
+        self.stats.calls += 1
+        r = [0] * code.nregs
+        r[0] = base
+        for write, value in zip(code.params, args):
+            write(r, value)
         return r
 
-    def _eval_unop(self, expr: UnOp) -> Union[int, float]:
-        v = self._eval(expr.operand)
-        if expr.op is UnOpKind.NEG:
-            return -v if isinstance(v, float) else wrap_int(-v)
-        if expr.op is UnOpKind.NOT:
-            return 0 if v else 1
-        if expr.op is UnOpKind.I2F:
-            return float(v)
-        if expr.op is UnOpKind.F2I:
-            return wrap_int(int(v))
-        raise InterpError(f"unknown unop {expr.op}")
+    def _pop_frame(self, code: _Code, base: int) -> None:
+        mem = self.mem
+        frame = range(base, base + code.size)
+        for addr in frame:
+            mem.pop(addr, None)
+        if code.owner is not None:
+            for addr in frame:
+                self.owner.pop(addr, None)
+        self._stack_top = base
+
+    def _run(self, code: _Code, r: list) -> Optional[Value]:
+        stats = self.stats
+        limit = self.max_steps
+        blk = code.entry
+        while True:
+            for op in blk.body:
+                stats.steps += 1
+                if stats.steps > limit:
+                    raise InterpLimitExceeded(f"interpreter exceeded {limit} steps")
+                op(r)
+            kind = blk.kind
+            if kind == _FALL:
+                raise blk.value()
+            stats.steps += 1
+            if stats.steps > limit:
+                raise InterpLimitExceeded(f"interpreter exceeded {limit} steps")
+            if kind == _BRANCH:
+                blk = blk.then if blk.value(r) else blk.orelse
+            elif kind == _JUMP:
+                blk = blk.then
+            else:
+                return blk.value(r)
+
+
+def _deferred(hp: "HostProfiler", call: Callable) -> Callable:
+    """``call`` with its whole time deferred: the callee's statements and
+    frame account for themselves, so the calling statement's bucket
+    keeps only argument evaluation and result write-back."""
+    now, take_sub, defer = hp.now, hp.take_sub, hp.defer
+
+    def deferred_call(fn, args):
+        t0 = now()
+        result = call(fn, args)
+        take_sub()
+        defer(now() - t0)
+        return result
+
+    return deferred_call
 
 
 def run_module(

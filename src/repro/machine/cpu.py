@@ -162,10 +162,7 @@ def _divide(op: int, lhs: Value, rhs: Value) -> Value:
     if op == OP_MOD:
         if rhs == 0:
             raise MachineError("integer modulo by zero")
-        lhs, rhs = int(lhs), int(rhs)
-        if 0 <= lhs <= _INT_MAX and rhs > 0:
-            return lhs % rhs  # C and Python remainders agree here
-        return int_mod(lhs, rhs)
+        return int_mod(int(lhs), int(rhs))
     if isinstance(lhs, float) or isinstance(rhs, float):
         if rhs == 0:
             raise MachineError("float division by zero")

@@ -17,7 +17,7 @@ Entry points:
   one matrix driver (``python -m repro.workloads --jobs N``);
 * :func:`repro.chaos.campaign.run_campaign` — the chaos campaign, the
   one campaign driver (``python -m repro.chaos --jobs N``);
-* ``python -m repro.service`` — batch CLI and long-lived serve mode;
+* ``python -m repro.service`` — the batch CLI over the workload matrix;
 * :mod:`repro.chaos.service` — the service-level fault campaign.
 """
 

@@ -25,7 +25,7 @@ branch back to its resume point.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import CodegenError
 from repro.ir.expr import (
@@ -41,7 +41,7 @@ from repro.ir.expr import (
     VarRead,
 )
 from repro.ir.function import Function
-from repro.ir.interp import GLOBAL_BASE, wrap_int
+from repro.ir.interp import layout_globals, wrap_int
 from repro.ir.module import Module
 from repro.ir.stmt import (
     Alloc,
@@ -84,30 +84,6 @@ from repro.target.isa import (
     St,
     Un,
 )
-
-Value = Union[int, float]
-
-
-def layout_globals(module: Module) -> tuple[dict[int, int], dict[int, Value]]:
-    """Assign every global a word address (declaration order, starting
-    at ``GLOBAL_BASE``) and build the initial data image.
-
-    Mirrors ``Interpreter._layout_globals`` exactly.
-    """
-    addrs: dict[int, int] = {}
-    data: dict[int, Value] = {}
-    addr = GLOBAL_BASE
-    for g in module.globals:
-        addrs[g.id] = addr
-        init = module.global_inits.get(g.id)
-        if init is not None:
-            if isinstance(init, list):
-                for i, v in enumerate(init):
-                    data[addr + i] = v
-            else:
-                data[addr] = init
-        addr += max(1, g.type.size_words())
-    return addrs, data
 
 
 def _collect_frame_vars(fn: Function) -> set[int]:

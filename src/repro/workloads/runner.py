@@ -29,9 +29,10 @@ from repro.pipeline import (
 from repro.workloads.programs import Workload, get_workload
 
 #: default interpreter fuel per workload run (oracle + profile train).
-#: Generous — the ref inputs retire a few million steps — but finite,
-#: so a runaway workload surfaces as a structured ``timeout`` failure
-#: (:class:`repro.errors.InterpTimeout`) instead of hanging the matrix.
+#: Generous — the largest ref run (mcf) retires 247,522 oracle steps —
+#: but finite, so a runaway workload surfaces as a structured
+#: ``timeout`` failure (:class:`repro.errors.InterpTimeout`) instead of
+#: hanging the matrix.
 DEFAULT_INTERP_FUEL = 50_000_000
 
 

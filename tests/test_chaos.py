@@ -343,6 +343,77 @@ def test_self_test_restores_the_rewrite_flag():
     assert ssapre.CHAOS_DISABLE_CHECK_REWRITE is False
 
 
+PLANTED_CRASH_SOURCE = """\
+int needle;
+int other;
+int arr[4];
+int helper(int x) {
+    return x + 1;
+}
+int main(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        arr[i] = helper(i);
+        i = i + 1;
+    }
+    other = arr[1];
+    needle = needle + 3;
+    print(other);
+    return needle;
+}
+"""
+
+
+def test_compile_crash_is_minimised_against_the_same_crash(monkeypatch):
+    """A planted speclint crash is reduced to a program that the oracle
+    still runs and that fails to compile the same way: the same
+    exception type with the same set of error rule ids."""
+    import repro.chaos.campaign as campaign
+    from repro.errors import SpecLintError
+    from repro.speclint.diagnostics import Diagnostic, LintReport, Severity
+
+    markers = (("SPEC002", "needle = needle + 3;"), ("SPEC005", "other = "))
+
+    def planted(source, options=None, **kwargs):
+        rules = [rule for rule, marker in markers if marker in source]
+        if rules:
+            raise SpecLintError(LintReport([
+                Diagnostic(rule, Severity.ERROR, "planted", "main")
+                for rule in rules
+            ]))
+        return compile_source(source, options, **kwargs)
+
+    monkeypatch.setattr(campaign, "compile_source", planted)
+    mode = default_modes()[1]
+    program = GeneratedProgram("planted", PLANTED_CRASH_SOURCE, (3,), (2,))
+    (failure,) = campaign.check_program(
+        program, [mode], [None], campaign.CampaignReport(seed=0)
+    )
+    assert failure.kind == "crash"
+    campaign.minimize_failure(failure, [mode])
+    reduced = failure.reduced_source
+    assert reduced is not None
+    assert len(reduced.splitlines()) < len(PLANTED_CRASH_SOURCE.splitlines())
+    assert all(marker in reduced for _, marker in markers)
+    assert "print(other);" not in reduced and "return x + 1;" not in reduced
+    run_program(reduced, [3])  # the oracle still runs it
+    crash = (SpecLintError, frozenset({"SPEC002", "SPEC005"}))
+    assert campaign.compile_crash(reduced, mode, (2,)) == crash
+    predicate = campaign.crash_predicate(mode, (3,), (2,), crash)
+    assert predicate(reduced)
+    # one rule id fewer is another crash; no crash at all is none
+    fewer = "".join(
+        line for line in reduced.splitlines(keepends=True)
+        if "other = " not in line
+    )
+    assert campaign.compile_crash(fewer, mode, (2,)) == (
+        SpecLintError, frozenset({"SPEC002"})
+    )
+    assert not predicate(fewer)
+    assert campaign.compile_crash("int main() { return 0; }", mode, ()) is None
+
+
 # ---------------------------------------------------------------------------
 # graceful pipeline degradation
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.ir.stmt import Return
 from repro.ir.types import INT
 from repro.machine.alat import ALAT, ALATConfig
 
+from tests import reference_interp
 from tests.conftest import ALL_MODES, assert_all_modes_agree
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,14 @@ def test_div_mod_inverse(a, b):
     assert wrap_int(q * b + r) == a
     if q * b + r == a:  # no wrap occurred
         assert abs(r) < abs(b)
+
+
+@given(ints, ints.filter(lambda b: b != 0))
+def test_div_mod_match_the_tree_walker(a, b):
+    """The non-negative fast paths and the sign-based remainder give what
+    the reference interpreter's helpers give, on and off the int64 range."""
+    assert int_div(a, b) == reference_interp.int_div(a, b)
+    assert int_mod(a, b) == reference_interp.int_mod(a, b)
 
 
 @given(ints)
