@@ -9,19 +9,13 @@ session, by the in-process matrix driver
 the sessionfinish hook).  Host timing is ``benchmarks/perf/``'s job,
 not these modules'.
 
-Observability: every session also dumps per-mode run metrics
-(``results/metrics.json``, via ``repro.obs.build_metrics`` — including
-the ``host`` section with wall-clock and steps/sec).  Set
-``REPRO_BENCH_TRACE=1`` to additionally stream every benchmark run's
-structured event trace to ``results/traces/<bench>.<mode>.jsonl``.
-
-Regression gate: set ``REPRO_BENCH_HISTORY=1`` to append each run's
-tracked counters *and host metrics* to the history store
-``benchmarks/history/`` and flag regressions — counters against the
-previous record, host wall-clock/throughput against the median of the
-last ≤3 (or point it at an alternate store directory).  The report is
-echoed at session end; flags never fail the figure tests themselves —
-CI gates separately via ``python -m repro.obs.regress --store``.
+Counter gate: every session also writes ``results/records.json``, each
+(benchmark, mode) run record with its counters, PRE, ALAT, cache and
+RSE sections (``repro.workloads.records_json``).  It is committed like
+the tables, so CI's freshness diff of ``benchmarks/results/`` checks
+every simulated number exactly.  Host times stay out of it.  Set
+``REPRO_BENCH_TRACE=1`` to also stream every benchmark run's structured
+event trace to ``results/traces/<bench>.<mode>.jsonl``.
 
 Results store: set ``REPRO_BENCH_STORE=1`` (or a directory path) to
 ingest every measurement into the experiment results store
@@ -40,11 +34,9 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-HISTORY_DIR = pathlib.Path(__file__).parent / "history"
 STORE_DIR = pathlib.Path(__file__).parent / "store"
 
 _tables: dict[str, str] = {}
-_gate_report = None
 _store = None
 _store_batch = None
 
@@ -133,35 +125,30 @@ def publish_table(name: str, table: str) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _tables and _gate_report is None:
+    if not _tables:
         return
     tw = getattr(session.config, "get_terminal_writer", lambda: None)()
     emit = tw.line if tw is not None else print
-    if _tables:
+    emit("")
+    emit("=" * 78)
+    emit("Reproduced evaluation figures (also in benchmarks/results/)")
+    emit("=" * 78)
+    for name in sorted(_tables):
         emit("")
-        emit("=" * 78)
-        emit("Reproduced evaluation figures (also in benchmarks/results/)")
-        emit("=" * 78)
-        for name in sorted(_tables):
-            emit("")
-            for line in _tables[name].splitlines():
-                emit(line)
-    if _gate_report is not None:
-        emit("")
-        for line in _gate_report.format().splitlines():
+        for line in _tables[name].splitlines():
             emit(line)
 
 
 @pytest.fixture(scope="session")
 def all_results():
     """The ten benchmark measurements, shared by every figure.  Also
-    dumps the raw data as JSON for downstream plotting, plus per-mode
-    run metrics (and full event traces when ``REPRO_BENCH_TRACE`` is
-    set)."""
+    writes the figure data (``figures.json``) and the run records
+    (``records.json``), plus full event traces when
+    ``REPRO_BENCH_TRACE`` is set."""
     import json
 
     from repro.service.matrix import run_matrix
-    from repro.workloads import figures_as_dict, host_metrics_as_dict
+    from repro.workloads import figures_as_dict, records_json
 
     trace_dir = None
     if os.environ.get("REPRO_BENCH_TRACE"):
@@ -180,26 +167,7 @@ def all_results():
     (RESULTS_DIR / "figures.json").write_text(
         json.dumps(figures_as_dict(results), indent=2) + "\n"
     )
-    metrics = {
-        name: {
-            mode.label: mode.metrics
-            for mode in (result.baseline, result.speculative)
-        }
-        for name, result in results.items()
-    }
-    (RESULTS_DIR / "metrics.json").write_text(
-        json.dumps(metrics, indent=2) + "\n"
-    )
-
-    history = os.environ.get("REPRO_BENCH_HISTORY")
-    if history:
-        from repro.obs.regress import StoreHistory, gate_metrics
-
-        store_dir = HISTORY_DIR if history == "1" else history
-        global _gate_report
-        _gate_report = gate_metrics(
-            StoreHistory(store_dir), host_metrics_as_dict(results)
-        )
+    (RESULTS_DIR / "records.json").write_text(records_json(results))
 
     store = bench_store()
     if store is not None:

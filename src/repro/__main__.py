@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.obs import (
@@ -229,15 +230,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path_error(path: str, exc: OSError) -> int:
+    """Report an unusable input or output path in one line; exit 2."""
+    print(f"python -m repro: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _probe_output(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` later would raise,
+    before any compile or simulation runs; a file created by the probe
+    is removed again."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.file) as f:
             source = f.read()
     except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"python -m repro: {args.file}: {reason}", file=sys.stderr)
-        return 2
+        return _path_error(args.file, exc)
+    for path in (args.trace, args.metrics_out, args.trace_chrome,
+                 args.flamegraph, args.dump_pressure_dot):
+        if path and path != "-":
+            try:
+                _probe_output(path)
+            except OSError as exc:
+                return _path_error(path, exc)
 
     options = CompilerOptions(
         opt_level=OptLevel(args.opt),
@@ -384,8 +406,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.summary:
             print(format_summary(metrics), file=sys.stderr)
         if args.store:
-            import os
-
             from repro.obs.store import ResultsStore, make_record
 
             sites = None

@@ -1,6 +1,6 @@
 """Observability: structured event tracing + metrics for the pipeline.
 
-The subsystem has three layers:
+Its modules:
 
 * :mod:`repro.obs.sinks` — where events go (null / in-memory / JSONL);
 * :mod:`repro.obs.trace` — the :class:`TraceContext` threaded through
@@ -12,8 +12,8 @@ The subsystem has three layers:
   :class:`ProfileReport`);
 * :mod:`repro.obs.diff` — baseline-vs-speculative run comparison
   (Figure 8 shape);
-* :mod:`repro.obs.regress` — benchmark history (JSONL) + regression
-  gate, also a CLI (``python -m repro.obs.regress``);
+* :mod:`repro.obs.store` — the experiment results store, also a CLI
+  (``python -m repro.obs.store``);
 * :mod:`repro.obs.telemetry` — host-side telemetry: the hot-loop
   :class:`HostProfiler` and the Chrome-trace / flamegraph exporters
   over the span tree :class:`TraceContext` records.
@@ -45,19 +45,13 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import NULL_TRACE, Span, TraceContext
 
-#: regress is also an entry point (``python -m repro.obs.regress``);
-#: re-exporting lazily keeps runpy from double-importing it.
-_REGRESS_EXPORTS = ("GateReport", "gate_metrics", "gate_records", "make_record")
-
-#: same deal for the results store (``python -m repro.obs.store``)
+#: the results store is also an entry point (``python -m
+#: repro.obs.store``); re-exporting lazily keeps runpy from
+#: double-importing it.
 _STORE_EXPORTS = ("ResultsStore", "StoreError")
 
 
 def __getattr__(name: str):
-    if name in _REGRESS_EXPORTS:
-        from repro.obs import regress
-
-        return getattr(regress, name)
     if name in _STORE_EXPORTS:
         from repro.obs import store
 
@@ -66,7 +60,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "GateReport",
     "HostProfiler",
     "ResultsStore",
     "StoreError",
@@ -86,9 +79,6 @@ __all__ = [
     "diff_runs",
     "format_diff",
     "format_summary",
-    "gate_metrics",
-    "gate_records",
-    "make_record",
     "make_sink",
     "misspeculation_breakdown",
     "read_jsonl",

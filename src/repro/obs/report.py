@@ -22,8 +22,8 @@ def build_metrics(output, result=None, obs=None, host=None) -> dict:
     :class:`repro.obs.telemetry.HostProfiler`) into one JSON-ready
     dict.  The ``host`` section carries host-side performance — total
     wall time, simulate-phase wall time, simulated steps per host
-    second, peak allocations — which the regression gate tracks with
-    loose relative bands (host time is noisy; see DESIGN.md §13)."""
+    second, peak allocations; a run record leaves it out, because
+    host time is noisy where counters are exact (DESIGN.md §13)."""
     metrics: dict = {
         "program": output.module.name,
         "options": output.options.describe(),

@@ -8,8 +8,6 @@ Layers (each its own module):
   :func:`compare` over stored records;
 * :mod:`repro.obs.store.render` — ASCII renderings for the CLI;
 * :mod:`repro.obs.store.html` — the self-contained analytics dashboard;
-* :mod:`repro.obs.store.history` — the regression gate's history view
-  of the store;
 * also a CLI: ``python -m repro.obs.store {list,show,compare,series,
   prune,dashboard,tables,ingest}``.
 """

@@ -20,7 +20,7 @@ one **run record** per measurement into a sharded JSONL store (default
                       (pressure-model calibration row), ``table``
                       (published benchmark table artifact)
 ``suite``             which harness produced it (``matrix``,
-                      ``ablation:<name>``, ``cli``, ``history``, ...)
+                      ``ablation:<name>``, ``cli``, ``tables``, ...)
 ``bench`` / ``mode``  benchmark name and measurement label
 ``batch``             groups records ingested together (one matrix
                       sweep = one batch across its benchmarks/modes)

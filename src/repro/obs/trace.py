@@ -105,7 +105,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, ContextManager, Iterator, Optional
 
 from repro.obs.sinks import NULL_SINK, Sink
 
@@ -273,23 +273,25 @@ class TraceContext:
         return rec
 
     @contextmanager
-    def span(self, name: str, **fields) -> Iterator[dict]:
-        """Time a hierarchical span (generic: not a pipeline phase).
-
-        Yields a dict the caller may fill with payload counts; they are
-        attached to the ``span.end`` event and retained on the span
-        record.  Spans nest and re-enter freely; parent linkage comes
-        from the live stack.
-        """
+    def _bracket(
+        self,
+        name: str,
+        fields: dict,
+        begin: Callable[..., None],
+        end: Callable[..., None],
+        on_finish: Optional[Callable[[_LiveSpan], None]] = None,
+    ) -> Iterator[dict]:
+        """The body :meth:`span` and :meth:`phase` share: one span whose
+        ``begin``/``end`` callbacks emit the kind's two events.  Each
+        caller spells its event names out as literals, which the trace
+        schema drift test scans the source for.  ``on_finish`` sees the
+        closed span before ``end`` runs."""
         live = self._begin_span(name)
         rec = live.record
         info: dict = {}
         error: Optional[str] = None
         try:
-            self.event(
-                "span.begin", span=name, span_id=rec.span_id,
-                parent_id=rec.parent_id,
-            )
+            begin(span_id=rec.span_id, parent_id=rec.parent_id)
             yield info
         except BaseException as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -298,14 +300,14 @@ class TraceContext:
             self._finish_span(live)
             rec.fields.update(fields)
             rec.fields.update(info)
+            if on_finish is not None:
+                on_finish(live)
             extra: dict = {}
             if rec.mem_kb is not None:
                 extra["mem_kb"] = rec.mem_kb
             if error is not None:
                 extra["error"] = error
-            self.event(
-                "span.end",
-                span=name,
+            end(
                 span_id=rec.span_id,
                 parent_id=rec.parent_id,
                 wall_ms=round(rec.wall_ms, 3),
@@ -314,8 +316,22 @@ class TraceContext:
                 **extra,
             )
 
-    @contextmanager
-    def phase(self, name: str, **fields) -> Iterator[dict]:
+    def span(self, name: str, **fields) -> ContextManager[dict]:
+        """Time a hierarchical span (generic: not a pipeline phase).
+
+        Yields a dict the caller may fill with payload counts; they are
+        attached to the ``span.end`` event and retained on the span
+        record.  Spans nest and re-enter freely; parent linkage comes
+        from the live stack.
+        """
+        return self._bracket(
+            name,
+            fields,
+            lambda **kw: self.event("span.begin", span=name, **kw),
+            lambda **kw: self.event("span.end", span=name, **kw),
+        )
+
+    def phase(self, name: str, **fields) -> ContextManager[dict]:
         """Time a pipeline phase (a span that feeds :attr:`phase_times`).
 
         Yields a dict the caller may fill with op counts; they are
@@ -328,45 +344,24 @@ class TraceContext:
         ``error`` field carrying ``ExcType: message`` — so a trace
         always brackets correctly and records *where* the pipeline died.
         """
-        live = self._begin_span(name)
+        return self._bracket(
+            name,
+            fields,
+            lambda **kw: self.event("phase.begin", phase=name, **kw),
+            lambda **kw: self.event("phase.end", phase=name, **kw),
+            self._charge_phase,
+        )
+
+    def _charge_phase(self, live: _LiveSpan) -> None:
+        if live.reentrant:
+            return
         rec = live.record
-        info: dict = {}
-        error: Optional[str] = None
-        try:
-            self.event(
-                "phase.begin", phase=name, span_id=rec.span_id,
-                parent_id=rec.parent_id,
-            )
-            yield info
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            self._finish_span(live)
-            rec.fields.update(fields)
-            rec.fields.update(info)
-            if not live.reentrant:
-                self.phase_times[name] = (
-                    self.phase_times.get(name, 0.0) + rec.wall_ms / 1e3
-                )
-                if rec.mem_kb is not None:
-                    self.phase_mem_kb[name] = max(
-                        self.phase_mem_kb.get(name, 0.0), rec.mem_kb
-                    )
-            extra: dict = {}
-            if rec.mem_kb is not None:
-                extra["mem_kb"] = rec.mem_kb
-            if error is not None:
-                extra["error"] = error
-            self.event(
-                "phase.end",
-                phase=name,
-                span_id=rec.span_id,
-                parent_id=rec.parent_id,
-                wall_ms=round(rec.wall_ms, 3),
-                **fields,
-                **info,
-                **extra,
+        self.phase_times[rec.name] = (
+            self.phase_times.get(rec.name, 0.0) + rec.wall_ms / 1e3
+        )
+        if rec.mem_kb is not None:
+            self.phase_mem_kb[rec.name] = max(
+                self.phase_mem_kb.get(rec.name, 0.0), rec.mem_kb
             )
 
     def close(self) -> None:

@@ -3,9 +3,10 @@
 Runs the full workload matrix through the job pool (``--jobs N``; ``0``
 runs it in-process), prints the matrix table plus the service ledger
 and cache statistics, and exits non-zero if any job failed or timed
-out.  ``--report-json`` writes the same counters+host shape ``python -m
-repro.workloads`` emits, so runs at different pool sizes are directly
-diffable (CI's ``service-smoke`` does exactly that).
+out.  ``--report-json`` writes the run records ``python -m
+repro.workloads`` writes, byte for byte, so runs at different pool
+sizes and cache states compare with ``cmp`` (CI's ``service-smoke``
+does exactly that).
 
 ``--trace FILE`` streams ``service.job`` / ``service.retry`` /
 ``service.cache`` events (plus whatever the jobs emit) as JSONL.
@@ -80,8 +81,8 @@ def main(argv=None) -> int:
                         default="profile",
                         help="treatment configuration")
     parser.add_argument("--report-json", metavar="FILE", default=None,
-                        help="write counters+host JSON (the shape "
-                        "python -m repro.workloads emits)")
+                        help="write the run records as sorted-key JSON "
+                        "(the bytes python -m repro.workloads writes)")
     parser.add_argument("--ledger-json", metavar="FILE", default=None,
                         help="write the service ledger, cache stats and "
                         "per-job artifact hashes as JSON")

@@ -110,16 +110,15 @@ class MatrixOutcome:
     def print_report(self, report_json: Optional[str] = None) -> int:
         """What both matrix CLIs print: the matrix table on stdout; the
         ledger, cache stats, degraded jobs and failures on stderr.
-        ``report_json`` gets the counters+host JSON.  Returns the exit
-        status: 1 when any benchmark failed."""
-        from repro.workloads.report import host_metrics_as_dict, matrix_table
+        ``report_json`` gets the run records (:func:`records_json`).
+        Returns the exit status: 1 when any benchmark failed."""
+        from repro.workloads.report import matrix_table, records_json
 
         if self.results:
             print(matrix_table(self.results))
             if report_json:
                 with open(report_json, "w", encoding="utf-8") as fh:
-                    json.dump(host_metrics_as_dict(self.results), fh, indent=2)
-                    fh.write("\n")
+                    fh.write(records_json(self.results))
         print(self.ledger.format(), file=sys.stderr)
         if self.cache_stats is not None:
             print(f"cache: {json.dumps(self.cache_stats)}", file=sys.stderr)

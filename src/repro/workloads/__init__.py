@@ -31,9 +31,9 @@ from repro.workloads.report import (
     figure10_table,
     figure11_table,
     figures_as_dict,
-    host_metrics_as_dict,
     host_metrics_table,
     matrix_table,
+    records_json,
 )
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "figure10_table",
     "figure11_table",
     "figures_as_dict",
-    "host_metrics_as_dict",
     "host_metrics_table",
     "matrix_table",
+    "records_json",
 ]

@@ -31,8 +31,8 @@ def main(argv=None) -> int:
         "--report-json",
         metavar="FILE",
         default=None,
-        help="write per-benchmark counters + host metrics as JSON "
-        "(the shape python -m repro.obs.regress gates)",
+        help="write the run records as sorted-key JSON (the bytes of "
+        "benchmarks/results/records.json)",
     )
     parser.add_argument(
         "--store",

@@ -8,6 +8,8 @@ the caption for side-by-side comparison (EXPERIMENTS.md records both).
 
 from __future__ import annotations
 
+import json
+
 from repro.workloads.runner import BenchmarkResult
 
 
@@ -200,19 +202,23 @@ def host_metrics_table(results: dict[str, BenchmarkResult]) -> str:
     return "\n".join(lines)
 
 
-def host_metrics_as_dict(results: dict[str, BenchmarkResult]) -> dict:
-    """``{bench: {mode: {"counters": ..., "host": ...}}}`` — the shape
-    ``repro.obs.regress`` gates (``--report-json`` writes this)."""
-    out: dict = {}
-    for name, r in results.items():
-        out[name] = {
-            mode.label: {
-                "counters": mode.counters.as_dict(),
-                "host": mode.host_metrics,
-            }
-            for mode in (r.baseline, r.speculative)
+def records_json(results: dict[str, BenchmarkResult]) -> str:
+    """``{bench: {mode: run record}}`` as sorted-key JSON: what the
+    benchmark session commits as ``benchmarks/results/records.json``
+    and what ``--report-json`` writes, byte for byte.
+
+    Run records are deterministic (host times ride beside them), so two
+    runs of the same code give the same bytes whatever the pool size or
+    cache state.  A site-profiled run's ``sites`` list is left out, so
+    the bytes do not depend on whether the results store was on."""
+    doc = {
+        name: {
+            mode.label: {k: v for k, v in mode.record.items() if k != "sites"}
+            for mode in r.modes
         }
-    return out
+        for name, r in results.items()
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- regeneration from the results store --------------------------------
@@ -249,18 +255,17 @@ _STORE_TABLES = {
 def write_tables_from_store(
     store, out_dir: str, check: bool = False
 ) -> tuple[list[str], list[str]]:
-    """Regenerate every derived table in ``benchmarks/results/`` from
+    """Regenerate the derived tables in ``benchmarks/results/`` from
     stored runs: figure8–11 and ``figures.json`` recomputed from the
     latest matrix run records, every other published table (ablations)
-    re-emitted from its latest ``kind=table`` record.  ``metrics.json``
-    is *not* regenerated — it embeds host wall times, which are honest
-    measurements of the session that produced them, not derivable data.
+    re-emitted from its latest ``kind=table`` record.  ``records.json``
+    is not among them: the benchmark session writes it, and CI checks
+    it by regenerating it.
 
     With ``check``, nothing is written; existing files are diffed and
     the second return value lists the stale ones (missing counts as
     stale).  Returns ``(paths written or checked, stale names)``.
     """
-    import json as _json
     import os
 
     from repro.obs.store.query import latest_matrix, runs
@@ -273,7 +278,7 @@ def write_tables_from_store(
         for stem, renderer in _STORE_TABLES.items():
             artifacts[f"{stem}.txt"] = renderer(results) + "\n"
         artifacts["figures.json"] = (
-            _json.dumps(figures_as_dict(results), indent=2) + "\n"
+            json.dumps(figures_as_dict(results), indent=2) + "\n"
         )
     for rec in runs(store, kind="table", suite="tables"):
         stem = rec.get("bench", "?")

@@ -27,6 +27,7 @@ from repro.errors import (
     InterpTimeout,
     ParseError,
     ReproError,
+    SpecLintError,
 )
 from repro.machine.alat import ALATConfig
 from repro.machine.cache import CacheConfig, CacheLevelConfig
@@ -370,7 +371,6 @@ def test_compile_crash_is_minimised_against_the_same_crash(monkeypatch):
     still runs and that fails to compile the same way: the same
     exception type with the same set of error rule ids."""
     import repro.chaos.campaign as campaign
-    from repro.errors import SpecLintError
     from repro.speclint.diagnostics import Diagnostic, LintReport, Severity
 
     markers = (("SPEC002", "needle = needle + 3;"), ("SPEC005", "other = "))
@@ -412,6 +412,73 @@ def test_compile_crash_is_minimised_against_the_same_crash(monkeypatch):
     )
     assert not predicate(fewer)
     assert campaign.compile_crash("int main() { return 0; }", mode, ()) is None
+
+
+#: ``python -m repro.chaos --seed 1 --runs 100 --minimize`` reduces two
+#: generated programs to these; both fail to compile under cascaded
+#: promotion with a speclint SPEC002 error (``(train, ref)`` args).
+SEED1_REDUCED_CRASHES = {
+    "alias-64": ((82,), (18,), """\
+int g0; int g1; int g2; int g3;
+int arr[8];
+int *p0;
+int helper(int x) {
+}
+int main(int n) {
+    p0 = &g0;
+    int s = 0;
+    for (int i = 0; i < n % 9; i = i + 1) {
+            s = s + helper(((i + g1) * (*p0 * i)));
+            *p0 = arr[i % 8];
+            if (s > 4200) { break; }
+            s = s + (arr[i % 8] * *p0);
+    }
+}
+"""),
+    "alias-87": ((100,), (14,), """\
+int g0; int g1; int g2; int g3;
+int *p0;
+int *p1;
+int calls;
+int helper(int x) {
+}
+int main(int n) {
+    p0 = &g0;
+    p1 = &g0;
+    int *heap = alloc(int, 8);
+    p1 = &heap[0];
+    int s = 0;
+    for (int i = 0; i < n % 8; i = i + 1) {
+            *p0 = ((g1 + g1) * (g0 * g1));
+            s = s + *p1;
+            *p1 = g3;
+    }
+    print(*p1); print(calls);
+}
+"""),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SpecLintError,
+    reason="known defect: speclint SPEC002 under rounds=2 (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("name", sorted(SEED1_REDUCED_CRASHES))
+def test_seed1_reduced_crash_compiles_and_matches_oracle(name):
+    """The fix for the known SPEC002 failures makes this pass, and must
+    then remove the ``xfail`` marker."""
+    train, ref, source = SEED1_REDUCED_CRASHES[name]
+    oracle = run_program(source, list(ref))
+    options = CompilerOptions(
+        opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, rounds=2,
+        fallback=False,
+    )
+    result = compile_source(source, options, train_args=list(train)).run(
+        list(ref)
+    )
+    assert result.output == oracle.output
+    assert result.exit_value == oracle.exit_value
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,25 @@ def test_missing_file_is_one_line_error_exit_2(tmp_path, capsys):
     assert "nope.mc" in err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    ["--trace", "--metrics-out", "--trace-chrome", "--flamegraph",
+     "--dump-pressure-dot"],
+)
+def test_unwritable_output_is_one_line_error_exit_2(
+    demo_file, tmp_path, capsys, flag
+):
+    """An output path into a missing directory fails before the compile
+    (nothing printed on stdout) with the missing-input error's shape."""
+    target = str(tmp_path / "no-such-dir" / "out")
+    code, out, err = run_cli(capsys, [demo_file, "--args", "5", flag, target])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"python -m repro: {target}: No such file or directory"
+    ]
+
+
 def test_unreadable_directory_is_one_line_error_exit_2(tmp_path, capsys):
     code, _out, err = run_cli(capsys, [str(tmp_path), "--args", "5"])
     assert code == 2

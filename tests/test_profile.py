@@ -1,4 +1,4 @@
-"""Cycle-attribution profiling, run diffing, and the regression gate.
+"""Cycle-attribution profiling and run diffing.
 
 The attribution contract is exact: every slot the simulator's clock
 advances is charged to exactly one static instruction, so the per-line
@@ -20,16 +20,6 @@ from repro.obs import (
     diff_runs,
     format_diff,
     read_jsonl,
-)
-from repro.obs.regress import (
-    EXIT_NO_HISTORY,
-    Flag,
-    StoreHistory,
-    compare_records,
-    gate_metrics,
-    gate_records,
-    main as regress_main,
-    make_record,
 )
 from repro.pipeline import CompilerOptions, OptLevel, SpecMode, compile_source
 from repro.target.isa import ChkA, LdC
@@ -214,142 +204,6 @@ def test_diff_without_profiles_omits_per_function():
     diff = diff_runs(r1, r2)
     assert "per_function" not in diff
     format_diff(diff)
-
-
-# -- regression gate -----------------------------------------------------
-
-
-def _counters(cycles=1000, loads=50):
-    return {
-        "cpu_cycles": cycles,
-        "data_access_cycles": 80,
-        "retired_loads": loads,
-        "check_failures": 2,
-        "recovery_cycles": 10,
-    }
-
-
-def test_gate_seeds_then_passes_then_flags(tmp_path):
-    hist = StoreHistory(str(tmp_path / "history"))
-    rec = make_record("gzip", {"speculative": _counters()})
-
-    first = gate_records(hist, {"gzip": rec})
-    assert first.seeded == ["gzip"] and not first.flags and not first.failed
-    assert len(hist.load("gzip")) == 1
-
-    # identical second run: checked, no flags, history grows
-    second = gate_records(hist, {"gzip": make_record("gzip", {"speculative": _counters()})})
-    assert second.checked == ["gzip"] and not second.flags
-    assert len(hist.load("gzip")) == 2
-
-    # >10% cycle regression: fail-severity flag
-    bad = make_record("gzip", {"speculative": _counters(cycles=1200)})
-    third = gate_records(hist, {"gzip": bad})
-    assert third.failed
-    flag = next(f for f in third.flags if f.severity == "fail")
-    assert flag.counter == "cpu_cycles" and flag.bench == "gzip"
-    assert flag.pct == pytest.approx(20.0)
-    assert "REGRESSION" in str(flag)
-    assert hist.load("gzip")[-1]["modes"]["speculative"]["cpu_cycles"] == 1200
-
-
-def test_gate_warn_counters_do_not_fail(tmp_path):
-    hist = StoreHistory(str(tmp_path / "h"))
-    gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
-    worse_loads = make_record("b", {"speculative": _counters(loads=100)})
-    report = gate_records(hist, {"b": worse_loads})
-    assert report.flags and not report.failed
-    assert all(f.severity == "warn" for f in report.flags)
-    assert "warning" in report.format()
-
-
-def test_gate_within_threshold_is_quiet(tmp_path):
-    hist = StoreHistory(str(tmp_path / "h"))
-    gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
-    slightly = make_record("b", {"speculative": _counters(cycles=1050)})
-    report = gate_records(hist, {"b": slightly}, threshold=0.10)
-    assert not report.flags
-    assert "no counters regressed" in report.format()
-
-
-def test_gate_no_update_leaves_history_untouched(tmp_path):
-    hist = StoreHistory(str(tmp_path / "h"))
-    gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
-    gate_records(
-        hist, {"b": make_record("b", {"speculative": _counters(cycles=9999)})},
-        update=False,
-    )
-    assert len(hist.load("b")) == 1
-
-
-def test_compare_records_skips_new_modes_and_zero_baselines():
-    prev = {"bench": "b", "modes": {"speculative": {"cpu_cycles": 0}}}
-    cur = {
-        "bench": "b",
-        "modes": {
-            "speculative": {"cpu_cycles": 100},
-            "baseline": {"cpu_cycles": 50},  # no previous: skipped
-        },
-    }
-    assert compare_records(prev, cur) == []
-
-
-def test_gate_metrics_consumes_harness_shape_and_cli(tmp_path):
-    metrics = {
-        "gzip": {
-            "speculative": {"counters": _counters()},
-            "baseline": {"counters": _counters(cycles=1100)},
-        }
-    }
-    hist = str(tmp_path / "history")
-    report = gate_metrics(StoreHistory(hist), metrics)
-    assert report.seeded == ["gzip"]
-
-    mpath = tmp_path / "metrics.json"
-    # regressed speculative cycles beyond threshold
-    metrics["gzip"]["speculative"]["counters"]["cpu_cycles"] = 2000
-    mpath.write_text(json.dumps(metrics))
-    rc = regress_main(["--metrics", str(mpath), "--store", hist])
-    assert rc == 1
-    rc = regress_main(
-        ["--metrics", str(mpath), "--store", hist, "--warn-only", "--no-update"]
-    )
-    assert rc == 0
-
-
-def test_gate_cli_refuses_to_gate_without_history(tmp_path, capsys):
-    """No history and no --allow-seed: a distinct exit code plus a clear
-    message, and nothing written — a misconfigured --store path must
-    not silently seed and pass CI."""
-    metrics = {"gzip": {"speculative": {"counters": _counters()}}}
-    mpath = tmp_path / "metrics.json"
-    mpath.write_text(json.dumps(metrics))
-    hist = str(tmp_path / "nonexistent-history")
-
-    rc = regress_main(["--metrics", str(mpath), "--store", hist])
-    assert rc == EXIT_NO_HISTORY and rc not in (0, 1)
-    err = capsys.readouterr().err
-    assert "no benchmark history" in err and "gzip" in err
-    assert "--allow-seed" in err
-    assert StoreHistory(hist).load("gzip") == []
-
-
-def test_gate_cli_allow_seed_records_baseline(tmp_path):
-    metrics = {"gzip": {"speculative": {"counters": _counters()}}}
-    mpath = tmp_path / "metrics.json"
-    mpath.write_text(json.dumps(metrics))
-    hist = str(tmp_path / "history")
-
-    rc = regress_main(
-        ["--metrics", str(mpath), "--store", hist, "--allow-seed"]
-    )
-    assert rc == 0
-    assert len(StoreHistory(hist).load("gzip")) == 1
-
-    # with history present, subsequent runs gate normally
-    rc = regress_main(["--metrics", str(mpath), "--store", hist])
-    assert rc == 0
-    assert len(StoreHistory(hist).load("gzip")) == 2
 
 
 # -- JsonlSink exception safety -----------------------------------------

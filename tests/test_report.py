@@ -1,12 +1,12 @@
-"""Run reports and host-metric gating.
+"""Run reports and their renderings.
 
 * ``build_metrics`` / ``format_summary`` round-trip on a real
   compile + simulate, including the ``host`` section;
 * golden-file tests for the Chrome trace and collapsed-stack exporters
   (hand-built deterministic spans — regenerate with
   ``REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_report.py``);
-* ``compare_host_metrics`` band logic: direction, median baseline,
-  warn vs fail, and tolerance of pre-telemetry history records.
+* golden-file tests for the workload report tables, rendered from
+  stored run records.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ import os
 import pytest
 
 from repro.obs import HostProfiler, Span, TraceContext, chrome_trace, collapsed_stacks
-from repro.obs.regress import (
-    Flag,
-    compare_host_metrics,
-    make_record,
-)
 from repro.obs.report import build_host_metrics, build_metrics, format_summary
 from repro.pipeline import CompilerOptions, OptLevel, SpecMode, compile_source
 
@@ -234,102 +229,3 @@ def test_stored_mode_reconstructs_derived_ratios():
     assert spec.counters.misspeculation_ratio == pytest.approx(2 / 40)
     assert spec.counters.checks_per_load == pytest.approx(40 / (860 + 40))
     assert spec.retired_direct_loads == 860 - 340
-
-
-# -- host-metric gating --------------------------------------------------
-
-
-def _rec(bench: str, wall: float, steps: float) -> dict:
-    return {
-        "bench": bench,
-        "modes": {
-            "speculative": {
-                "cpu_cycles": 100,
-                "host": {"wall_ms": wall, "sim_steps_per_sec": steps},
-            }
-        },
-    }
-
-
-def test_host_gate_quiet_inside_bands():
-    history = [_rec("gzip", 100.0, 500_000.0)]
-    current = _rec("gzip", 140.0, 400_000.0)  # +40% wall, -20% steps
-    assert compare_host_metrics(history, current) == []
-
-
-def test_host_gate_warn_then_fail_wall():
-    history = [_rec("gzip", 100.0, 500_000.0)]
-    warn = compare_host_metrics(history, _rec("gzip", 180.0, 500_000.0))
-    assert [f.severity for f in warn] == ["warn"]
-    assert warn[0].counter == "wall_ms"
-    fail = compare_host_metrics(history, _rec("gzip", 350.0, 500_000.0))
-    assert [f.severity for f in fail] == ["fail"]
-    assert "+250.0%" in str(fail[0])
-
-
-def test_host_gate_throughput_direction():
-    history = [_rec("gzip", 100.0, 600_000.0)]
-    # throughput *up* is never a regression, even by a lot
-    assert compare_host_metrics(
-        history, _rec("gzip", 100.0, 2_000_000.0)
-    ) == []
-    # 50% drop warns (past 0.33), 80% drop fails (past 0.67)
-    warn = compare_host_metrics(history, _rec("gzip", 100.0, 300_000.0))
-    assert [(f.counter, f.severity) for f in warn] == [
-        ("sim_steps_per_sec", "warn")
-    ]
-    fail = compare_host_metrics(history, _rec("gzip", 100.0, 120_000.0))
-    assert [f.severity for f in fail] == ["fail"]
-
-
-def test_host_gate_median_baseline_resists_outlier():
-    # one slow outlier in the window must not drag the baseline up
-    history = [
-        _rec("gzip", 100.0, 500_000.0),
-        _rec("gzip", 400.0, 100_000.0),  # noisy neighbour run
-        _rec("gzip", 110.0, 480_000.0),
-    ]
-    # median wall = 110, median steps = 480k: a 120 ms run is fine
-    assert compare_host_metrics(history, _rec("gzip", 120.0, 450_000.0)) == []
-    # and the fail band is judged against the median, not the outlier
-    flags = compare_host_metrics(history, _rec("gzip", 360.0, 450_000.0))
-    assert [f.severity for f in flags] == ["fail"]
-    assert flags[0].previous == 110.0
-
-
-def test_host_gate_ignores_pre_telemetry_history():
-    legacy = {"bench": "gzip", "modes": {"speculative": {"cpu_cycles": 90}}}
-    current = _rec("gzip", 500.0, 10_000.0)
-    assert compare_host_metrics([legacy], current) == []
-    # mixed history: only records with host data feed the median
-    flags = compare_host_metrics(
-        [legacy, _rec("gzip", 100.0, 500_000.0)], current
-    )
-    assert {f.severity for f in flags} == {"fail"}
-    assert {f.counter for f in flags} == {"wall_ms", "sim_steps_per_sec"}
-
-
-def test_make_record_embeds_host_subset():
-    rec = make_record(
-        "gzip",
-        {"speculative": {"cpu_cycles": 10, "instructions": 5}},
-        {
-            "speculative": {
-                "wall_ms": 12.5,
-                "sim_steps_per_sec": 1000.0,
-                "simulate_wall_ms": 9.0,  # not tracked -> dropped
-                "profile": {"total_ms": 9.0},  # never persisted
-            }
-        },
-    )
-    host = rec["modes"]["speculative"]["host"]
-    assert host == {"wall_ms": 12.5, "sim_steps_per_sec": 1000.0}
-    json.dumps(rec)
-
-
-def test_flag_str_signs():
-    up = Flag("b", "m", "wall_ms", 100.0, 180.0, "warn")
-    assert "(+80.0%)" in str(up)
-    down = Flag("b", "m", "sim_steps_per_sec", 500.0, 250.0, "fail")
-    assert "(-50.0%)" in str(down)
-    assert str(down).startswith("REGRESSION")

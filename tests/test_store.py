@@ -1,5 +1,5 @@
 """The experiment results store: records, durability, queries,
-comparison, history bridging, regress parity, CLI, and the dashboard.
+comparison, CLI, and the dashboard.
 
 The store is the PR's durability-critical subsystem, so the torn-line
 tests exercise the exact crash shapes the design defends against: a
@@ -14,13 +14,6 @@ import os
 
 import pytest
 
-from repro.obs.regress import (
-    EXIT_NO_HISTORY,
-    StoreHistory,
-    gate_records,
-)
-from repro.obs.regress import main as regress_main
-from repro.obs.regress import make_record as make_history_record
 from repro.obs.store import (
     ResultsStore,
     StoreError,
@@ -32,7 +25,6 @@ from repro.obs.store import (
 )
 from repro.obs.store.__main__ import main as store_main
 from repro.obs.store.core import code_version
-from repro.obs.store.history import append_history_record, store_history
 from repro.obs.store.query import (
     compare_records,
     get_metric,
@@ -298,85 +290,6 @@ def test_delta_pct_guards_zero_baseline():
     from repro.obs.store.query import Delta
 
     assert Delta("x", 0, 5).pct is None
-
-
-# -- history bridge + regress parity -------------------------------------
-
-
-def _history_rec(bench: str, cycles: int, ts: float, wall: float = 100.0):
-    rec = make_history_record(
-        bench,
-        {"speculative": {"cpu_cycles": cycles, "retired_loads": 50}},
-        {"speculative": {"wall_ms": wall, "sim_steps_per_sec": 5e5}},
-    )
-    rec["timestamp"] = ts
-    return rec
-
-
-def test_history_round_trip(tmp_path):
-    store = ResultsStore(tmp_path)
-    original = _history_rec("gzip", 1000, ts=10.0)
-    append_history_record(store, original)
-    (rebuilt,) = store_history(store, "gzip")
-    assert rebuilt["bench"] == "gzip"
-    assert rebuilt["timestamp"] == 10.0
-    assert rebuilt["modes"]["speculative"]["cpu_cycles"] == 1000
-    assert rebuilt["modes"]["speculative"]["host"]["wall_ms"] == 100.0
-
-
-def test_gate_history_reads_matrix_and_history_suites_only(tmp_path):
-    """An ablation point ingested in the same batch as the matrix
-    measures another configuration: it must not become the baseline."""
-    store = ResultsStore(tmp_path / "store")
-    batch = new_batch_id()
-    store.ingest(_record(ts=1.0, batch=batch, metrics=_metrics(1000)))
-    store.ingest(_record(ts=1.5, batch=batch, suite="ablation:alat_size",
-                         config={"alat_entries": 2},
-                         metrics=_metrics(1900)))
-    store.ingest(_record(ts=2.0, suite="cli", metrics=_metrics(5000)))
-    history = StoreHistory(store)
-    (rebuilt,) = history.load("gzip")
-    assert rebuilt["modes"]["speculative"]["cpu_cycles"] == 1000
-
-    current = _history_rec("gzip", 1300, ts=3.0)  # +30% cycles
-    report = gate_records(history, {"gzip": current}, update=False)
-    assert report.failed
-    cycles = next(f for f in report.flags if f.counter == "cpu_cycles")
-    assert (cycles.previous, cycles.severity) == (1000, "fail")
-    clean = _history_rec("gzip", 1010, ts=3.0)
-    assert "cpu_cycles" not in {
-        f.counter for f in gate_records(history, {"gzip": clean},
-                                        update=False).flags
-    }
-    # an accepted sweep is appended as ``history`` records, and gates next
-    gate_records(history, {"gzip": current})
-    assert [r["modes"]["speculative"]["cpu_cycles"]
-            for r in history.load("gzip")] == [1000, 1300]
-
-
-def test_regress_cli_store_backend_exit_codes(tmp_path, capsys):
-    metrics_path = tmp_path / "metrics.json"
-    metrics_path.write_text(json.dumps({
-        "gzip": {"speculative": {
-            "counters": {"cpu_cycles": 1000, "retired_loads": 50},
-            "host": {"wall_ms": 100.0, "sim_steps_per_sec": 5e5},
-        }},
-    }))
-    store_dir = str(tmp_path / "store")
-    base = ["--metrics", str(metrics_path), "--store", store_dir]
-    # no history yet: distinct exit code, then --allow-seed records it
-    assert regress_main(base) == EXIT_NO_HISTORY
-    assert regress_main(base + ["--allow-seed"]) == 0
-    # unchanged numbers gate clean; --prune runs the store retention
-    assert regress_main(base + ["--prune", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "no counters regressed" in out and "prune:" in out
-
-    regressed = json.loads(metrics_path.read_text())
-    regressed["gzip"]["speculative"]["counters"]["cpu_cycles"] = 2000
-    metrics_path.write_text(json.dumps(regressed))
-    assert regress_main(base + ["--no-update"]) == 1
-    assert regress_main(base + ["--no-update", "--warn-only"]) == 0
 
 
 # -- CLI -----------------------------------------------------------------

@@ -104,6 +104,40 @@ def test_report_tables_render():
     assert "Figure 8" in summary_table(results)
 
 
+def test_records_json_is_sorted_run_records_without_host_times(
+    tmp_path, monkeypatch
+):
+    """What the bench session commits as ``records.json`` and
+    ``--report-json`` writes: each mode's run record, sorted, with no
+    host section, and the same bytes whether or not the run was
+    site-profiled (the results store turns profiling on)."""
+    import json
+
+    import repro.workloads.__main__ as cli
+    from repro.service.job import ServiceLedger
+    from repro.service.matrix import MatrixOutcome
+    from repro.workloads.report import records_json
+    from repro.workloads.runner import HOST_SECTIONS
+
+    plain = {"vpr": run_benchmark("vpr")}
+    profiled = {"vpr": run_benchmark("vpr", profile_sites=True)}
+    assert profiled["vpr"].speculative.record["sites"]
+    text = records_json(plain)
+    assert records_json(profiled) == text
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    spec = doc["vpr"]["speculative"]
+    assert spec == plain["vpr"].speculative.record
+    assert not set(HOST_SECTIONS) & set(spec["metrics"])
+    assert plain["vpr"].speculative.host_metrics  # kept beside the record
+
+    outcome = MatrixOutcome(results=plain, failures=[], ledger=ServiceLedger())
+    monkeypatch.setattr(cli, "run_matrix", lambda **kw: outcome)
+    report = tmp_path / "report.json"
+    assert cli.main(["--report-json", str(report)]) == 0
+    assert report.read_text() == text
+
+
 # -- CLI exit-code contract ---------------------------------------------
 
 
