@@ -1,9 +1,16 @@
-"""MiniC lexer."""
+"""MiniC lexer: one regular expression over the whole source.
+
+MiniC's tokens are C's and are ASCII: digits ``[0-9]``, identifiers
+``[A-Za-z_][A-Za-z0-9_]*``, and the punctuation below.  Comments may
+hold any character; any other character raises :class:`LexError` at
+its line and column.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -17,59 +24,35 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-KEYWORDS = {
-    "int",
-    "float",
-    "void",
-    "struct",
-    "if",
-    "else",
-    "while",
-    "for",
-    "return",
-    "break",
-    "continue",
-    "print",
-    "alloc",
+KEYWORDS = frozenset(
+    "int float void struct if else while for return break continue print alloc".split()
+)
+
+# Longest first, so the alternation takes "->" before "-".
+PUNCTUATION = (
+    "-> == != <= >= && || += -= *= /= "
+    "( ) { } [ ] ; , . + - * / % < > = ! &"
+).split()
+
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"  # a block comment with no end
+    r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+_KINDS = {
+    "float": TokenKind.FLOAT_LIT,
+    "int": TokenKind.INT_LIT,
+    "punct": TokenKind.PUNCT,
 }
 
-# Longest-match-first punctuation.
-PUNCTUATION = [
-    "->",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
-    ".",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "=",
-    "!",
-    "&",
-]
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -82,82 +65,27 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC source, raising :class:`LexError` on bad input."""
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # index of the current line's first character
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if group == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        # numbers
-        if ch.isdigit():
-            start, start_line, start_col = i, line, col
-            while i < n and source[i].isdigit():
-                advance(1)
-            is_float = False
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                is_float = True
-                advance(1)
-                while i < n and source[i].isdigit():
-                    advance(1)
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    is_float = True
-                    advance(j - i)
-                    while i < n and source[i].isdigit():
-                        advance(1)
-            text = source[start:i]
-            kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start, start_line, start_col = i, line, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
+        column = start - line_start + 1
+        if group == "word":
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        # punctuation
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(TokenKind.PUNCT, punct, line, col))
-                advance(len(punct))
-                break
+        elif group == "open":
+            raise LexError("unterminated block comment", line, column)
+        elif group == "bad":
+            raise LexError(f"unexpected character {text!r}", line, column)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+            kind = _KINDS[group]
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

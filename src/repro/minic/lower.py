@@ -15,6 +15,7 @@ expects:
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Union
 
 from repro.errors import SemanticError
@@ -499,8 +500,21 @@ def lower_program(info: ProgramInfo) -> Module:
     return info.module
 
 
+#: The ASTs of the last few distinct sources.  A source is usually
+#: compiled several times in a row (the oracle, then each mode; the
+#: fallback ladder), and each repeat reuses the first parse.  Sharing
+#: the AST is safe because only sema writes to its nodes, and it writes
+#: every annotation lowering reads (``type``, ``symbol``, ``struct``,
+#: ``field``) before lowering reads it.  Two compiles of one source
+#: must therefore not interleave on threads; nothing in the package
+#: compiles on threads.  A parse error is not cached.
+_parse_memo = functools.lru_cache(maxsize=4)(parse_program)
+
+
 def compile_to_ir(source: str, name: str = "module") -> Module:
-    """Front-end convenience: MiniC source text → verified IR module."""
-    program = parse_program(source)
-    info = analyze(program, name)
+    """Front-end convenience: MiniC source text → verified IR module.
+
+    Sema and lowering run on every call, so each call returns a fresh
+    module with fresh variables and statements."""
+    info = analyze(_parse_memo(source), name)
     return lower_program(info)

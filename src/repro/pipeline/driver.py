@@ -329,7 +329,7 @@ def compile_source(
     fallback_diags: list = []
     for i, attempt in enumerate(attempts):
         # Optimisation phases mutate the module in place, so every retry
-        # re-lowers from source (it parsed once; it parses again).
+        # re-lowers from source.
         attempt_module = module if i == 0 else compile_to_ir(source, name)
         try:
             output = _compile_module(

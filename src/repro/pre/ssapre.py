@@ -252,33 +252,30 @@ class SSAPRE:
     # Step 1: Phi insertion
     # ------------------------------------------------------------------
 
+    def _phi_seeds(self) -> set[int]:
+        """Occurrence blocks plus the blocks where HSSA defines a version
+        of a variable of the expression (conservative superset; spurious
+        Phis die in DownSafety/WillBeAvail).
+
+        HSSA's def blocks stay valid for the whole round: CodeMotion only
+        inserts statements into existing blocks, and those define the
+        candidate's own new temporaries and carry no χ.  The def blocks
+        are added in layout order, because the Phi order depends on the
+        order this set iterates in."""
+        seeds = set(self._occ_by_block)
+        def_blocks = self.info.def_blocks
+        defined = set().union(*(def_blocks.get(k, ()) for k in self.keys))
+        seeds.update(b.bid for b in self.fn.blocks if b.bid in defined)
+        return seeds
+
     def _insert_phis(self) -> None:
-        from repro.analysis.domfrontier import compute_dominance_frontiers
-
-        df = compute_dominance_frontiers(self.fn, self.info.domtree)
-        # Seed blocks: occurrence blocks plus def blocks of every
-        # variable of the expression (conservative superset; spurious
-        # Phis die in DownSafety/WillBeAvail).
-        seeds: set[int] = set(self._occ_by_block)
-        key_set = set(self.keys)
-        for block in self.fn.blocks:
-            for stmt in block.stmts:
-                target = _stmt_def_key(stmt)
-                if target in key_set:
-                    seeds.add(block.bid)
-                for chi in stmt.chi_list:
-                    if chi.key in key_set:
-                        seeds.add(block.bid)
-            for key, _phi in self.info.block_phis(block).items():
-                if key in key_set:
-                    seeds.add(block.bid)
-
-        blocks_by_id = {b.bid: b for b in self.fn.blocks}
+        df = self.info.frontiers
+        seeds = self._phi_seeds()
         placed: set[int] = set()
         worklist = list(seeds)
         while worklist:
             bid = worklist.pop()
-            for fb in df.get(bid, ()):  # type: ignore[call-overload]
+            for fb in df.get(bid, ()):
                 if fb.bid in placed:
                     continue
                 placed.add(fb.bid)
@@ -412,19 +409,19 @@ class SSAPRE:
                 assert stack[-1].phi is not None
                 stack[-1].phi.down_safe = False
 
-        # expression-Phi operands of successors
-        exit_versions, exit_base = self._versions_at(block.bid, entry=False)
-        for succ in block.successors():
-            sphi = self.phis.get(succ.bid)
-            if sphi is None:
-                continue
-            pred_index = succ.preds.index(block)
-            operand = sphi.operands[pred_index]
-            if stack:
-                top = stack[-1]
-                matched = self._match(top, exit_versions, exit_base)
-                # the operand must carry the value current at block exit
-                if matched is not None:
+        # expression-Phi operands of successors: each must carry the
+        # value current at block exit
+        succ_phis = [
+            (succ, self.phis[succ.bid])
+            for succ in block.successors()
+            if succ.bid in self.phis
+        ]
+        if succ_phis and stack:
+            top = stack[-1]
+            matched = self._match(top, *self._versions_at(block.bid, entry=False))
+            if matched is not None:
+                for succ, sphi in succ_phis:
+                    operand = sphi.operands[succ.preds.index(block)]
                     operand.class_id = top.class_id
                     operand.has_real_use = top.seen_real_use or top.kind in (
                         _DefKind.REAL,
@@ -1208,14 +1205,6 @@ class _AvailEntry:
         #: some *speculative* consumer reads this entry's value — only
         #: then is an ALAT entry (ld.a after a store) worth arming
         self.spec_linked = False
-
-
-def _stmt_def_key(stmt: Stmt) -> Optional[VarKey]:
-    from repro.ir.stmt import stmt_defines
-    from repro.ssa.hssa import var_key
-
-    target = stmt_defines(stmt)
-    return var_key(target) if target is not None else None
 
 
 def _chi_old_version(stmt: Optional[Stmt], key: VarKey, new_version: int) -> Optional[int]:

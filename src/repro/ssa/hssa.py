@@ -139,6 +139,11 @@ class HSSAInfo:
         #: block's variable phis) and at block exit, per block id
         self.block_entry_versions: dict[int, dict[VarKey, int]] = {}
         self.block_exit_versions: dict[int, dict[VarKey, int]] = {}
+        #: dominance frontier of each block id (Phi placement)
+        self.frontiers: dict[int, list[BasicBlock]] = {}
+        #: ids of the blocks that define a version of each key: by a
+        #: statement, a χ or a variable phi
+        self.def_blocks: dict[VarKey, set[int]] = {}
         self._counters: dict[VarKey, itertools.count] = {}
 
     def version_at_entry(self, bid: int, key: VarKey) -> int:
@@ -358,7 +363,7 @@ def _collect_ssa_vars(fn: Function) -> dict[VarKey, SSAVar]:
 
 
 def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
-    df = compute_dominance_frontiers(fn, domtree)
+    df = info.frontiers = compute_dominance_frontiers(fn, domtree)
     ssa_vars = _collect_ssa_vars(fn)
 
     # def blocks per variable
@@ -389,6 +394,7 @@ def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
                 if fb.bid not in on_list:
                     on_list.add(fb.bid)
                     worklist.append(fb)
+        info.def_blocks[key] = on_list
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.workloads.report import (
     figure10_table,
     figure11_table,
     figures_as_dict,
-    host_metrics_table,
     matrix_table,
     records_json,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "figure10_table",
     "figure11_table",
     "figures_as_dict",
-    "host_metrics_table",
     "matrix_table",
     "records_json",
 ]

@@ -172,36 +172,6 @@ def matrix_table(results: dict[str, BenchmarkResult]) -> str:
     return "\n".join(lines)
 
 
-def host_metrics_table(results: dict[str, BenchmarkResult]) -> str:
-    """Per-benchmark host metrics for both modes (wall ms, simulate ms,
-    steps/s) — the table EXPERIMENTS.md's host-perf baseline records."""
-    lines = [
-        "Host-side performance per benchmark (baseline | speculative)",
-        _rule(),
-        f"{'benchmark':<10}{'wall ms':>10}{'sim ms':>9}{'steps/s':>12}"
-        f"{'wall ms':>11}{'sim ms':>9}{'steps/s':>12}",
-        _rule(),
-    ]
-    for name, r in results.items():
-        cells = []
-        for mode in (r.baseline, r.speculative):
-            host = mode.host_metrics
-            cells.append(
-                (
-                    host.get("wall_ms", 0.0),
-                    host.get("simulate_wall_ms", 0.0),
-                    host.get("sim_steps_per_sec", 0.0),
-                )
-            )
-        (bw, bs, bt), (sw, ss, st) = cells
-        lines.append(
-            f"{name:<10}{bw:>10.1f}{bs:>9.1f}{bt:>12,.0f}"
-            f"{sw:>11.1f}{ss:>9.1f}{st:>12,.0f}"
-        )
-    lines.append(_rule())
-    return "\n".join(lines)
-
-
 def records_json(results: dict[str, BenchmarkResult]) -> str:
     """``{bench: {mode: run record}}`` as sorted-key JSON: what the
     benchmark session commits as ``benchmarks/results/records.json``

@@ -103,3 +103,36 @@ def test_underscore_identifiers():
         (TokenKind.IDENT, "x_y"),
         (TokenKind.IDENT, "_1"),
     ]
+
+
+@pytest.mark.parametrize(
+    "source, char, line, column",
+    [
+        ("int main() { return ²; }", "²", 1, 21),
+        ("int main() {\n  return ٣;\n}", "٣", 2, 10),
+        ("int é;", "é", 1, 5),
+        ("int main() {\n  int x² = 1;\n}", "²", 2, 8),
+    ],
+)
+def test_non_ascii_outside_comments_is_a_located_error(source, char, line, column):
+    # MiniC tokens are ASCII: str.isdigit/isalpha would take '²' and '٣'
+    # as digits and 'é' as a letter.
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert str(exc.value) == f"{line}:{column}: unexpected character {char!r}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_non_ascii_digit_is_a_lex_error_end_to_end():
+    from repro.pipeline import run_program
+
+    with pytest.raises(LexError):
+        run_program("int main() { return ²; }")
+
+
+def test_comments_accept_any_character():
+    assert kinds("a // em — dash, é, ²\nb /* ٣ — */ c") == [
+        (TokenKind.IDENT, "a"),
+        (TokenKind.IDENT, "b"),
+        (TokenKind.IDENT, "c"),
+    ]

@@ -200,7 +200,6 @@ def _stored_matrix_results():
         ("figure10_table.txt", "figure10_table"),
         ("figure11_table.txt", "figure11_table"),
         ("matrix_table.txt", "matrix_table"),
-        ("host_metrics_table.txt", "host_metrics_table"),
     ],
 )
 def test_report_table_golden(golden_name, renderer_name):
