@@ -1,8 +1,9 @@
 """Shared benchmark infrastructure.
 
-Each bench module regenerates one of the paper's evaluation figures.
-The ten baseline/speculative runs every figure reads are made once per
-session, by the in-process matrix driver
+Each ``bench_fig*`` module regenerates one of the paper's evaluation
+figures, and ``bench_ablations.py`` the five ablation tables.  The ten
+baseline/speculative runs every figure reads are made once per session,
+by the in-process matrix driver
 (``repro.service.matrix.run_matrix(jobs=0)``); tables are written to
 ``benchmarks/results/`` and echoed to the terminal at session end
 (pytest captures stdout during tests, so the tables are printed from
@@ -20,10 +21,9 @@ event trace to ``results/traces/<bench>.<mode>.jsonl``.
 Results store: set ``REPRO_BENCH_STORE=1`` (or a directory path) to
 ingest every measurement into the experiment results store
 (``benchmarks/store`` by default) — the matrix runs as ``suite=matrix``
-run records, every ablation sweep point as ``suite=ablation:<name>``,
-and every published figure table as a ``kind=table`` record, so
-``python -m repro.obs.store tables`` can regenerate everything in
-``benchmarks/results/`` from stored runs alone.
+run records, every ablation sweep point as ``suite=ablation:<name>``.
+Both are full run records (``store_records``): options, machine
+geometry and source hash included.
 """
 
 from __future__ import annotations
@@ -76,52 +76,12 @@ def record_benchmark(result, suite: str, config=None) -> None:
     )
 
 
-def record_counters(suite: str, bench: str, mode: str, counters,
-                    config=None) -> None:
-    """Ingest one bare counter measurement (ablations that run the
-    pipeline directly, without a BenchmarkResult)."""
-    store = bench_store()
-    if store is None:
-        return
-    from repro.obs.store import make_record
-
-    payload = counters.as_dict() if hasattr(counters, "as_dict") else dict(counters)
-    store.ingest(
-        make_record(
-            bench,
-            mode,
-            {"counters": payload},
-            suite=suite,
-            config=config,
-            batch=_store_batch,
-        )
-    )
-
-
 def publish_table(name: str, table: str) -> None:
-    """Save a figure table to disk and queue it for terminal echo.
-    With the store enabled, the rendered text is also recorded as a
-    ``kind=table`` record so the .txt is reproducible from the store."""
+    """Save a figure table to disk and queue it for terminal echo."""
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(table + "\n")
     _tables[name] = table
-    store = bench_store()
-    if store is not None:
-        from repro.obs.store import make_record
-
-        store.ingest(
-            make_record(
-                name,
-                "text",
-                {"table": {"chars": len(table),
-                           "lines": table.count("\n") + 1,
-                           "text": table}},
-                kind="table",
-                suite="tables",
-                batch=_store_batch,
-            )
-        )
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -9,15 +9,14 @@ every figure.
 Run:  python examples/custom_workload.py
 """
 
-from repro.workloads.programs import Workload
-from repro.workloads.report import (
+from repro.workloads import (
+    Workload,
     figure8_table,
     figure9_table,
     figure10_table,
     figure11_table,
+    run_benchmark,
 )
-from repro.workloads.runner import BASELINE, SPECULATIVE, BenchmarkResult, _run_mode
-from repro.pipeline import run_program
 
 # A hash-join kernel: build side fills buckets through a pointer whose
 # static class includes the join counters (dead path); probe side reads
@@ -65,14 +64,7 @@ int main(int n) {
 def main() -> None:
     print(f"custom workload: {MY_KERNEL.name} — {MY_KERNEL.description}\n")
 
-    reference = run_program(MY_KERNEL.source, list(MY_KERNEL.ref_args))
-    baseline = _run_mode(MY_KERNEL, "baseline", BASELINE(), reference.output)
-    speculative = _run_mode(
-        MY_KERNEL, "speculative", SPECULATIVE(), reference.output
-    )
-    result = BenchmarkResult(MY_KERNEL, baseline, speculative)
-
-    rows = {MY_KERNEL.name: result}
+    rows = {MY_KERNEL.name: run_benchmark(MY_KERNEL)}
     for table in (
         figure8_table(rows),
         figure9_table(rows),

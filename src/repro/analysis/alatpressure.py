@@ -828,7 +828,6 @@ def analyze_module_pressure(
 
 #: |predicted - actual| bound on the loop-weighted check-miss rate
 MISS_RATE_TOLERANCE = 0.15
-MISS_RATE_TOLERANCE_STRICT = 0.15
 #: the static peak may under-predict the dynamic one by at most this
 #: many entries (recursion creates activation-distinct tags the static
 #: per-function view collapses)
@@ -908,7 +907,7 @@ def calibrate_workload(name: str) -> CalibrationRow:
 
 
 def run_calibration(
-    names: Optional[list[str]] = None, strict: bool = False
+    names: Optional[list[str]] = None
 ) -> tuple[list[CalibrationRow], list[str]]:
     """Calibrate over the workloads matrix.
 
@@ -916,16 +915,16 @@ def run_calibration(
     violations (empty = calibrated)."""
     from repro.workloads.programs import BENCHMARKS
 
-    tol = MISS_RATE_TOLERANCE_STRICT if strict else MISS_RATE_TOLERANCE
     rows = [calibrate_workload(n) for n in (names or list(BENCHMARKS))]
     problems: list[str] = []
     for row in rows:
-        if not row.within(tol):
+        if not row.within(MISS_RATE_TOLERANCE):
             problems.append(
                 f"{row.workload}: predicted peak {row.predicted_peak} vs "
                 f"actual {row.actual_peak}, predicted miss rate "
                 f"{row.predicted_miss_rate:.3f} vs actual "
-                f"{row.actual_miss_rate:.3f} (tolerance {tol:.2f})"
+                f"{row.actual_miss_rate:.3f} "
+                f"(tolerance {MISS_RATE_TOLERANCE:.2f})"
             )
     return rows, problems
 
@@ -946,11 +945,6 @@ def _main(argv: Optional[list[str]] = None) -> int:
         help="workload names (default: the full benchmark matrix)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="use the strict tolerance band (CI gate)",
-    )
-    parser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
@@ -959,7 +953,7 @@ def _main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    rows, problems = run_calibration(args.workloads or None, args.strict)
+    rows, problems = run_calibration(args.workloads or None)
     if args.store:
         from repro.obs.store import ResultsStore, make_record, new_batch_id
 
@@ -984,7 +978,6 @@ def _main(argv: Optional[list[str]] = None) -> int:
                     },
                     kind="calibration",
                     suite="calibration",
-                    config={"strict": args.strict},
                     batch=batch,
                 )
             )

@@ -568,6 +568,7 @@ def compare_workload(name: str) -> ComparisonRow:
     from repro.speculation.profile import object_key
     from repro.workloads.programs import get_workload
     from repro.workloads.runner import (
+        BASELINE,
         SPECULATIVE,
         STATIC_SPECULATIVE,
         run_benchmark,
@@ -640,9 +641,11 @@ def compare_workload(name: str) -> ComparisonRow:
     # mode's output diverges from the reference interpreter.
     output_match = True
     try:
-        bench = run_benchmark(
-            name, extra_modes={"static": STATIC_SPECULATIVE()}
-        )
+        bench = run_benchmark(name, {
+            "baseline": BASELINE(),
+            "speculative": SPECULATIVE(),
+            "static": STATIC_SPECULATIVE(),
+        })
     except AssertionError:
         output_match = False
         bench = run_benchmark(name)

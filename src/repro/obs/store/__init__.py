@@ -9,7 +9,7 @@ Layers (each its own module):
 * :mod:`repro.obs.store.render` — ASCII renderings for the CLI;
 * :mod:`repro.obs.store.html` — the self-contained analytics dashboard;
 * also a CLI: ``python -m repro.obs.store {list,show,compare,series,
-  prune,dashboard,tables,ingest}``.
+  prune,dashboard,ingest}``.
 """
 
 from repro.obs.store.core import (

@@ -11,13 +11,12 @@
                                       [--suite S] [--json]
     python -m repro.obs.store prune   --keep N [--kind K ...] [--dry-run]
     python -m repro.obs.store dashboard --html out.html [--suite S]
-    python -m repro.obs.store tables  [--out benchmarks/results] [--check]
     python -m repro.obs.store ingest  --metrics FILE --bench B --mode M
                                       [--suite S] [--kind K]
 
 Every subcommand takes ``--store`` (default ``benchmarks/store``).
 ASCII output by default; ``--json`` emits the same data as JSON for
-scripting.  Exit codes: 0 ok, 1 error / check mismatch, 2 bad usage.
+scripting.  Exit codes: 0 ok, 1 error, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -131,30 +130,6 @@ def _cmd_dashboard(store: ResultsStore, args) -> int:
     return 0
 
 
-def _cmd_tables(store: ResultsStore, args) -> int:
-    # Imported here: the store package must stay importable without the
-    # workloads subsystem (and runpy double-import of this entry point
-    # must not drag it in eagerly).
-    from repro.workloads.report import write_tables_from_store
-
-    written, mismatches = write_tables_from_store(
-        store, args.out, check=args.check
-    )
-    _warn_torn(store)
-    verb = "checked" if args.check else "wrote"
-    for path in written:
-        print(f"{verb} {path}")
-    if mismatches:
-        print(
-            "stale derived tables (regenerate with "
-            "`python -m repro.obs.store tables`): "
-            + ", ".join(mismatches),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_ingest(store: ResultsStore, args) -> int:
     with open(args.metrics, "r", encoding="utf-8") as fh:
         metrics = json.load(fh)
@@ -195,7 +170,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument(
         "--kind",
         default="run",
-        help="record kind (run/chaos/calibration/table; 'any' for all)",
+        help="record kind (run/chaos/calibration; 'any' for all)",
     )
     p.add_argument("--config", help="filter: config key or key=value")
     p.add_argument("--run-id", help="filter: run id prefix")
@@ -251,21 +226,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="suite rendered by the dashboard (default matrix)",
     )
     p.set_defaults(func=_cmd_dashboard)
-
-    p = sub.add_parser(
-        "tables",
-        help="regenerate benchmarks/results tables from stored runs",
-    )
-    p.add_argument(
-        "--out", default="benchmarks/results",
-        help="output directory (default benchmarks/results)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="diff against existing files instead of writing; exit 1 "
-        "when any derived table is stale",
-    )
-    p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser(
         "ingest", help="ingest one metrics JSON file as a run record"

@@ -17,10 +17,9 @@ one **run record** per measurement into a sharded JSONL store (default
                       accumulates a time series of observations.
 ``kind``              ``run`` (a compile+simulate measurement),
                       ``chaos`` (campaign summary), ``calibration``
-                      (pressure-model calibration row), ``table``
-                      (published benchmark table artifact)
+                      (pressure-model calibration row)
 ``suite``             which harness produced it (``matrix``,
-                      ``ablation:<name>``, ``cli``, ``tables``, ...)
+                      ``ablation:<name>``, ``cli``, ...)
 ``bench`` / ``mode``  benchmark name and measurement label
 ``batch``             groups records ingested together (one matrix
                       sweep = one batch across its benchmarks/modes)

@@ -133,7 +133,7 @@ def latest_matrix(
     store: ResultsStore, suite: str = "matrix"
 ) -> dict[str, dict[str, dict]]:
     """``{bench: {mode: latest record}}`` for one suite — the input the
-    table-regeneration and dashboard layers render from."""
+    dashboard renders from."""
     out: dict[str, dict[str, dict]] = {}
     for rec in runs(store, suite=suite):
         out.setdefault(rec["bench"], {})[rec["mode"]] = rec

@@ -14,10 +14,10 @@ Entry points:
 
 * :class:`JobPool` / :class:`JobSpec` — the programmatic API;
 * :func:`repro.service.matrix.run_matrix` — the workload matrix, the
-  one matrix driver (``python -m repro.workloads --jobs N``);
+  one matrix driver, behind the one matrix CLI (``python -m
+  repro.workloads --jobs N --cache DIR``);
 * :func:`repro.chaos.campaign.run_campaign` — the chaos campaign, the
   one campaign driver (``python -m repro.chaos --jobs N``);
-* ``python -m repro.service`` — the batch CLI over the workload matrix;
 * :mod:`repro.chaos.service` — the service-level fault campaign.
 """
 

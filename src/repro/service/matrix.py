@@ -108,8 +108,9 @@ class MatrixOutcome:
     degraded: list[str] = field(default_factory=list)
 
     def print_report(self, report_json: Optional[str] = None) -> int:
-        """What both matrix CLIs print: the matrix table on stdout; the
-        ledger, cache stats, degraded jobs and failures on stderr.
+        """What ``python -m repro.workloads`` prints: the matrix table
+        on stdout; the ledger, cache stats, degraded jobs and failures
+        on stderr.
         ``report_json`` gets the run records (:func:`records_json`).
         Returns the exit status: 1 when any benchmark failed."""
         from repro.workloads.report import matrix_table, records_json

@@ -105,21 +105,22 @@ def bench_spec_options(spec: str):
         opts.alias_prob = AliasProbSource.HYBRID
         return opts
     if spec == "profile":
-        return None  # run_benchmark's default treatment
+        return SPECULATIVE()
     raise ServiceError(f"unknown bench spec mode: {spec!r}")
 
 
 @handler("bench")
 def _run_bench(payload: dict, ctx: dict) -> tuple[dict, dict]:
-    from repro.workloads.runner import run_benchmark
+    from repro.workloads.runner import BASELINE, run_benchmark
 
     name = payload["bench"]
     result = run_benchmark(
         name,
+        {"baseline": BASELINE(),
+         "speculative": bench_spec_options(payload.get("spec", "profile"))},
         use_cache=False,
         trace_dir=payload.get("trace_dir"),
         profile_sites=bool(payload.get("profile_sites")),
-        spec_options=bench_spec_options(payload.get("spec", "profile")),
         fuel=payload.get("fuel"),
     )
     artifact = {

@@ -189,89 +189,3 @@ def records_json(results: dict[str, BenchmarkResult]) -> str:
         for name, r in results.items()
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# -- regeneration from the results store --------------------------------
-
-
-def benchmark_results_from_records(
-    latest: dict[str, dict[str, dict]],
-) -> dict[str, BenchmarkResult]:
-    """The ``{bench: BenchmarkResult}`` map the figure tables consume,
-    from stored run records (``repro.obs.store.latest_matrix`` shape),
-    in the paper's reporting order.  Benchmarks missing either mode are
-    skipped."""
-    from repro.workloads.programs import BENCHMARKS
-
-    order = [b for b in BENCHMARKS if b in latest]
-    order += [b for b in sorted(latest) if b not in BENCHMARKS]
-    return {
-        bench: BenchmarkResult.from_records(latest[bench])
-        for bench in order
-        if {"baseline", "speculative"} <= set(latest[bench])
-    }
-
-
-#: deterministic figure tables recomputed from matrix run records:
-#: ``{file stem: renderer}``
-_STORE_TABLES = {
-    "figure8_performance": figure8_table,
-    "figure9_load_types": figure9_table,
-    "figure10_misspeculation": figure10_table,
-    "figure11_rse": figure11_table,
-}
-
-
-def write_tables_from_store(
-    store, out_dir: str, check: bool = False
-) -> tuple[list[str], list[str]]:
-    """Regenerate the derived tables in ``benchmarks/results/`` from
-    stored runs: figure8–11 and ``figures.json`` recomputed from the
-    latest matrix run records, every other published table (ablations)
-    re-emitted from its latest ``kind=table`` record.  ``records.json``
-    is not among them: the benchmark session writes it, and CI checks
-    it by regenerating it.
-
-    With ``check``, nothing is written; existing files are diffed and
-    the second return value lists the stale ones (missing counts as
-    stale).  Returns ``(paths written or checked, stale names)``.
-    """
-    import os
-
-    from repro.obs.store.query import latest_matrix, runs
-
-    results = benchmark_results_from_records(
-        latest_matrix(store, suite="matrix")
-    )
-    artifacts: dict[str, str] = {}
-    if results:
-        for stem, renderer in _STORE_TABLES.items():
-            artifacts[f"{stem}.txt"] = renderer(results) + "\n"
-        artifacts["figures.json"] = (
-            json.dumps(figures_as_dict(results), indent=2) + "\n"
-        )
-    for rec in runs(store, kind="table", suite="tables"):
-        stem = rec.get("bench", "?")
-        if stem in _STORE_TABLES:
-            continue  # recomputed above from the raw runs
-        text = rec.get("metrics", {}).get("table", {}).get("text")
-        if isinstance(text, str):
-            artifacts[f"{stem}.txt"] = text + "\n"  # latest record wins
-
-    written: list[str] = []
-    stale: list[str] = []
-    for name in sorted(artifacts):
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        if check:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    if fh.read() != artifacts[name]:
-                        stale.append(name)
-            except OSError:
-                stale.append(name)
-        else:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(artifacts[name])
-    return written, stale

@@ -13,10 +13,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.machine.counters import Counters
-from repro.machine.cpu import MachineConfig, MachineResult
+from repro.machine.cpu import MachineResult
 from repro.obs import JsonlSink, TraceContext
 from repro.pipeline import (
     CompileOutput,
@@ -305,41 +305,43 @@ def _run_mode(
 
 
 def run_benchmark(
-    name: str,
-    machine_config: Optional[MachineConfig] = None,
-    extra_modes: Optional[dict[str, CompilerOptions]] = None,
+    workload: Union[Workload, str],
+    modes: Optional[dict[str, CompilerOptions]] = None,
     use_cache: bool = True,
     trace_dir: Optional[str] = None,
     profile_sites: bool = False,
-    spec_options: Optional[CompilerOptions] = None,
     fuel: Optional[int] = None,
 ) -> BenchmarkResult:
-    """Measure one benchmark: baseline + speculative (+ extras).
+    """Measure one benchmark under every mode of ``modes``.
 
-    With ``trace_dir`` set, every mode run streams its structured event
-    trace to ``{trace_dir}/{benchmark}.{mode}.jsonl``.  With
-    ``profile_sites``, each run collects the per-ALAT-site attribution
-    profile (observational only — simulated counters are identical) so
+    ``workload`` is a :class:`Workload` or a registered name.  ``modes``
+    maps each label to its options and must hold ``baseline`` and
+    ``speculative`` (the default is exactly those two: :func:`BASELINE`
+    and :func:`SPECULATIVE`); any further label is an extra.  A sweep
+    is a series of calls over one axis of these options, the machine
+    geometry (``CompilerOptions.machine``) included.  Every mode's
+    output is checked against the unoptimised interpreter.
+
+    The memo keys on the whole workload (its source and inputs, not
+    only its name) and on every mode's options.  With ``trace_dir``
+    set, every mode run streams its structured event trace to
+    ``{trace_dir}/{benchmark}.{mode}.jsonl``.  With ``profile_sites``,
+    each run collects the per-ALAT-site attribution profile
+    (observational only — simulated counters are identical) so
     results-store records carry per-site collision/eviction stats.
-    ``spec_options`` replaces the default profile-guided treatment
-    (e.g. ``STATIC_SPECULATIVE()`` for the no-profile sweep).
     ``fuel`` bounds every interpreter run (the reference oracle and the
     profile-training run); default :data:`DEFAULT_INTERP_FUEL`.
     """
     from repro.service.job import options_to_dict
 
+    if isinstance(workload, str):
+        workload = get_workload(workload)
+    if modes is None:
+        modes = {"baseline": BASELINE(), "speculative": SPECULATIVE()}
     fuel = fuel if fuel is not None else DEFAULT_INTERP_FUEL
-    modes = {
-        "baseline": BASELINE(),
-        "speculative": spec_options if spec_options is not None
-        else SPECULATIVE(),
-        **(extra_modes or {}),
-    }
-    if machine_config is not None:
-        for options in modes.values():
-            options.machine = machine_config
     key = json.dumps(
-        [name, {label: options_to_dict(o) for label, o in modes.items()},
+        [dataclasses.asdict(workload),
+         {label: options_to_dict(o) for label, o in modes.items()},
          trace_dir, profile_sites, fuel],
         sort_keys=True,
     )
@@ -353,10 +355,9 @@ def run_benchmark(
 
         os.makedirs(trace_dir, exist_ok=True)
         return TraceContext(
-            JsonlSink(os.path.join(trace_dir, f"{name}.{label}.jsonl"))
+            JsonlSink(os.path.join(trace_dir, f"{workload.name}.{label}.jsonl"))
         )
 
-    workload = get_workload(name)
     reference = run_program(
         workload.source, list(workload.ref_args), max_steps=fuel
     )
@@ -388,7 +389,9 @@ def store_records(
     """One store run record per (benchmark, mode) measurement: the
     mode's run record with its host sections merged back into the
     metrics, and any sweep ``config`` extras merged into its config.
-    Records share one ``batch`` id (the sweep)."""
+    The source hash comes from ``result.workload``, so a workload
+    outside the registry is stored like a registered one.  Records
+    share one ``batch`` id (the sweep)."""
     from repro.obs.store import make_record, new_batch_id
 
     batch = batch or new_batch_id()
@@ -402,7 +405,7 @@ def store_records(
                     mode.label,
                     mode.metrics,
                     suite=suite,
-                    source=get_workload(name).source,
+                    source=result.workload.source,
                     config={**rec["config"], **(config or {})},
                     machine=rec["machine"],
                     sites=rec.get("sites"),

@@ -151,7 +151,7 @@ def _stored_matrix_results():
     so the figure and matrix renderers can be golden-tested
     byte-for-byte."""
     from repro.obs.store import make_record
-    from repro.workloads.report import benchmark_results_from_records
+    from repro.workloads.runner import BenchmarkResult
 
     def counters(cycles, data, loads, indirect, checks, failures):
         return {
@@ -189,7 +189,10 @@ def _stored_matrix_results():
                           "sim_steps_per_sec": steps}},
                 suite="matrix", timestamp=1.0, git_rev=None,
             )
-    return benchmark_results_from_records(latest)
+    return {
+        bench: BenchmarkResult.from_records(records)
+        for bench, records in latest.items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ after such a crash (fresh-line repair).
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -423,56 +422,6 @@ def test_cli_dashboard_writes_file(tmp_path, capsys):
     ) == 0
     assert out.stat().st_size > 1000
     assert "dashboard written" in capsys.readouterr().out
-
-
-# -- table regeneration --------------------------------------------------
-
-
-def test_write_tables_from_store(tmp_path):
-    from repro.workloads.report import write_tables_from_store
-
-    store = _matrix_store(tmp_path)
-    store.ingest(_record(
-        "ablation_demo", "text", kind="table", suite="tables", ts=5.0,
-        metrics={"table": {"text": "demo table"}},
-    ))
-    out_dir = str(tmp_path / "results")
-    written, stale = write_tables_from_store(store, out_dir)
-    assert not stale
-    names = {os.path.basename(p) for p in written}
-    assert {"figure8_performance.txt", "figure9_load_types.txt",
-            "figure10_misspeculation.txt", "figure11_rse.txt",
-            "figures.json", "ablation_demo.txt"} == names
-    fig8 = open(os.path.join(out_dir, "figure8_performance.txt")).read()
-    assert "gzip" in fig8 and "vpr" in fig8 and "mcf" in fig8
-    assert open(os.path.join(out_dir, "ablation_demo.txt")).read() == \
-        "demo table\n"
-
-    # check mode: clean right after writing, stale after an edit
-    _written, stale = write_tables_from_store(store, out_dir, check=True)
-    assert stale == []
-    with open(os.path.join(out_dir, "figure8_performance.txt"), "a") as fh:
-        fh.write("drift\n")
-    _written, stale = write_tables_from_store(store, out_dir, check=True)
-    assert stale == ["figure8_performance.txt"]
-
-
-def test_cli_tables_check_exit_code(tmp_path, capsys):
-    store = _matrix_store(tmp_path)
-    out_dir = str(tmp_path / "results")
-    assert store_main(
-        ["--store", str(store.root), "tables", "--out", out_dir]
-    ) == 0
-    capsys.readouterr()
-    assert store_main(
-        ["--store", str(store.root), "tables", "--out", out_dir, "--check"]
-    ) == 0
-    capsys.readouterr()
-    os.remove(os.path.join(out_dir, "figures.json"))
-    assert store_main(
-        ["--store", str(store.root), "tables", "--out", out_dir, "--check"]
-    ) == 1
-    assert "stale derived tables" in capsys.readouterr().err
 
 
 # -- concurrent writers (advisory per-shard flock) ----------------------

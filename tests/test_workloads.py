@@ -3,7 +3,12 @@ matrix (scaled-down inputs) and experiment-harness sanity."""
 
 import pytest
 
-from repro.workloads.programs import BENCHMARKS, FP_BENCHMARKS, get_workload
+from repro.workloads.programs import (
+    BENCHMARKS,
+    FP_BENCHMARKS,
+    Workload,
+    get_workload,
+)
 from repro.workloads.runner import BASELINE, SPECULATIVE, run_benchmark
 
 from tests.conftest import assert_all_modes_agree
@@ -56,16 +61,74 @@ def test_runner_cache_keys_on_full_options():
     different measurements; the memo must not serve one for the other."""
     from repro.pipeline import CompilerOptions, OptLevel, SpecMode
 
-    def extra(level):
-        return {"x": CompilerOptions(opt_level=level, spec_mode=SpecMode.NONE,
-                                     fallback=False)}
+    def modes(level):
+        return {
+            "baseline": BASELINE(),
+            "speculative": SPECULATIVE(),
+            "x": CompilerOptions(opt_level=level, spec_mode=SpecMode.NONE,
+                                 fallback=False),
+        }
 
-    o3 = run_benchmark("vortex", extra_modes=extra(OptLevel.O3))
-    o0 = run_benchmark("vortex", extra_modes=extra(OptLevel.O0))
+    o3 = run_benchmark("vortex", modes=modes(OptLevel.O3))
+    o0 = run_benchmark("vortex", modes=modes(OptLevel.O0))
     assert o0 is not o3
     assert (o0.extras["x"].counters.cpu_cycles
             != o3.extras["x"].counters.cpu_cycles)
-    assert run_benchmark("vortex", extra_modes=extra(OptLevel.O0)) is o0
+    assert run_benchmark("vortex", modes=modes(OptLevel.O0)) is o0
+
+
+def _unregistered(scale: int) -> Workload:
+    """A tiny workload outside the registry; every ``scale`` shares one
+    name."""
+    return Workload(
+        name="tiny",
+        source=(
+            "int g;\n"
+            "int main(int n) {\n"
+            "    int i = 0;\n"
+            "    while (i < n) { g = g + i * %d; i = i + 1; }\n"
+            "    print(g);\n"
+            "    return 0;\n"
+            "}\n" % scale
+        ),
+        train_args=(4,),
+        ref_args=(10,),
+        is_float=False,
+        description="sum of scaled indices",
+    )
+
+
+def test_runner_cache_keys_on_workload_content():
+    """Two workloads with one name and different sources are different
+    measurements (an ablation sweeps one kernel name over sources)."""
+    one = run_benchmark(_unregistered(1))
+    two = run_benchmark(_unregistered(2))
+    assert one is not two
+    assert one.speculative.machine.output == ["45"]
+    assert two.speculative.machine.output == ["90"]
+    assert run_benchmark(_unregistered(2)) is two
+    assert two.workload == _unregistered(2)
+
+
+def test_store_records_of_an_unregistered_workload():
+    """``store_records`` takes the source from the result, so a sweep
+    over workloads outside the registry stores full run records."""
+    from repro.obs.store.core import source_sha
+    from repro.workloads.runner import store_records
+
+    workload = _unregistered(3)
+    records = store_records(
+        {workload.name: run_benchmark(workload)},
+        suite="ablation:test", config={"scale": 3},
+    )
+    assert [r["mode"] for r in records] == ["baseline", "speculative"]
+    for record in records:
+        assert record["bench"] == "tiny"
+        assert record["suite"] == "ablation:test"
+        assert record["source_sha"] == source_sha(workload.source)
+        assert record["config"]["scale"] == 3
+        assert record["config"]["options"]
+        assert record["machine"]["alat"]["entries"] == 32
 
 
 def test_baseline_and_speculative_options_differ():
@@ -175,3 +238,34 @@ def test_cli_fuel_exhaustion_surfaces_as_timeout_failure(capsys):
     assert cli.main(["--fuel", "200"]) == 1
     err = capsys.readouterr().err
     assert "[timeout]" in err
+
+
+def test_cli_cold_then_warm_cache_ledgers(tmp_path, capsys):
+    """The matrix CLI over a service cache, twice in this process: a
+    balanced cold ledger, then one verified hit serving the same
+    artifact and the same run records (CI's service-smoke, one bench)."""
+    import json
+
+    import repro.workloads.__main__ as cli
+
+    def run(tag):
+        ledger = tmp_path / f"{tag}-ledger.json"
+        report = tmp_path / f"{tag}.json"
+        assert cli.main([
+            "--benchmarks", "vpr", "--cache", str(tmp_path / "cache"),
+            "--ledger-json", str(ledger), "--report-json", str(report),
+        ]) == 0
+        return json.loads(ledger.read_text()), report.read_bytes()
+
+    cold, cold_report = run("cold")
+    warm, warm_report = run("warm")
+    assert cold["submitted"] == cold["completed"] == 1, cold
+    assert cold["failed"] == cold["timed_out"] == 0, cold
+    assert cold["cache"]["misses"] == cold["cache"]["stores"] == 1
+    assert warm["submitted"] == warm["completed"] == warm["cache_hits"] == 1
+    assert warm["cache"]["hits"] == 1 and warm["cache"]["misses"] == 0
+    assert warm["cache"]["quarantined"] == 0
+    assert list(warm["shas"]) == ["bench:vpr"]
+    assert warm["shas"] == cold["shas"]
+    assert warm_report == cold_report
+    assert "cache=1/1" in capsys.readouterr().err
