@@ -15,6 +15,10 @@ rare but possible, matching hardware behaviour).
 
 Register tags include the activation serial so the model mirrors
 register-stack renaming: a callee's r5 is not the caller's r5.
+
+The table also keeps a multiset of its live entries' partial addresses,
+so a store that matches no entry (nearly every store) is answered by
+one dictionary probe instead of a scan of every set.
 """
 
 from __future__ import annotations
@@ -124,6 +128,9 @@ class ALAT:
             self.config = injector.effective_alat_config(self.config)
         self.stats = ALATStats()
         self._sets: list[list[_Entry]] = [[] for _ in range(self.config.sets)]
+        #: live entries per partial address (absent keys: none live)
+        self._live: dict[int, int] = {}
+        self._mask = (1 << self.config.partial_bits) - 1
         self._clock = 0
         #: optional ``callable(event_name, **fields)`` — set by the
         #: simulator only when tracing is on, so the None check is the
@@ -144,23 +151,42 @@ class ALAT:
                 return entry
         return None
 
+    def _unlive(self, partial: int) -> None:
+        live = self._live
+        if live[partial] == 1:
+            del live[partial]
+        else:
+            live[partial] -= 1
+
+    def _remove(self, set_index: int, entry: _Entry) -> None:
+        self._sets[set_index].remove(entry)
+        self._unlive(entry.partial_addr)
+
     # -- operations ---------------------------------------------------------
 
     def allocate(self, tag: RegTag, addr: int) -> None:
         """ld.a / ld.sa: (re-)allocate the entry for ``tag``."""
         self._clock += 1
         self.stats.allocations += 1
+        existing = self._find(tag)
         if self.injector is not None and self.injector.drop_allocation():
             # Injected fault: the table silently fails to latch the
-            # entry.  Subsequent checks miss and reload — safe.
+            # entry.  ld.a replaces the register's entry, so the old one
+            # goes too (it guards the old address, not the new value).
+            # Subsequent checks miss and reload — safe.
+            if existing is not None:
+                self._remove(self._set_index(tag), existing)
             self.stats.chaos_dropped_allocations += 1
             if self.observer is not None:
                 self.observer("chaos.fault", kind="drop_alloc", tag=tag, addr=addr)
             return
         bucket = self._sets[self._set_index(tag)]
-        existing = self._find(tag)
+        partial = self._partial(addr)
+        live = self._live
         if existing is not None:
-            existing.partial_addr = self._partial(addr)
+            self._unlive(existing.partial_addr)
+            live[partial] = live.get(partial, 0) + 1
+            existing.partial_addr = partial
             existing.lru = self._clock
             if self.observer is not None:
                 self.observer("alat.allocate", tag=tag, addr=addr, refresh=True)
@@ -168,10 +194,12 @@ class ALAT:
         if len(bucket) >= self.config.associativity:
             victim = min(bucket, key=lambda e: e.lru)
             bucket.remove(victim)
+            self._unlive(victim.partial_addr)
             self.stats.capacity_evictions += 1
             if self.observer is not None:
                 self.observer("alat.evict", tag=victim.tag)
-        bucket.append(_Entry(tag, self._partial(addr), self._clock))
+        bucket.append(_Entry(tag, partial, self._clock))
+        live[partial] = live.get(partial, 0) + 1
         self.stats.peak_occupancy = max(self.stats.peak_occupancy, self.occupancy)
         if self.observer is not None:
             self.observer("alat.allocate", tag=tag, addr=addr, refresh=False)
@@ -179,7 +207,10 @@ class ALAT:
     def snoop_store(self, addr: int) -> int:
         """Every store: invalidate entries whose partial address matches.
         Returns the number of collisions."""
-        partial = self._partial(addr)
+        partial = addr & self._mask
+        if partial not in self._live:
+            return 0
+        del self._live[partial]
         removed = 0
         for bucket in self._sets:
             keep = []
@@ -202,7 +233,7 @@ class ALAT:
             victim = self.injector.spurious_victim(self._sets)
             if victim is not None:
                 set_index, entry = victim
-                self._sets[set_index].remove(entry)
+                self._remove(set_index, entry)
                 self.stats.chaos_spurious_invalidations += 1
                 if self.observer is not None:
                     self.observer(
@@ -216,7 +247,7 @@ class ALAT:
             return False
         self.stats.check_hits += 1
         if clear:
-            self._sets[self._set_index(tag)].remove(entry)
+            self._remove(self._set_index(tag), entry)
         else:
             self._clock += 1
             entry.lru = self._clock
@@ -235,7 +266,7 @@ class ALAT:
         entry = self._find(tag)
         dropped = entry is not None
         if dropped:
-            self._sets[self._set_index(tag)].remove(entry)
+            self._remove(self._set_index(tag), entry)
             self.stats.explicit_drops += 1
         self.stats.explicit_invalidations += 1
         if self.observer is not None:
@@ -246,6 +277,7 @@ class ALAT:
         """invala: flush the table (also used at context boundaries)."""
         for bucket in self._sets:
             bucket.clear()
+        self._live.clear()
 
     def chaos_flush(self) -> None:
         """Injected context-switch flush: the OS ran another thread and

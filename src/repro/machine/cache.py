@@ -75,26 +75,16 @@ class CacheStats:
 
 
 class _Level:
+    """One cache level's sets.  Each set is a dict whose key order is
+    its LRU order: a touched line moves to the end, so the first key is
+    the least recently used line (the victim a per-access clock would
+    pick)."""
+
     def __init__(self, config: CacheLevelConfig, line_words: int) -> None:
         self.line_words = line_words
         self.associativity = config.associativity
         self.nsets = config.sets
-        self._sets: list[dict[int, int]] = [dict() for _ in range(self.nsets)]
-        self._clock = 0
-
-    def access(self, addr: int) -> bool:
-        """Touch the line; True on hit (LRU within the set)."""
-        self._clock += 1
-        line = addr // self.line_words
-        bucket = self._sets[line % self.nsets]
-        if line in bucket:
-            bucket[line] = self._clock
-            return True
-        if len(bucket) >= self.associativity:
-            victim = min(bucket, key=lambda l: bucket[l])
-            del bucket[victim]
-        bucket[line] = self._clock
-        return False
+        self.sets: list[dict[int, None]] = [dict() for _ in range(self.nsets)]
 
 
 class CacheHierarchy:
@@ -119,31 +109,49 @@ class CacheHierarchy:
         self.observer = None
 
     def load_latency(self, addr: int, is_float: bool = False) -> int:
-        if is_float:
-            # FP loads bypass L1; they are satisfied from L2 at best.
-            if self._l2.access(addr):
-                self.stats.l2_hits += 1
+        # Both levels are touched inline (no per-level call): this runs
+        # for every simulated load.
+        stats = self.stats
+        l1, l2 = self._l1, self._l2
+        line = addr // l1.line_words
+        if not is_float:
+            bucket = l1.sets[line % l1.nsets]
+            if line in bucket:
+                del bucket[line]
+                bucket[line] = None
+                stats.l1_hits += 1
+                return self.config.l1.hit_latency
+            if len(bucket) >= l1.associativity:
+                del bucket[next(iter(bucket))]
+            bucket[line] = None
+            stats.l1_misses += 1
+        # FP loads bypass L1; they are satisfied from L2 at best.
+        bucket = l2.sets[line % l2.nsets]
+        if line in bucket:
+            del bucket[line]
+            bucket[line] = None
+            stats.l2_hits += 1
+            if is_float:
                 return self.config.fp_min_latency
-            self.stats.l2_misses += 1
-            if self.observer is not None:
-                self.observer("cache.miss", level="l2", addr=addr, fp=True)
-            return self.config.memory_latency
-        if self._l1.access(addr):
-            self.stats.l1_hits += 1
-            return self.config.l1.hit_latency
-        self.stats.l1_misses += 1
-        if self._l2.access(addr):
-            self.stats.l2_hits += 1
             if self.observer is not None:
                 self.observer("cache.miss", level="l1", addr=addr, fp=False)
             return self.config.l2.hit_latency
-        self.stats.l2_misses += 1
+        if len(bucket) >= l2.associativity:
+            del bucket[next(iter(bucket))]
+        bucket[line] = None
+        stats.l2_misses += 1
         if self.observer is not None:
-            self.observer("cache.miss", level="l2", addr=addr, fp=False)
+            self.observer("cache.miss", level="l2", addr=addr, fp=is_float)
         return self.config.memory_latency
 
     def store_touch(self, addr: int) -> None:
         """Stores allocate in both levels without stalling the pipe
         (write-buffer model)."""
-        self._l1.access(addr)
-        self._l2.access(addr)
+        for level in (self._l1, self._l2):
+            line = addr // level.line_words
+            bucket = level.sets[line % level.nsets]
+            if line in bucket:
+                del bucket[line]
+            elif len(bucket) >= level.associativity:
+                del bucket[next(iter(bucket))]
+            bucket[line] = None

@@ -27,11 +27,13 @@ targets, read-register tuples, constant registers) with list-indexed
 register and ready files.  The simulator picks one of two loops over
 that form when it is constructed.  With no trace sink, ``RunProfile``,
 ``FaultInjector`` or ``HostProfiler`` attached it runs
-:meth:`Simulator._run_fast`, which has no hooks at all.  Otherwise it
-runs :meth:`Simulator._run_probed`: the same dispatch, plus calls into
-one :class:`Probe` that composes whatever is attached.  Tracing and
-profiling never change simulator state, so with only those attached the
-two loops produce identical counters.
+:meth:`Simulator._run_fast`, which has no hooks at all and tiers up:
+hot loops and small hot functions run as generated Python
+(:mod:`repro.machine.translate`).  Otherwise it runs
+:meth:`Simulator._run_probed`: the same dispatch, never translated,
+plus calls into one :class:`Probe` that composes whatever is attached.
+Tracing and profiling never change simulator state, so with only those
+attached the loops produce identical counters.
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ from repro.ir.interp import (
     int_mod,
     wrap_int,
 )
+from repro.machine import translate
 from repro.machine.alat import ALAT, ALATConfig
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.counters import Counters
 from repro.machine.rse import RegisterStackEngine, RSEConfig
+from repro.machine.translate import OP_REGION
 from repro.obs.profile import RunProfile
 from repro.obs.trace import NULL_TRACE, TraceContext
 from repro.target.isa import (
@@ -352,6 +356,16 @@ class Simulator:
         )
         self._probe = Probe(self) if probed else None
         self._run_function = self._run_probed if probed else self._run_fast
+        config = self.config
+        #: tier-up counts are per run; translations are kept
+        self._run_token = object()
+        #: what a translation folds (its key on the DecodedFunction)
+        self._tier_key = (
+            self._w, config.branch_penalty, config.recovery_penalty,
+            config.max_instructions,
+        )
+        #: what a translated region calls
+        self._ctx = translate.context(self)
         if host_profiler is not None:
             host_profiler.add("sim.init", host_profiler.now() - _t0)
 
@@ -462,13 +476,27 @@ class Simulator:
 
         The slot clock and the retired count live in locals and are
         written back at calls, returns and faults (``in_call`` keeps a
-        callee's fault from being overwritten with the caller's stale
-        copies)."""
+        callee's or a region's fault from being overwritten with the
+        caller's stale copies).  Calls of the function and taken back
+        edges to each header are counted; at ``translate.THRESHOLD`` the
+        function (when small) or the loop is translated, and the entry
+        op at its first instruction runs the translation.  Taken back
+        edges also pick up the tier's code again after a region handed
+        an instruction back to the decoded code."""
         dec, regs, ready, serial, base = self._push_frame(mf, args)
-        code = dec.code
+        tier = dec.translations.get(self._tier_key)
+        if tier is None or tier.run is not self._run_token:
+            tier = translate.tier(dec, self._tier_key, self._run_token)
+        threshold = translate.THRESHOLD
+        tier.calls += 1
+        if tier.calls == threshold and len(dec.code) <= translate.MAX_FUNCTION:
+            tier.translate_function(self)
+        code = tier.code
+        heat = tier.heat
         mem = self.mem
         counters = self.counters
         alat = self.alat
+        snoop_store = alat.snoop_store
         load_latency = self.cache.load_latency
         store_touch = self.cache.store_touch
         w = self._w
@@ -523,12 +551,22 @@ class Simulator:
                     regs[a] = base + b
                     ready[a] = start + w
                 elif op == OP_BR:
+                    if a < pc:
+                        heat[a] += 1
+                        if heat[a] == threshold:
+                            tier.translate_loop(self, a)
+                        code = tier.code
                     pc = a
                     counters.branches += 1
                     time += bubble
                 elif op == OP_BRNZ:
                     counters.branches += 1
                     if regs[a]:
+                        if b < pc:
+                            heat[b] += 1
+                            if heat[b] == threshold:
+                                tier.translate_loop(self, b)
+                            code = tier.code
                         pc = b
                         time += bubble
                 elif op == OP_ST:
@@ -536,7 +574,7 @@ class Simulator:
                     if addr <= 0 or isinstance(addr, float):
                         raise _bad_address(addr, mf)
                     mem[addr] = regs[b]
-                    alat.snoop_store(addr)
+                    snoop_store(addr)
                     store_touch(addr)
                     counters.retired_stores += 1
                 elif op == OP_LD_A or op == OP_LD_SA:
@@ -631,6 +669,25 @@ class Simulator:
                     self.time = time
                     counters.instructions = n
                     return regs[a] if a is not None else None
+                elif op == OP_REGION:
+                    # not an instruction: undo the issue and run the
+                    # translation from this pc
+                    in_call = True
+                    pc, time, n, result = a(
+                        self, regs, ready, base, serial, start, n - 1
+                    )
+                    in_call = False
+                    if pc < 0:
+                        if pc == -1:
+                            self.time = time
+                            counters.instructions = n
+                            return result
+                        # the region handed back an instruction it does
+                        # not run (a fault, or the block that crosses the
+                        # limit): run it on the decoded code, up to the
+                        # next taken back edge
+                        pc = -2 - pc
+                        code = dec.code
                 else:
                     self._execute_rare(dec, pc, regs, ready, serial, start)
         except BaseException:

@@ -495,10 +495,13 @@ class DecodedFunction:
     """One :class:`MFunction` in the form the simulator executes."""
 
     __slots__ = ("name", "code", "instrs", "register_count", "registers",
-                 "_unknown_labels")
+                 "translations", "_unknown_labels")
 
     def __init__(self, mf: MFunction) -> None:
         self.name = mf.name
+        #: the simulator's translated tiers (:mod:`repro.machine.translate`),
+        #: keyed by the machine parameters they fold
+        self.translations: dict = {}
         #: the instruction each ``code`` entry came from (attribution)
         self.instrs = [i for i in mf.instrs if not isinstance(i, Label)]
         #: registers any instruction names (``mf.nregs`` may be smaller:

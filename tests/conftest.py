@@ -90,3 +90,13 @@ def pointer_alias_program() -> str:
         return 0;
     }
     """
+
+
+def translated_regions(program) -> int:
+    """How many regions the simulator's translated tier holds for
+    ``program``, over every function and machine configuration."""
+    return sum(
+        len(tier.regions)
+        for mf in program.functions.values()
+        for tier in mf.decoded().translations.values()
+    )

@@ -1,5 +1,10 @@
 """ALAT model unit tests (paper section 2.1 semantics)."""
 
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.machine.alat import ALAT, ALATConfig
 
 
@@ -112,3 +117,81 @@ def test_occupancy_bounded_by_capacity():
     for r in range(100):
         alat.allocate((1, r), 0x1000 + r)
     assert alat.occupancy <= config.entries
+
+
+class ScriptedInjector:
+    """A duck-typed fault injector that drops the next allocation or
+    kills a chosen live entry only when a test says so."""
+
+    def __init__(self) -> None:
+        self.drop = False
+        self.kill = None
+
+    def effective_alat_config(self, config):
+        return config
+
+    def drop_allocation(self) -> bool:
+        drop, self.drop = self.drop, False
+        return drop
+
+    def spurious_victim(self, sets):
+        kill, self.kill = self.kill, None
+        live = [(i, entry) for i, bucket in enumerate(sets) for entry in bucket]
+        return live[kill % len(live)] if kill is not None and live else None
+
+
+def test_dropped_allocation_removes_the_registers_old_entry():
+    """ld.a replaces the register's entry: when the new allocation is
+    dropped the old address must stop guarding the register."""
+    injector = ScriptedInjector()
+    alat = ALAT(injector=injector)
+    alat.allocate((1, 5), 0x1000)
+    injector.drop = True
+    alat.allocate((1, 5), 0x2000)
+    assert alat.stats.chaos_dropped_allocations == 1
+    assert alat.occupancy == 0
+    assert alat.snoop_store(0x1000) == 0
+    assert not alat.check((1, 5), clear=False)
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("allocate"), st.integers(1, 2), st.integers(0, 7),
+              st.integers(0, 15), st.booleans()),
+    st.tuples(st.just("snoop"), st.integers(0, 15)),
+    st.tuples(st.just("check"), st.integers(1, 2), st.integers(0, 7),
+              st.booleans(), st.none() | st.integers(0, 31)),
+    st.tuples(st.just("invala"), st.integers(1, 2), st.integers(0, 7)),
+    st.tuples(st.just("flush")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STEPS, max_size=40))
+def test_live_partial_addresses_match_a_full_scan(steps):
+    """The multiset that answers a non-colliding store at once always
+    holds exactly the live entries' partial addresses, and a store
+    removes what a scan of every set would."""
+    injector = ScriptedInjector()
+    alat = ALAT(ALATConfig(entries=4, associativity=2, partial_bits=2),
+                injector=injector)
+    for step in steps:
+        entries = [entry for bucket in alat._sets for entry in bucket]
+        kind = step[0]
+        if kind == "allocate":
+            _, serial, reg, addr, drop = step
+            injector.drop = drop
+            alat.allocate((serial, reg), addr)
+        elif kind == "snoop":
+            partial = step[1] & 0b11
+            expected = sum(e.partial_addr == partial for e in entries)
+            assert alat.snoop_store(step[1]) == expected
+        elif kind == "check":
+            _, serial, reg, clear, kill = step
+            injector.kill = kill
+            alat.check((serial, reg), clear)
+        elif kind == "invala":
+            alat.invalidate_entry((step[1], step[2]))
+        else:
+            alat.chaos_flush()
+        live = Counter(e.partial_addr for b in alat._sets for e in b)
+        assert alat._live == dict(live)

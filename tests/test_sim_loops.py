@@ -1,11 +1,15 @@
-"""The simulator's two loops agree.
+"""The simulator's three loops agree.
 
-A run with nothing attached takes the hook-free loop; a run with a trace
+A run with nothing attached takes the hook-free loop, which translates
+hot loops and small hot functions once they reach
+``translate.THRESHOLD``; the same loop with the threshold at 1
+translates every loop and function on first reach; a run with a trace
 sink, a guest profile and a host profiler attached takes the probed
-loop.  Both must retire the same instructions with the same timing:
-equal counters, ALAT/cache/RSE statistics, output and exit value, on
-every paper kernel and on a seeded batch of generated programs under
-the chaos campaign's speculative modes.
+loop, which never translates.  All three must retire the same
+instructions with the same timing: equal counters, ALAT/cache/RSE
+statistics, output and exit value, on every paper kernel and on a
+seeded batch of generated programs under the chaos campaign's
+speculative modes.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 
 from repro.chaos.campaign import default_modes
 from repro.chaos.generator import generate_program
+from repro.machine import translate
 from repro.machine.cpu import Simulator
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import HostProfiler
@@ -38,7 +43,7 @@ def observable(result) -> tuple:
     )
 
 
-def assert_loops_agree(output, args) -> None:
+def assert_loops_agree(output, args, monkeypatch) -> None:
     program, config = output.program, output.options.machine
     fast_sim = Simulator(program, config)
     probed_sim = Simulator(
@@ -51,24 +56,30 @@ def assert_loops_agree(output, args) -> None:
     assert observable(fast) == observable(probed)
     profile = probed.profile
     assert profile.attributed_slots == profile.total_slots
+    # a new run counts afresh: every loop and function not translated
+    # yet is translated on first reach
+    with monkeypatch.context() as patch:
+        patch.setattr(translate, "THRESHOLD", 1)
+        translated = Simulator(program, config).run(list(args))
+    assert observable(translated) == observable(probed)
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_paper_kernels_agree(name):
+def test_paper_kernels_agree(name, monkeypatch):
     workload = get_workload(name)
     for options in (BASELINE(), SPECULATIVE()):
         output = compile_source(
             workload.source, options, train_args=list(workload.train_args),
             name=name,
         )
-        assert_loops_agree(output, workload.train_args)
+        assert_loops_agree(output, workload.train_args, monkeypatch)
 
 
 @pytest.mark.parametrize("index", range(GENERATED))
-def test_generated_programs_agree(index):
+def test_generated_programs_agree(index, monkeypatch):
     program = generate_program(random.Random(f"machine-loops:{index}"), index)
     for options in default_modes():
         output = compile_source(
             program.source, options, train_args=list(program.train_args)
         )
-        assert_loops_agree(output, program.ref_args)
+        assert_loops_agree(output, program.ref_args, monkeypatch)

@@ -6,8 +6,10 @@ on."""
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultPlan
 from repro.errors import MachineError, MachineLimitExceeded
 from repro.ir.expr import BinOpKind, UnOpKind
+from repro.machine import translate
 from repro.machine.cpu import MachineConfig, Simulator
 from repro.obs.sinks import MemorySink
 from repro.obs.trace import TraceContext
@@ -35,6 +37,7 @@ from repro.target.isa import (
     St,
     Un,
 )
+from tests.conftest import translated_regions
 
 
 def make_program(instrs, nregs=16, frame_words=4, data=None):
@@ -338,82 +341,294 @@ def test_issue_width_scales_cycles():
     assert narrow.counters.cpu_cycles > wide.counters.cpu_cycles
 
 
-# -- decoded form: edge cases, on both loops -----------------------------
+# -- decoded form: edge cases, on every tier ---------------------------
 
-LOOPS = pytest.mark.parametrize("probed", [False, True], ids=["fast", "probed"])
+TIERS = ("fast", "probed", "translated")
 
 
-def simulate(program, args=(), probed=False):
-    """Run on the hook-free loop, or on the probed one (a memory trace
-    sink is enough to select it)."""
-    obs = TraceContext(MemorySink()) if probed else None
-    sim = Simulator(program, obs=obs)
+@pytest.fixture(params=TIERS)
+def loop(request, monkeypatch):
+    """The interpreter ("fast"), the probed loop, or the interpreter with
+    every loop and function translated on first reach."""
+    if request.param == "translated":
+        monkeypatch.setattr(translate, "THRESHOLD", 1)
+    return request.param
+
+
+def simulate(program, args=(), loop="fast", config=None):
+    """Run on the given tier (a memory trace sink selects the probed
+    loop)."""
+    obs = TraceContext(MemorySink()) if loop == "probed" else None
+    sim = Simulator(program, config, obs=obs)
     return sim, sim.run(list(args))
 
 
-@LOOPS
-def test_unknown_label_faults_only_when_taken(probed):
+def test_unknown_label_faults_only_when_taken(loop):
     def prog(taken):
         return make_program(
             [MovI(0, taken), Brnz(0, ".nowhere"), MovI(1, 3), RetF(1)]
         )
 
-    assert simulate(prog(0), probed=probed)[1].exit_value == 3
+    assert simulate(prog(0), loop=loop)[1].exit_value == 3
     with pytest.raises(MachineError, match="unknown label '.nowhere'"):
-        simulate(prog(1), probed=probed)
+        simulate(prog(1), loop=loop)
     with pytest.raises(MachineError, match="unknown label '.gone'"):
-        simulate(make_program([Br(".gone"), RetF(0)]), probed=probed)
+        simulate(make_program([Br(".gone"), RetF(0)]), loop=loop)
 
 
-@LOOPS
-def test_trailing_label_falls_off_the_end(probed):
+def test_trailing_label_falls_off_the_end(loop):
     with pytest.raises(MachineError, match="fell off the end"):
-        simulate(make_program([MovI(0, 1), Label(".end")]), probed=probed)
+        simulate(make_program([MovI(0, 1), Label(".end")]), loop=loop)
     with pytest.raises(MachineError, match="fell off the end"):
         simulate(
-            make_program([Br(".end"), RetF(0), Label(".end")]), probed=probed
+            make_program([Br(".end"), RetF(0), Label(".end")]), loop=loop
         )
 
 
-@LOOPS
-def test_registers_above_overwritten_nregs(probed):
+def test_registers_above_overwritten_nregs(loop):
     program = make_program(
         [MovI(10, 7), Mov(11, 10), Alu(BinOpKind.ADD, 12, 11, 1), RetF(12)],
         nregs=2,
     )
-    assert simulate(program, probed=probed)[1].exit_value == 8
+    assert simulate(program, loop=loop)[1].exit_value == 8
 
 
-@LOOPS
-def test_main_takes_more_args_than_registers(probed):
+def test_main_takes_more_args_than_registers(loop):
     program = make_program([RetF(0)], nregs=1)
-    assert simulate(program, [5, 6, 7], probed=probed)[1].exit_value == 5
+    assert simulate(program, [5, 6, 7], loop=loop)[1].exit_value == 5
 
 
-@LOOPS
-def test_emit_after_run_redecodes(probed):
+def test_emit_after_run_redecodes(loop):
     program = make_program([MovI(0, 1), Br(".more")])
     mf = program.function("main")
     with pytest.raises(MachineError, match="unknown label"):
-        simulate(program, probed=probed)
+        simulate(program, loop=loop)
     stale = mf.decoded()
     mf.emit(Label(".more"))
     mf.emit(MovI(0, 2))
     mf.emit(RetF(0))
     assert mf.decoded() is not stale
-    assert simulate(program, probed=probed)[1].exit_value == 2
+    assert simulate(program, loop=loop)[1].exit_value == 2
 
 
-def test_instruction_limit_fires_at_the_same_count_on_both_loops():
+def test_instruction_limit_fires_at_the_same_count_on_both_loops(monkeypatch):
+    """On every tier: the interpreter, the probed loop and a translated
+    region (which hands the last block back to the interpreter)."""
     program = make_program([Label(".top"), MovI(0, 1), Br(".top")])
-    counts = []
-    for probed in (False, True):
-        obs = TraceContext(MemorySink()) if probed else None
-        sim = Simulator(program, MachineConfig(max_instructions=25), obs=obs)
+    seen = []
+    for loop in TIERS:
+        if loop == "translated":
+            monkeypatch.setattr(translate, "THRESHOLD", 1)
+        config = MachineConfig(max_instructions=25)
+        obs = TraceContext(MemorySink()) if loop == "probed" else None
+        sim = Simulator(program, config, obs=obs)
         with pytest.raises(MachineLimitExceeded, match="exceeded 25"):
             sim.run([])
-        counts.append((sim.counters.instructions, sim.counters.branches))
-    assert counts[0] == counts[1] == (26, 12)
+        seen.append((sim.counters.instructions, sim.counters.branches, sim.time))
+    assert translated_regions(program) == 1
+    assert seen[0][:2] == (26, 12)
+    assert seen[0] == seen[1] == seen[2]
+
+
+# -- the translated tier against the probed loop -------------------------
+
+
+def outcome(program, loop, args=(), config=None):
+    """Everything a run leaves behind, or its error, on one tier."""
+    obs = TraceContext(MemorySink()) if loop == "probed" else None
+    sim = Simulator(program, config, obs=obs)
+    try:
+        result = sim.run(list(args))
+        error = None
+    except MachineError as exc:
+        result, error = None, (type(exc), str(exc))
+    state = (sim.counters, sim.time, sim.output, error,
+             result and result.exit_value,
+             sim.alat.stats, sim.cache.stats, sim.rse.stats)
+    return state
+
+
+def assert_translated_matches_probed(monkeypatch, build, args=(), config=None):
+    probed = outcome(build(), "probed", args, config)
+    monkeypatch.setattr(translate, "THRESHOLD", 1)
+    program = build()
+    translated = outcome(program, "fast", args, config)
+    monkeypatch.undo()
+    assert translated_regions(program) >= 1
+    assert translated == probed
+    return probed
+
+
+def loop_with_call(padding: int = 0) -> MProgram:
+    """``for i in 5..1: s += twice(i); print(s)`` -- main is padded past
+    the whole-function size when ``padding`` is large, so only its loop
+    is translated."""
+    program = MProgram("calls")
+    twice = MFunction("twice", 1)
+    twice.emit(Alu(BinOpKind.ADD, 1, 0, ("r", 0)))
+    twice.emit(RetF(1))
+    main = MFunction("main", 0)
+    for instr in [MovI(9, 0)] * padding + [
+        MovI(0, 5),
+        MovI(1, 0),
+        Label(".top"),
+        CallF("twice", [0], 2),
+        Alu(BinOpKind.ADD, 1, 1, ("r", 2)),
+        PrintR(1),
+        Alu(BinOpKind.SUB, 0, 0, 1),
+        Brnz(0, ".top"),
+        RetF(1),
+    ]:
+        main.emit(instr)
+    program.add(twice)
+    program.add(main)
+    return program
+
+
+@pytest.mark.parametrize("padding", [0, 120])
+def test_limit_mid_block_in_a_translated_loop_with_a_call(monkeypatch, padding):
+    full = outcome(loop_with_call(padding), "probed")
+    total = full[0].instructions
+    assert full[3] is None and total > 30
+    for limit in range(total - 30, total):
+        config = MachineConfig(max_instructions=limit)
+        state = assert_translated_matches_probed(
+            monkeypatch, lambda: loop_with_call(padding), config=config
+        )
+        assert state[3][0] is MachineLimitExceeded
+
+
+def counted_loop(body, padding: int = 0, data=None) -> MProgram:
+    """``r0`` counts 4..0; ``body`` runs with it each iteration."""
+    return make_program(
+        [MovI(9, 0)] * padding
+        + [MovI(0, 4), Lea(5, Region.GLOBAL, 0x1000), Label(".top")]
+        + body
+        + [Alu(BinOpKind.SUB, 0, 0, 1), Brnz(0, ".top"), RetF(3)],
+        data=data,
+    )
+
+
+FAULTING = {
+    # r0 * 16 reaches address 0 on the last iteration
+    "bad_address": [Alu(BinOpKind.MUL, 1, 0, 16), Alu(BinOpKind.SUB, 1, 1, 16),
+                    Ld(3, 1)],
+    "division_by_zero": [Alu(BinOpKind.SUB, 1, 0, 1),
+                         Alu(BinOpKind.DIV, 3, 5, ("r", 1))],
+    "modulo_by_zero": [Alu(BinOpKind.SUB, 1, 0, 1),
+                       Alu(BinOpKind.MOD, 3, 5, ("r", 1))],
+    "float_address": [Un(UnOpKind.I2F, 1, 5), Alu(BinOpKind.SUB, 2, 0, 1),
+                      Brnz(2, ".skip"), St(1, 0), Label(".skip"),
+                      MovI(3, 0)],
+}
+
+
+@pytest.mark.parametrize("padding", [0, 120])
+@pytest.mark.parametrize("name", sorted(FAULTING))
+def test_faults_in_a_translated_region_match_the_probed_loop(
+    monkeypatch, name, padding
+):
+    state = assert_translated_matches_probed(
+        monkeypatch, lambda: counted_loop(FAULTING[name], padding)
+    )
+    assert state[3] is not None  # the run faulted
+
+
+@pytest.mark.parametrize("padding", [0, 120])
+def test_chk_a_recovery_in_a_translated_region_matches_the_probed_loop(
+    monkeypatch, padding
+):
+    # even iterations store to the advanced load's address: chk.a fails
+    body = [
+        Ld(3, 5, LoadKind.ADVANCED),
+        Alu(BinOpKind.MOD, 2, 0, 2),
+        Brnz(2, ".keep"),
+        St(5, 0),
+        Label(".keep"),
+        ChkA(3, ".rec"),
+        Label(".back"),
+        Alu(BinOpKind.ADD, 4, 4, ("r", 3)),
+        Br(".next"),
+        Label(".rec"),
+        Ld(3, 5),
+        Br(".back"),
+        Label(".next"),
+    ]
+    state = assert_translated_matches_probed(
+        monkeypatch, lambda: counted_loop(body, padding, {0x1000: 9})
+    )
+    counters = state[0]
+    assert state[3] is None
+    assert counters.check_failures == 2 and counters.recovery_cycles == 60
+
+
+def test_a_stall_on_one_register_does_not_delay_another(monkeypatch):
+    """r1's fixed latency is known at translation time; a run-time stall
+    on r6 (a cold load) in between must not leave r1 looking later."""
+
+    def build():
+        return make_program([
+            Lea(5, Region.GLOBAL, 0x1000),
+            Ld(6, 5),
+            MovI(0, 3),
+            Label(".top"),
+            Alu(BinOpKind.ADD, 1, 0, 1),
+            St(5, 6),
+            Alu(BinOpKind.ADD, 2, 1, 1),
+            Alu(BinOpKind.SUB, 0, 0, 1),
+            Brnz(0, ".top"),
+            RetF(2),
+        ])
+
+    assert_translated_matches_probed(monkeypatch, build)
+
+
+def test_emit_after_a_translated_run_drops_the_translation(monkeypatch):
+    monkeypatch.setattr(translate, "THRESHOLD", 1)
+    program = counted_loop([Alu(BinOpKind.ADD, 3, 3, 2)])
+    mf = program.function("main")
+    assert simulate(program)[1].exit_value == 8
+    stale = mf.decoded()
+    assert translated_regions(program) == 1
+    # a new block the old translation knows nothing about
+    mf.instrs[-1:] = []
+    mf.emit(Alu(BinOpKind.ADD, 3, 3, 100))
+    mf.emit(RetF(3))
+    assert mf.decoded() is not stale and not mf.decoded().translations
+    assert simulate(program)[1].exit_value == 108
+    assert translated_regions(program) == 1
+
+
+def test_dropped_allocation_leaves_no_stale_entry():
+    """ld.a replaces the register's entry, so a dropped allocation must
+    also drop the old one: otherwise the old address keeps guarding the
+    new value and ld.c fabricates a hit."""
+
+    class DropSecond(FaultInjector):
+        def drop_allocation(self):
+            self.allocations = getattr(self, "allocations", 0) + 1
+            if self.allocations == 2:
+                self.stats.note("drop_alloc")
+                return True
+            return False
+
+    program = make_program(
+        [
+            Lea(0, Region.GLOBAL, 0x1000),     # X
+            Lea(1, Region.GLOBAL, 0x2000),     # Y
+            Ld(5, 0, LoadKind.ADVANCED),
+            Ld(5, 1, LoadKind.ADVANCED),       # allocation dropped
+            MovI(2, 7),
+            St(1, 2),
+            LdC(5, 1),
+            RetF(5),
+        ],
+        data={0x1000: 1, 0x2000: 2},
+    )
+    assert Simulator(program).run([]).exit_value == 7
+    faulted = Simulator(program, injector=DropSecond(FaultPlan())).run([])
+    assert faulted.alat_stats.chaos_dropped_allocations == 1
+    assert faulted.exit_value == 7
 
 
 def test_probed_observer_events_carry_the_live_instruction_count():
