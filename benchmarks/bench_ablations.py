@@ -4,9 +4,7 @@ Every sweep point is one :func:`repro.workloads.run_benchmark` call, the
 harness behind Figures 8–11: it compiles each mode, simulates it on the
 ref input, and checks its output against the unoptimised interpreter.
 An axis is a value in the modes table — a machine geometry, a workload,
-an extra mode — not a new measurement loop.  Each point reaches the
-results store (``REPRO_BENCH_STORE``) as full run records under
-``suite=ablation:<name>``.
+an extra mode — not a new measurement loop.
 
 * **A** (section 5): the ALAT is small; does capacity pressure matter?
 * **B** (section 5): the ALAT compares addresses for free; software
@@ -30,7 +28,7 @@ from repro.machine.cpu import MachineConfig
 from repro.pipeline import SpecMode
 from repro.workloads import BASELINE, SPECULATIVE, Workload, run_benchmark
 
-from conftest import publish_table, record_benchmark
+from conftest import publish_table
 
 
 def _gain(base, spec) -> float:
@@ -72,10 +70,6 @@ def alat_sweep():
             )
             r = run_benchmark(
                 name, _paper_modes(machine=machine), use_cache=False
-            )
-            record_benchmark(
-                r, suite="ablation:alat_size",
-                config={"alat_entries": entries},
             )
             rows[name][entries] = (
                 r.speculative.counters.check_failures,
@@ -150,7 +144,6 @@ def mode_runs():
     rows = {}
     for name in MODE_WORKLOADS:
         r = run_benchmark(name, _modes(), use_cache=False)
-        record_benchmark(r, suite="ablation:modes")
         rows[name] = {mode.label: mode.counters for mode in r.modes}
     return rows
 
@@ -325,9 +318,6 @@ def rate_sweep():
     for rate in RATES:
         r = run_benchmark(
             misspec_kernel(rate), _paper_modes(rounds=2), use_cache=False
-        )
-        record_benchmark(
-            r, suite="ablation:misspec_rate", config={"alias_every": rate}
         )
         rows[rate] = (r.cycle_reduction_pct, r.misspeculation_ratio_pct)
     return rows

@@ -23,27 +23,12 @@ from repro.analysis.probalias import (
 )
 from repro.workloads.programs import BENCHMARKS
 
-from conftest import bench_store, publish_table
+from conftest import publish_table
 
 
 @pytest.fixture(scope="module")
 def rows():
-    out = {name: compare_workload(name) for name in BENCHMARKS}
-    store = bench_store()
-    if store is not None:
-        from repro.obs.store import make_record
-
-        for r in out.values():
-            store.ingest(
-                make_record(
-                    r.workload,
-                    "static-alias",
-                    r.as_metrics(),
-                    kind="static-alias",
-                    suite="static-alias",
-                )
-            )
-    return out
+    return {name: compare_workload(name) for name in BENCHMARKS}
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))
@@ -77,9 +62,4 @@ def test_static_cycles_close_to_profiled(rows):
 
 
 def test_static_vs_profile_table(rows):
-    records = [
-        {"bench": r.workload, "metrics": r.as_metrics()}
-        for r in rows.values()
-    ]
-    table = comparison_table(records)
-    publish_table("static_vs_profile", table)
+    publish_table("static_vs_profile", comparison_table(list(rows.values())))

@@ -17,13 +17,6 @@ the tables, so CI's freshness diff of ``benchmarks/results/`` checks
 every simulated number exactly.  Host times stay out of it.  Set
 ``REPRO_BENCH_TRACE=1`` to also stream every benchmark run's structured
 event trace to ``results/traces/<bench>.<mode>.jsonl``.
-
-Results store: set ``REPRO_BENCH_STORE=1`` (or a directory path) to
-ingest every measurement into the experiment results store
-(``benchmarks/store`` by default) — the matrix runs as ``suite=matrix``
-run records, every ablation sweep point as ``suite=ablation:<name>``.
-Both are full run records (``store_records``): options, machine
-geometry and source hash included.
 """
 
 from __future__ import annotations
@@ -34,46 +27,8 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-STORE_DIR = pathlib.Path(__file__).parent / "store"
 
 _tables: dict[str, str] = {}
-_store = None
-_store_batch = None
-
-
-def bench_store():
-    """The session's :class:`repro.obs.store.ResultsStore`, or None
-    when ``REPRO_BENCH_STORE`` is unset.  All records ingested in one
-    pytest session share one batch id (one sweep)."""
-    global _store, _store_batch
-    spec = os.environ.get("REPRO_BENCH_STORE")
-    if not spec:
-        return None
-    if _store is None:
-        from repro.obs.store import ResultsStore, new_batch_id
-
-        root = STORE_DIR if spec == "1" else pathlib.Path(spec)
-        _store = ResultsStore(root)
-        _store_batch = new_batch_id()
-    return _store
-
-
-def record_benchmark(result, suite: str, config=None) -> None:
-    """Ingest one :class:`BenchmarkResult` (all modes) as run records;
-    no-op when the store is disabled."""
-    store = bench_store()
-    if store is None:
-        return
-    from repro.workloads.runner import store_records
-
-    store.ingest_many(
-        store_records(
-            {result.workload.name: result},
-            suite=suite,
-            batch=_store_batch,
-            config=config,
-        )
-    )
 
 
 def publish_table(name: str, table: str) -> None:
@@ -114,9 +69,7 @@ def all_results():
     if os.environ.get("REPRO_BENCH_TRACE"):
         trace_dir = str(RESULTS_DIR / "traces")
 
-    outcome = run_matrix(
-        jobs=0, trace_dir=trace_dir, profile_sites=bench_store() is not None
-    )
+    outcome = run_matrix(jobs=0, trace_dir=trace_dir)
     if outcome.failures:
         raise RuntimeError(
             "benchmark matrix failed:\n"
@@ -128,13 +81,4 @@ def all_results():
         json.dumps(figures_as_dict(results), indent=2) + "\n"
     )
     (RESULTS_DIR / "records.json").write_text(records_json(results))
-
-    store = bench_store()
-    if store is not None:
-        from repro.workloads.runner import store_records
-
-        store.ingest_many(
-            store_records(results, suite="matrix", batch=_store_batch)
-        )
-
     return results

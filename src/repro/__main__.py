@@ -160,28 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the human-readable metrics summary",
     )
     parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="ingest this run's metrics into the experiment results "
-        "store (e.g. benchmarks/store); implies profiling so the "
-        "record carries per-ALAT-site stats",
-    )
-    parser.add_argument(
-        "--store-bench",
-        metavar="NAME",
-        default=None,
-        help="benchmark name recorded in the store (default: the "
-        "source file's basename)",
-    )
-    parser.add_argument(
-        "--store-mode",
-        metavar="LABEL",
-        default=None,
-        help="measurement label recorded in the store (default: the "
-        "--spec mode)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="attribute retired cycles and ALAT events to MiniC source "
@@ -320,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             print(format_program(output.program))
             print()
 
-        want_profile = args.profile or args.diff_baseline or bool(args.store)
+        want_profile = args.profile or args.diff_baseline
         result = output.run(
             list(args.args), profile=want_profile, host_profiler=host
         )
@@ -394,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.flamegraph:
         write_flamegraph(args.flamegraph, obs, host)
 
-    if args.metrics_out or args.summary or args.store:
+    if args.metrics_out or args.summary:
         metrics = build_metrics(output, result, obs, host=host)
         if args.metrics_out == "-":
             json.dump(metrics, sys.stdout, indent=2)
@@ -405,33 +383,6 @@ def main(argv: list[str] | None = None) -> int:
                 f.write("\n")
         if args.summary:
             print(format_summary(metrics), file=sys.stderr)
-        if args.store:
-            from repro.obs.store import ResultsStore, make_record
-
-            sites = None
-            if result.profile is not None and result.profile.sites:
-                sites = [
-                    s.as_dict() for s in result.profile.sites.values()
-                ]
-            record = make_record(
-                args.store_bench
-                or os.path.splitext(os.path.basename(args.file))[0],
-                args.store_mode or args.spec,
-                metrics,
-                suite="cli",
-                source=source,
-                config={
-                    "options": options.describe(),
-                    "args": list(args.args),
-                    "train_args": list(train),
-                },
-                machine=options.machine,
-                sites=sites,
-            )
-            # obs is closed by now; the store.ingest trace event is
-            # only emitted by callers holding a live context.
-            run_id = ResultsStore(args.store).ingest(record)
-            print(f"store: recorded run {run_id}", file=sys.stderr)
 
     return result.exit_value % 256
 

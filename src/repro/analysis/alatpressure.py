@@ -944,47 +944,9 @@ def _main(argv: Optional[list[str]] = None) -> int:
         nargs="*",
         help="workload names (default: the full benchmark matrix)",
     )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="record per-workload calibration rows in the experiment "
-        "results store (kind=calibration)",
-    )
     args = parser.parse_args(argv)
 
     rows, problems = run_calibration(args.workloads or None)
-    if args.store:
-        from repro.obs.store import ResultsStore, make_record, new_batch_id
-
-        batch = new_batch_id()
-        store = ResultsStore(args.store)
-        for r in rows:
-            store.ingest(
-                make_record(
-                    r.workload,
-                    "calibration",
-                    {
-                        "calibration": {
-                            "predicted_peak": r.predicted_peak,
-                            "actual_peak": r.actual_peak,
-                            "predicted_miss_rate": r.predicted_miss_rate,
-                            "actual_miss_rate": r.actual_miss_rate,
-                            "miss_rate_error": r.miss_rate_error,
-                            "actual_evictions": r.actual_evictions,
-                            "candidates": r.candidates,
-                            "demotions": r.demotions,
-                        }
-                    },
-                    kind="calibration",
-                    suite="calibration",
-                    batch=batch,
-                )
-            )
-        print(
-            f"store: recorded {len(rows)} calibration row(s) in "
-            f"{args.store}"
-        )
     header = (
         f"{'workload':10s} {'peak pred/act':>14s} {'missrate pred/act':>18s} "
         f"{'evict':>6s} {'cands':>6s} {'demote':>7s}"

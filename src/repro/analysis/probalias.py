@@ -529,26 +529,6 @@ class ComparisonRow:
             )
         return out
 
-    def as_metrics(self) -> dict:
-        return {
-            "comparison": {
-                "candidates": self.candidates,
-                "agreements": self.agreements,
-                "agreement": self.agreement,
-                "profile_demotions": self.profile_demotions,
-                "static_demotions": self.static_demotions,
-                "scored_pairs": self.scored_pairs,
-                "brier": self.brier,
-                "output_match": self.output_match,
-                "cycles_profile": self.cycles_profile,
-                "cycles_static": self.cycles_static,
-                "evictions_profile": self.evictions_profile,
-                "evictions_static": self.evictions_static,
-                "recoveries_profile": self.recoveries_profile,
-                "recoveries_static": self.recoveries_static,
-            }
-        }
-
 
 def compare_workload(name: str) -> ComparisonRow:
     """Static vs profiled speculation for one workload.
@@ -691,32 +671,21 @@ def run_comparison(
     return rows, problems
 
 
-def comparison_table(records: list[dict]) -> str:
-    """Markdown static-vs-profiled table from results-store records
-    (kind ``static-alias``, as ingested by the calibration CLI)."""
+def comparison_table(rows: list[ComparisonRow]) -> str:
+    """Markdown static-vs-profiled table, one row per workload."""
     lines = [
         "| workload | agreement | Brier | demotions s/p | "
         "cycles static | cycles profile | evictions s/p | "
         "recoveries s/p |",
         "|---|---|---|---|---|---|---|---|",
     ]
-    for rec in sorted(records, key=lambda r: r.get("bench", "")):
-        c = rec["metrics"]["comparison"]
+    for r in sorted(rows, key=lambda r: r.workload):
         lines.append(
-            "| {bench} | {agree:.2f} | {brier:.3f} | {ds}/{dp} "
-            "| {cs} | {cp} | {es}/{ep} | {rs}/{rp} |".format(
-                bench=rec.get("bench", "?"),
-                agree=c["agreement"],
-                brier=c["brier"],
-                ds=c["static_demotions"],
-                dp=c["profile_demotions"],
-                cs=c["cycles_static"],
-                cp=c["cycles_profile"],
-                es=c["evictions_static"],
-                ep=c["evictions_profile"],
-                rs=c["recoveries_static"],
-                rp=c["recoveries_profile"],
-            )
+            f"| {r.workload} | {r.agreement:.2f} | {r.brier:.3f} "
+            f"| {r.static_demotions}/{r.profile_demotions} "
+            f"| {r.cycles_static} | {r.cycles_profile} "
+            f"| {r.evictions_static}/{r.evictions_profile} "
+            f"| {r.recoveries_static}/{r.recoveries_profile} |"
         )
     return "\n".join(lines)
 
@@ -746,56 +715,19 @@ def _main(argv: Optional[list[str]] = None) -> int:
         "diverges (CI gate)",
     )
     parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="record per-workload comparison rows in the experiment "
-        "results store (kind=static-alias)",
-    )
-    parser.add_argument(
         "--table",
         metavar="FILE",
         default=None,
-        help="write the static-vs-profiled markdown table, generated "
-        "from the results store (requires --store)",
+        help="write the static-vs-profiled markdown table",
     )
     args = parser.parse_args(argv)
-    if args.table and not args.store:
-        parser.error("--table requires --store")
 
     rows, problems = run_comparison(args.workloads or None)
 
-    if args.store:
-        from repro.obs.store import ResultsStore, make_record, new_batch_id
-
-        batch = new_batch_id()
-        store = ResultsStore(args.store)
-        for r in rows:
-            store.ingest(
-                make_record(
-                    r.workload,
-                    "static-alias",
-                    r.as_metrics(),
-                    kind="static-alias",
-                    suite="static-alias",
-                    config={"strict": args.strict},
-                    batch=batch,
-                )
-            )
-        print(
-            f"store: recorded {len(rows)} comparison row(s) in "
-            f"{args.store}"
-        )
-        if args.table:
-            records = [
-                rec
-                for rec in ResultsStore(args.store).records()
-                if rec.get("kind") == "static-alias"
-                and rec.get("batch") == batch
-            ]
-            with open(args.table, "w", encoding="utf-8") as fh:
-                fh.write(comparison_table(records) + "\n")
-            print(f"table: wrote {args.table}")
+    if args.table:
+        with open(args.table, "w", encoding="utf-8") as fh:
+            fh.write(comparison_table(rows) + "\n")
+        print(f"table: wrote {args.table}")
 
     header = (
         f"{'workload':10s} {'agree':>6s} {'brier':>7s} {'cands':>6s} "

@@ -80,13 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="record the campaign summary in the experiment results "
-        "store (kind=chaos)",
-    )
     args = parser.parse_args(argv)
     if args.runs <= 0:
         parser.error("--runs must be positive")
@@ -160,36 +153,6 @@ def main(argv=None) -> int:
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.summary())
-    if args.store:
-        from repro.obs.store import ResultsStore, make_record
-
-        record = make_record(
-            "chaos",
-            "campaign",
-            {
-                "chaos": {
-                    "programs": report.programs,
-                    "runs": report.runs,
-                    "skipped": report.skipped,
-                    "failures": len(report.failures),
-                    **{
-                        f"faults_{kind}": n
-                        for kind, n in sorted(
-                            report.faults_injected.items()
-                        )
-                    },
-                }
-            },
-            kind="chaos",
-            suite="chaos",
-            config={
-                "seed": args.seed,
-                "runs": args.runs,
-                "plans": args.plans,
-            },
-        )
-        run_id = ResultsStore(args.store).ingest(record)
-        print(f"store: recorded campaign {run_id}", file=sys.stderr)
     return 0 if report.ok else 1
 
 

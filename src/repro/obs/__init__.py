@@ -12,8 +12,8 @@ Its modules:
   :class:`ProfileReport`);
 * :mod:`repro.obs.diff` — baseline-vs-speculative run comparison
   (Figure 8 shape);
-* :mod:`repro.obs.store` — the experiment results store, also a CLI
-  (``python -m repro.obs.store``);
+* :mod:`repro.obs.dashboard` — the self-contained HTML dashboard of
+  one matrix run (``python -m repro.workloads --dashboard FILE``);
 * :mod:`repro.obs.telemetry` — host-side telemetry: the hot-loop
   :class:`HostProfiler` and the Chrome-trace / flamegraph exporters
   over the span tree :class:`TraceContext` records.
@@ -45,24 +45,8 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import NULL_TRACE, Span, TraceContext
 
-#: the results store is also an entry point (``python -m
-#: repro.obs.store``); re-exporting lazily keeps runpy from
-#: double-importing it.
-_STORE_EXPORTS = ("ResultsStore", "StoreError")
-
-
-def __getattr__(name: str):
-    if name in _STORE_EXPORTS:
-        from repro.obs import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "HostProfiler",
-    "ResultsStore",
-    "StoreError",
     "JsonlSink",
     "MemorySink",
     "NULL_SINK",

@@ -79,15 +79,12 @@ Event schema (documented in DESIGN.md §"Trace schema"):
                           ``allocations``, ``collisions``, ``evictions``,
                           ``check_hits``, ``check_failures``,
                           ``recovery_cycles``, ``kinds``)
-``store.ingest``          one run record appended to the results store
-                          (``run_id``, ``kind``, ``bench``, ``mode``,
-                          ``shard``)
 ``service.job``           one per terminal job in the service pool
                           (``job``, ``kind``, ``state``
                           completed/failed/timeout, ``attempts``,
                           ``from_cache``, ``wall_ms``, ``sha``)
 ``service.retry``         one per rescheduled attempt (``job``,
-                          ``reason`` transient/timeout/worker-crash,
+                          ``reason`` timeout/worker-crash,
                           ``attempt``, ``delay_ms`` backoff + jitter)
 ``service.cache``         one per artifact-cache access (``status``
                           hit/miss/store/stale/quarantine, ``key``

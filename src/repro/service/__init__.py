@@ -25,7 +25,6 @@ from repro.service.cache import ArtifactCache, CacheStats, artifact_sha, cache_k
 from repro.service.job import (
     COMPLETED,
     FAILED,
-    PERMANENT_ERRORS,
     TIMEOUT,
     JobError,
     JobResult,
@@ -46,7 +45,6 @@ __all__ = [
     "COMPLETED",
     "FAILED",
     "TIMEOUT",
-    "PERMANENT_ERRORS",
     "JobError",
     "JobResult",
     "JobSpec",

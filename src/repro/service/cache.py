@@ -8,8 +8,8 @@ the full compiler options (including machine geometry) and the
 run/train arguments; for a ``bench`` job only the benchmark's name and
 treatment.  What the payload leaves out (the compiler, a workload's
 source and inputs) is covered by the pipeline version,
-:func:`repro.obs.store.pipeline_version`, a hash of the package's code:
-any code change invalidates every entry at once.
+:func:`pipeline_version`, a hash of the package's code: any code change
+invalidates every entry at once.
 
 The robustness contract mirrors the ALAT's own (an entry may be lost at
 any time, never wrong):
@@ -29,6 +29,7 @@ Every lookup/store/quarantine emits one ``service.cache`` trace event.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -36,15 +37,44 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.store.core import canonical_json, pipeline_version
-
 #: cache entry format version (bump on shape changes)
 CACHE_SCHEMA = 1
 
+#: the ``repro`` package root, whose code :func:`pipeline_version` hashes
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
 #: payload keys excluded from the content address: they steer side
-#: effects (where records are ingested, where traces are written), not
-#: the computed artifact.
-VOLATILE_PAYLOAD_KEYS = frozenset({"store", "batch", "suite", "trace_dir"})
+#: effects (where traces are written), not the computed artifact.
+VOLATILE_PAYLOAD_KEYS = frozenset({"trace_dir"})
+
+
+def canonical_json(value) -> str:
+    """Deterministic JSON used for hashing (sorted keys, no spaces)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def code_version(root) -> str:
+    """SHA-256 (truncated to 16 hex chars) over every ``.py`` file under
+    ``root``: each file's path relative to ``root``, then its bytes, in
+    sorted path order."""
+    root = Path(root)
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for rel, path in files:
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_version() -> str:
+    """The code version folded into every cache key: any edit to the
+    package — to a compiler pass, a workload's source or its inputs
+    alike — changes it.  Computed once per process."""
+    return code_version(PACKAGE_ROOT)
 
 
 def artifact_sha(artifact: dict) -> str:

@@ -10,14 +10,10 @@ making that crossing safe:
   :class:`repro.pipeline.CompilerOptions` (including the nested machine
   geometry) losslessly;
 * :func:`serialize_error` / :class:`JobError` carry the existing
-  exception taxonomy across the boundary, preserving the split the
-  retry logic depends on: **permanent** verdicts
-  (:class:`~repro.errors.SourceError`,
-  :class:`~repro.errors.SpecLintError`,
-  :class:`~repro.errors.ConfigError` — and deterministic budget
-  exhaustion, :class:`~repro.errors.InterpTimeout` /
-  :class:`~repro.errors.MachineLimitExceeded`) are never retried, while
-  anything else is presumed transient and retried with backoff;
+  exception taxonomy (type, message, source location) across the
+  boundary.  Handlers are deterministic functions of their payload, so
+  an exception a handler raises is the job's verdict and is never
+  retried; only a missed deadline or a dead worker is;
 * :class:`ServiceLedger` is the accounting invariant the chaos harness
   audits: every submitted job ends in exactly one terminal state, so
   ``submitted == completed + failed + timed_out`` must always hold.
@@ -29,14 +25,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import (
-    ConfigError,
-    InterpTimeout,
-    MachineLimitExceeded,
-    ReproError,
-    SourceError,
-    SpecLintError,
-)
+from repro.errors import ReproError, SourceError
 
 
 class ServiceError(ReproError):
@@ -44,26 +33,10 @@ class ServiceError(ReproError):
     spec, protocol violation) — not a per-job compilation verdict."""
 
 
-#: exception classes whose verdict is deterministic: retrying the same
-#: (source, options, args) cannot change the outcome, so the job fails
-#: immediately instead of burning its retry budget.
-PERMANENT_ERRORS = (
-    SourceError,
-    SpecLintError,
-    ConfigError,
-    InterpTimeout,
-    MachineLimitExceeded,
-)
-
-
 def serialize_error(exc: BaseException) -> dict:
     """One exception as a JSON-able dict that survives the process
     boundary (the original class does not need to be picklable)."""
-    out = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "transient": not isinstance(exc, PERMANENT_ERRORS),
-    }
+    out = {"type": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, SourceError) and exc.line:
         out["loc"] = f"{exc.line}:{exc.column}"
     return out
@@ -75,7 +48,6 @@ class JobError:
 
     type: str
     message: str
-    transient: bool
     loc: Optional[str] = None
 
     @classmethod
@@ -83,7 +55,6 @@ class JobError:
         return cls(
             type=str(d.get("type", "Exception")),
             message=str(d.get("message", "")),
-            transient=bool(d.get("transient", True)),
             loc=d.get("loc"),
         )
 
@@ -148,8 +119,8 @@ class ServiceLedger:
     timed_out: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: retry attempts scheduled (transient errors + retried timeouts
-    #: + worker-crash requeues)
+    #: retry attempts scheduled (retried timeouts + worker-crash
+    #: requeues)
     retries: int = 0
     #: attempts that hit the per-job wall-clock deadline (the worker
     #: was SIGKILLed); terminal ``timed_out`` only after retries

@@ -17,10 +17,10 @@ same mechanism).  The event loop is:
    SIGKILLed first (after a last poll, so a just-delivered result is
    never discarded) and the attempt counts as a timeout.
 
-Failure routing: a **permanent** error (``transient=False`` — the
-source/speclint/config taxonomy) goes terminal ``failed`` immediately;
-a transient error or a timeout consumes one attempt from the
-:class:`~repro.service.retry.RetryPolicy` budget and is rescheduled
+Failure routing: an error a handler raises goes terminal ``failed``
+immediately — handlers are deterministic functions of their payload, so
+a retry would fail the same way; a timeout consumes one attempt from
+the :class:`~repro.service.retry.RetryPolicy` budget and is rescheduled
 with exponential backoff + jitter; a worker crash requeues the job
 without consuming its retry budget (the job did nothing wrong) but
 spends the pool-wide ``crash_budget`` — when that is exhausted the pool
@@ -290,7 +290,6 @@ class JobPool:
             "job_id": job.job_id,
             "kind": job.spec.kind,
             "payload": job.spec.payload,
-            "attempt": job.retry.attempts,
         }
         if job.hang_ms:
             request["inject_hang_ms"] = job.hang_ms
@@ -316,7 +315,7 @@ class JobPool:
         response, without the deadline (and without its injected hang)."""
         job.start = time.monotonic()
         response = execute_request(self._request(job), -1)
-        self._handle_response(job, response, time.monotonic())
+        self._handle_response(job, response)
 
     # -- failure paths --------------------------------------------------
 
@@ -352,7 +351,6 @@ class JobPool:
                                 f"worker died on {job.crashes} "
                                 "consecutive attempts"
                             ),
-                            transient=True,
                         ),
                         attempts=job.retry.attempts,
                     ),
@@ -401,7 +399,6 @@ class JobPool:
                             f"{job.spec.timeout_s or self.default_timeout_s:g}s "
                             f"wall-clock budget"
                         ),
-                        transient=True,
                     ),
                     attempts=job.retry.attempts,
                     wall_ms=(now - job.start) * 1e3,
@@ -410,8 +407,7 @@ class JobPool:
         else:
             self._reschedule(job, now, "timeout", next_at)
 
-    def _harvest(self, worker: WorkerHandle, response: dict,
-                 now: float) -> None:
+    def _harvest(self, worker: WorkerHandle, response: dict) -> None:
         job = worker.job
         worker.job = None
         worker.deadline = None
@@ -421,9 +417,9 @@ class JobPool:
                 f"{response.get('job_id')} from worker {worker.worker_id} "
                 f"which was running {job.job_id if job else 'nothing'}"
             )
-        self._handle_response(job, response, now)
+        self._handle_response(job, response)
 
-    def _handle_response(self, job: _Job, response: dict, now: float) -> None:
+    def _handle_response(self, job: _Job, response: dict) -> None:
         wall_ms = response.get("wall_ms", 0.0)
         if response["ok"]:
             artifact = response["artifact"]
@@ -443,29 +439,14 @@ class JobPool:
                 ),
             )
             return
-        error = JobError.from_dict(response["error"])
-        job.retry.attempts -= 1  # record_failure re-counts this attempt
-        if not error.transient:
-            job.retry.attempts += 1
-            self._finish(
-                job,
-                JobResult(
-                    spec=job.spec, state=FAILED, error=error,
-                    attempts=job.retry.attempts, wall_ms=wall_ms,
-                ),
-            )
-            return
-        next_at = job.retry.record_failure(now)
-        if next_at is None:
-            self._finish(
-                job,
-                JobResult(
-                    spec=job.spec, state=FAILED, error=error,
-                    attempts=job.retry.attempts, wall_ms=wall_ms,
-                ),
-            )
-        else:
-            self._reschedule(job, now, "transient", next_at)
+        self._finish(
+            job,
+            JobResult(
+                spec=job.spec, state=FAILED,
+                error=JobError.from_dict(response["error"]),
+                attempts=job.retry.attempts, wall_ms=wall_ms,
+            ),
+        )
 
     # -- the event loop -------------------------------------------------
 
@@ -528,7 +509,7 @@ class JobPool:
                 except (EOFError, OSError):
                     self._worker_died(worker, now)
                     continue
-                self._harvest(worker, response, now)
+                self._harvest(worker, response)
             for worker in self.workers:
                 if worker.busy and worker.deadline is not None \
                         and now >= worker.deadline:
@@ -536,7 +517,7 @@ class JobPool:
                     # the same tick beats the axe.
                     try:
                         if worker.conn.poll(0):
-                            self._harvest(worker, worker.conn.recv(), now)
+                            self._harvest(worker, worker.conn.recv())
                             continue
                     except (EOFError, OSError):
                         self._worker_died(worker, now)

@@ -19,15 +19,16 @@ Handlers are registered per job ``kind``:
 ``bench``
     one full workload-matrix benchmark (baseline + speculative modes),
     returning each mode's run record
-    (:func:`repro.workloads.runner.run_record`) — the shape the store
-    keeps and the figure tables rebuild from (cacheable);
+    (:func:`repro.workloads.runner.run_record`) — the shape
+    ``records.json`` holds and the figure tables rebuild from
+    (cacheable);
 ``chaos``
     one chaos-campaign program through its mode × fault-plan matrix,
     returning mergeable report increments (deterministic but not
     cached — campaigns are explicitly about re-executing);
 ``probe``
-    test/chaos support: a scriptable job that can succeed, fail
-    transiently or permanently, hang, or kill its own worker on demand.
+    test/chaos support: a scriptable job that can succeed, fail, hang,
+    or kill its own worker on demand.
 
 Every handler returns ``(artifact, extra)``: the artifact is the
 **deterministic** result (hashed, cached, compared byte-for-byte by the
@@ -44,7 +45,7 @@ from typing import Callable
 from repro.service.job import ServiceError, serialize_error
 
 #: handler registry: kind -> fn(payload, ctx) -> (artifact, extra);
-#: ctx carries {"attempt": int, "worker": int}
+#: ctx carries {"worker": int}
 HANDLERS: dict[str, Callable[[dict, dict], tuple[dict, dict]]] = {}
 
 #: job kinds whose artifacts are content-addressed and cacheable
@@ -169,9 +170,7 @@ def _run_chaos(payload: dict, ctx: dict) -> tuple[dict, dict]:
 def _run_probe(payload: dict, ctx: dict) -> tuple[dict, dict]:
     """Deterministic misbehaviour on demand.
 
-    ``fail_attempts``: raise a transient ``RuntimeError`` while
-    ``attempt <= fail_attempts`` (so retries eventually succeed);
-    ``error``: raise a permanent taxonomy error (``source``/``config``/
+    ``error``: raise a taxonomy error (``source``/``config``/
     ``speclint``); ``hang_ms``: sleep before answering; ``die``: kill
     this worker process without a response (a crash, from the parent's
     point of view).
@@ -180,10 +179,6 @@ def _run_probe(payload: dict, ctx: dict) -> tuple[dict, dict]:
         os._exit(17)
     if payload.get("hang_ms"):
         time.sleep(payload["hang_ms"] / 1000.0)
-    if ctx["attempt"] <= int(payload.get("fail_attempts", 0)):
-        raise RuntimeError(
-            f"probe transient failure (attempt {ctx['attempt']})"
-        )
     kind = payload.get("error")
     if kind == "source":
         from repro.errors import SourceError
@@ -208,7 +203,7 @@ def _run_probe(payload: dict, ctx: dict) -> tuple[dict, dict]:
 def execute_request(request: dict, worker_id: int) -> dict:
     """Run one request dict to one response dict (never raises)."""
     t0 = time.perf_counter()
-    ctx = {"attempt": int(request.get("attempt", 1)), "worker": worker_id}
+    ctx = {"worker": worker_id}
     try:
         fn = HANDLERS.get(request["kind"])
         if fn is None:

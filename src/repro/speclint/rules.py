@@ -231,9 +231,12 @@ class _FunctionLint:
         """A write that leaves the stored location holding the temp's
         register value, so register and memory agree again.  Two
         left-save shapes qualify: a write of exactly ``VarRead(t)``, and
-        a write of the same expression the immediately preceding
-        statement assigned to ``t`` (the emitter writes ``t = e;
-        home = e`` rather than reading the temp back)."""
+        a write of an expression ``e`` that ``t`` was assigned in the
+        run of assignments just before it (the emitter writes ``t = e;
+        home = e`` rather than reading the temp back, and SSAPRE
+        forwards one stored value into every temp caching the location:
+        ``t1 = e; t2 = e; *(q) = e``).  The run holds only assignments
+        of ``e`` to temps ``e`` does not read, and self-copies."""
         if isinstance(stmt, Assign) and stmt.target.has_memory_home:
             value = stmt.expr
         elif isinstance(stmt, Store):
@@ -242,15 +245,21 @@ class _FunctionLint:
             return False
         if isinstance(value, VarRead) and value.var.id == temp_id:
             return True
+        text = str(value)
+        reads = {e.var.id for e in walk_expr(value) if isinstance(e, VarRead)}
         block, idx = self.pos[stmt.sid]
-        if idx == 0:
-            return False
-        prev = block.stmts[idx - 1]
-        return (
-            isinstance(prev, Assign)
-            and prev.target.id == temp_id
-            and str(prev.expr) == str(value)
-        )
+        for j in range(idx - 1, -1, -1):
+            prev = block.stmts[j]
+            if not isinstance(prev, Assign):
+                return False
+            target = prev.target.id
+            if isinstance(prev.expr, VarRead) and prev.expr.var.id == target:
+                continue
+            if target in reads or str(prev.expr) != text:
+                return False
+            if target == temp_id:
+                return True
+        return False
 
     def _after(self, stmt: Stmt) -> tuple[BasicBlock, int]:
         block, idx = self.pos[stmt.sid]

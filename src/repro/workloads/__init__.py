@@ -21,7 +21,6 @@ from repro.workloads.runner import (
     WorkloadFailure,
     run_benchmark,
     run_record,
-    store_records,
     BASELINE,
     SPECULATIVE,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "WorkloadFailure",
     "run_benchmark",
     "run_record",
-    "store_records",
     "BASELINE",
     "SPECULATIVE",
     "figure8_table",

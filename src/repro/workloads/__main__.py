@@ -12,7 +12,9 @@ pool size or cache state, so runs compare with ``cmp`` (CI's
 ``service-smoke`` does exactly that).  ``--ledger-json`` writes the
 service ledger, the cache stats and each completed job's artifact hash.
 ``--trace FILE`` streams ``service.job`` / ``service.retry`` /
-``service.cache`` events as JSONL.
+``service.cache`` events as JSONL.  ``--dashboard FILE`` site-profiles
+the run and writes its self-contained HTML dashboard
+(:mod:`repro.obs.dashboard`).
 """
 
 from __future__ import annotations
@@ -65,12 +67,11 @@ def main(argv=None) -> int:
         "artifact hashes as JSON",
     )
     parser.add_argument(
-        "--store",
-        metavar="DIR",
+        "--dashboard",
+        metavar="FILE",
         default=None,
-        help="ingest every measurement into the experiment results "
-        "store (benchmarks/store); runs are site-profiled so records "
-        "carry per-ALAT-site stats",
+        help="write a self-contained HTML dashboard of this run; runs "
+        "are site-profiled so it shows per-ALAT-site pressure",
     )
     parser.add_argument(
         "--alias-prob",
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
             obs=obs,
             benchmarks=args.benchmarks or None,
             spec=args.alias_prob,
-            profile_sites=bool(args.store),
+            profile_sites=bool(args.dashboard),
             fuel=args.fuel,
             timeout_s=args.timeout,
             trace_dir=args.trace_dir,
@@ -134,18 +135,11 @@ def main(argv=None) -> int:
     finally:
         if obs is not None:
             obs.close()
-    if args.store and outcome.results:
-        from repro.obs.store import ResultsStore
-        from repro.workloads.runner import store_records
+    if args.dashboard and outcome.results:
+        from repro.obs.dashboard import render_dashboard
 
-        run_ids = ResultsStore(args.store).ingest_many(
-            store_records(outcome.results, suite="matrix")
-        )
-        print(
-            f"store: ingested {len(run_ids)} run record(s) into "
-            f"{args.store}",
-            file=sys.stderr,
-        )
+        with open(args.dashboard, "w", encoding="utf-8") as fh:
+            fh.write(render_dashboard(outcome.results) + "\n")
     if args.ledger_json:
         with open(args.ledger_json, "w", encoding="utf-8") as fh:
             payload = dict(outcome.ledger.as_dict())

@@ -180,7 +180,8 @@ def records_json(results: dict[str, BenchmarkResult]) -> str:
     Run records are deterministic (host times ride beside them), so two
     runs of the same code give the same bytes whatever the pool size or
     cache state.  A site-profiled run's ``sites`` list is left out, so
-    the bytes do not depend on whether the results store was on."""
+    the bytes do not depend on whether the run was site-profiled
+    (``--dashboard`` turns profiling on)."""
     doc = {
         name: {
             mode.label: {k: v for k, v in mode.record.items() if k != "sites"}

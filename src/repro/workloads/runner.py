@@ -110,13 +110,9 @@ class ModeResult:
     machine: Optional[MachineResult] = None
 
     @classmethod
-    def from_record(cls, record: dict, host: Optional[dict] = None) -> "ModeResult":
-        """Rebuild from a run record; without ``host``, the host
-        sections are taken from the record's metrics (a store record
-        keeps them there)."""
+    def from_record(cls, record: dict, host: dict) -> "ModeResult":
+        """Rebuild from a run record and its host sections."""
         metrics = record.get("metrics", {})
-        if host is None:
-            host = {k: metrics[k] for k in HOST_SECTIONS if k in metrics}
         known = {f.name for f in dataclasses.fields(Counters)}
         counters = Counters(**{
             k: v for k, v in metrics.get("counters", {}).items() if k in known
@@ -134,12 +130,6 @@ class ModeResult:
         wall ms, simulated steps per host second)."""
         return self.host.get("host", {})
 
-    @property
-    def metrics(self) -> dict:
-        """The whole ``build_metrics`` dict: the record's sections plus
-        the host ones."""
-        return {**self.record["metrics"], **self.host}
-
 
 def run_record(
     bench: str,
@@ -153,9 +143,9 @@ def run_record(
     The record holds the deterministic ``build_metrics`` sections, the
     options string and machine geometry, and — when the run was
     profiled — per-ALAT-site stats.  It is what a ``bench`` job returns
-    (the host sections ride in the job's ``extra``), what the results
-    store keeps, and what :meth:`BenchmarkResult.from_records` rebuilds
-    the figure tables from."""
+    (the host sections ride in the job's ``extra``), what
+    ``records.json`` holds, and what :meth:`BenchmarkResult.from_records`
+    rebuilds the figure tables from."""
     from repro.obs import build_metrics
 
     metrics = build_metrics(output, machine)
@@ -186,17 +176,15 @@ class BenchmarkResult:
     def from_records(
         cls,
         records: dict[str, dict],
-        host: Optional[dict[str, dict]] = None,
+        host: dict[str, dict],
         workload: Optional[Workload] = None,
     ) -> "BenchmarkResult":
-        """Rebuild from ``{mode label: run record}`` (plus, when known,
-        ``{mode label: host sections}``).  The reduction properties are
-        the real ones, so a table rendered from records is byte-identical
-        to one computed from the live runs that wrote them."""
+        """Rebuild from ``{mode label: run record}`` and ``{mode label:
+        host sections}``.  The reduction properties are the real ones,
+        so a table rendered from records is byte-identical to one
+        computed from the live runs that wrote them."""
         modes = {
-            label: ModeResult.from_record(
-                rec, None if host is None else host.get(label, {})
-            )
+            label: ModeResult.from_record(rec, host.get(label, {}))
             for label, rec in records.items()
         }
         return cls(
@@ -327,8 +315,8 @@ def run_benchmark(
     set, every mode run streams its structured event trace to
     ``{trace_dir}/{benchmark}.{mode}.jsonl``.  With ``profile_sites``,
     each run collects the per-ALAT-site attribution profile
-    (observational only — simulated counters are identical) so
-    results-store records carry per-site collision/eviction stats.
+    (observational only — simulated counters are identical) so the
+    run records carry per-site collision/eviction stats.
     ``fuel`` bounds every interpreter run (the reference oracle and the
     profile-training run); default :data:`DEFAULT_INTERP_FUEL`.
     """
@@ -375,41 +363,3 @@ def run_benchmark(
     if use_cache:
         _cache[key] = result
     return result
-
-
-# -- results-store ingestion --------------------------------------------
-
-
-def store_records(
-    results: dict[str, BenchmarkResult],
-    suite: str = "matrix",
-    batch: Optional[str] = None,
-    config: Optional[dict] = None,
-) -> list[dict]:
-    """One store run record per (benchmark, mode) measurement: the
-    mode's run record with its host sections merged back into the
-    metrics, and any sweep ``config`` extras merged into its config.
-    The source hash comes from ``result.workload``, so a workload
-    outside the registry is stored like a registered one.  Records
-    share one ``batch`` id (the sweep)."""
-    from repro.obs.store import make_record, new_batch_id
-
-    batch = batch or new_batch_id()
-    records = []
-    for name, result in sorted(results.items()):
-        for mode in result.modes:
-            rec = mode.record
-            records.append(
-                make_record(
-                    name,
-                    mode.label,
-                    mode.metrics,
-                    suite=suite,
-                    source=result.workload.source,
-                    config={**rec["config"], **(config or {})},
-                    machine=rec["machine"],
-                    sites=rec.get("sites"),
-                    batch=batch,
-                )
-            )
-    return records

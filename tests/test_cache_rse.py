@@ -24,7 +24,7 @@ from repro.machine.rse import RegisterStackEngine, RSEConfig
 )
 def test_bad_geometry_is_rejected_before_the_first_load(make):
     # A typed error at construction, not a ZeroDivisionError at the first
-    # access (which the job service would take for a transient fault).
+    # access.
     with pytest.raises(ConfigError):
         CacheHierarchy(make())
 

@@ -414,9 +414,12 @@ def test_compile_crash_is_minimised_against_the_same_crash(monkeypatch):
     assert campaign.compile_crash("int main() { return 0; }", mode, ()) is None
 
 
-#: ``python -m repro.chaos --seed 1 --runs 100 --minimize`` reduces two
-#: generated programs to these; both fail to compile under cascaded
-#: promotion with a speclint SPEC002 error (``(train, ref)`` args).
+#: ``python -m repro.chaos --seed 1 --runs 100 --minimize`` reduced two
+#: generated programs to these; both failed to compile under cascaded
+#: promotion with a speclint SPEC002 false positive (``(train, ref)``
+#: args): SSAPRE forwards a stored value into every temp caching the
+#: location, ``t1 = e; t2 = e; *(q) = e``, and the lint took the store
+#: as a sync only for ``t2``.
 SEED1_REDUCED_CRASHES = {
     "alias-64": ((82,), (18,), """\
 int g0; int g1; int g2; int g3;
@@ -459,15 +462,8 @@ int main(int n) {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=SpecLintError,
-    reason="known defect: speclint SPEC002 under rounds=2 (ROADMAP item 1)",
-)
 @pytest.mark.parametrize("name", sorted(SEED1_REDUCED_CRASHES))
 def test_seed1_reduced_crash_compiles_and_matches_oracle(name):
-    """The fix for the known SPEC002 failures makes this pass, and must
-    then remove the ``xfail`` marker."""
     train, ref, source = SEED1_REDUCED_CRASHES[name]
     oracle = run_program(source, list(ref))
     options = CompilerOptions(

@@ -148,7 +148,8 @@ def _compile_every_mode(source: str, train_args) -> None:
         try:
             compile_source(source, options, train_args=list(train_args))
         except SpecLintError as exc:
-            # the known speclint SPEC002 findings (ROADMAP item 1)
+            # the one known speclint SPEC002 shape left, about 1
+            # program in 2,800 (copy propagation, ROADMAP item 1)
             assert {d.rule for d in exc.report.errors} == {"SPEC002"}
 
 

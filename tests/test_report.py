@@ -6,7 +6,8 @@
   (hand-built deterministic spans — regenerate with
   ``REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_report.py``);
 * golden-file tests for the workload report tables, rendered from
-  stored run records.
+  run records;
+* the HTML dashboard of a matrix run (:mod:`repro.obs.dashboard`).
 """
 
 from __future__ import annotations
@@ -146,11 +147,10 @@ def test_synthetic_flamegraph_accounting():
 
 
 def _stored_matrix_results():
-    """Two benches of fixed counters/host numbers rebuilt from store run
-    records (``BenchmarkResult.from_records``) — deterministic inputs,
-    so the figure and matrix renderers can be golden-tested
-    byte-for-byte."""
-    from repro.obs.store import make_record
+    """Two benches of fixed counters/host numbers rebuilt from plain run
+    records and host sections (``BenchmarkResult.from_records``) —
+    deterministic inputs, so the figure and matrix renderers can be
+    golden-tested byte-for-byte."""
     from repro.workloads.runner import BenchmarkResult
 
     def counters(cycles, data, loads, indirect, checks, failures):
@@ -175,24 +175,22 @@ def _stored_matrix_results():
             counters(18_500, 6_600, 2_100, 760, 120, 0),
         ),
     }
-    latest = {}
+    results = {}
     for bench, (base, spec) in fixtures.items():
-        latest[bench] = {}
+        records, host = {}, {}
         for mode, ctr, wall, steps in (
             ("baseline", base, 120.0, 480_000.0),
             ("speculative", spec, 110.5, 520_000.0),
         ):
-            latest[bench][mode] = make_record(
-                bench, mode,
-                {"counters": ctr,
-                 "host": {"wall_ms": wall, "simulate_wall_ms": wall - 20.0,
-                          "sim_steps_per_sec": steps}},
-                suite="matrix", timestamp=1.0, git_rev=None,
-            )
-    return {
-        bench: BenchmarkResult.from_records(records)
-        for bench, records in latest.items()
-    }
+            records[mode] = {
+                "bench": bench, "mode": mode, "metrics": {"counters": ctr},
+            }
+            host[mode] = {
+                "host": {"wall_ms": wall, "simulate_wall_ms": wall - 20.0,
+                         "sim_steps_per_sec": steps},
+            }
+        results[bench] = BenchmarkResult.from_records(records, host)
+    return results
 
 
 @pytest.mark.parametrize(
@@ -231,3 +229,66 @@ def test_stored_mode_reconstructs_derived_ratios():
     assert spec.counters.misspeculation_ratio == pytest.approx(2 / 40)
     assert spec.counters.checks_per_load == pytest.approx(40 / (860 + 40))
     assert spec.retired_direct_loads == 860 - 340
+
+
+# -- HTML dashboard ---------------------------------------------------------
+
+
+def _dashboard_results():
+    """Three benches of one run, the speculative modes site-profiled."""
+    from repro.workloads.runner import BenchmarkResult
+
+    def record(bench, mode, cycles, site_collisions=None):
+        rec = {
+            "bench": bench,
+            "mode": mode,
+            "metrics": {
+                "counters": {
+                    "cpu_cycles": cycles,
+                    "data_access_cycles": cycles // 3,
+                    "retired_loads": 100,
+                    "retired_indirect_loads": 40,
+                    "check_instructions": 10,
+                    "check_failures": 1,
+                    "recovery_cycles": 5,
+                },
+                "alat": {"capacity_evictions": 2, "store_collisions": 1},
+            },
+        }
+        if site_collisions is not None:
+            rec["sites"] = [{"site": "p", "line": 3, "allocations": 5,
+                             "collisions": site_collisions, "evictions": 1}]
+        return rec
+
+    host = {"host": {"wall_ms": 12.5, "sim_steps_per_sec": 1e6}}
+    return {
+        bench: BenchmarkResult.from_records(
+            {"baseline": record(bench, "baseline", 2000 + i),
+             "speculative": record(bench, "speculative", 1500, i)},
+            {"baseline": host, "speculative": host},
+        )
+        for i, bench in enumerate(("gzip", "vpr", "mcf"))
+    }
+
+
+def test_dashboard_is_self_contained():
+    from repro.obs.dashboard import render_dashboard
+
+    html = render_dashboard(_dashboard_results())
+    assert html.lstrip().startswith("<!DOCTYPE html>")
+    for bench in ("gzip", "vpr", "mcf"):
+        assert bench in html
+    assert "<svg" in html  # site bars inline
+    assert "prefers-color-scheme" in html  # dark mode present
+    # self-contained: no external fetches of any kind
+    for marker in ("http://", "https://", "<script src", "<link"):
+        assert marker not in html, f"external reference: {marker}"
+
+
+def test_dashboard_sections_present():
+    from repro.obs.dashboard import render_dashboard
+
+    html = render_dashboard(_dashboard_results())
+    assert "ALAT site pressure" in html
+    assert "baseline" in html and "speculative" in html
+    assert "cpu" in html.lower()

@@ -2,10 +2,11 @@
 
 The retry/backoff tests run against a fake clock and a seeded RNG (no
 sleeps); the pool tests use ``probe`` jobs — deterministic
-misbehaviour on demand (transient failures, permanent taxonomy errors,
-hangs, worker suicide) — so every failure-routing path is exercised
-with real forked processes in well under a second each, and on the
-in-process pool (``jobs=0``) where a path does not need a process.
+misbehaviour on demand (taxonomy errors, hangs, worker suicide) — and
+a compile job whose guest divides by zero, so every failure-routing
+path is exercised with real forked processes in well under a second
+each, and on the in-process pool (``jobs=0``) where a path does not
+need a process.
 """
 
 from __future__ import annotations
@@ -130,6 +131,23 @@ def test_cache_stale_pipeline_version_deleted_quietly(tmp_path):
     assert not path.exists()
 
 
+def test_pipeline_version_follows_the_code(tmp_path):
+    """Cache keys carry a hash of the package's code, so a one-byte
+    edit anywhere in it changes them."""
+    import shutil
+
+    from repro.service.cache import PACKAGE_ROOT, code_version, pipeline_version
+
+    tree = tmp_path / "repro"
+    shutil.copytree(PACKAGE_ROOT, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert code_version(tree) == pipeline_version()
+    target = tree / "workloads" / "programs.py"
+    data = target.read_bytes()
+    target.write_bytes(data.replace(b"420", b"421", 1))
+    assert code_version(tree) != pipeline_version()
+
+
 def test_cache_entry_under_wrong_key_quarantined(tmp_path):
     cache = ArtifactCache(tmp_path)
     key_a = cache_key("probe", {"x": 4})
@@ -144,7 +162,7 @@ def test_cache_entry_under_wrong_key_quarantined(tmp_path):
 
 def test_cache_key_ignores_volatile_payload_keys():
     base = cache_key("bench", {"bench": "gzip"})
-    assert cache_key("bench", {"bench": "gzip", "store": "/tmp/s"}) == base
+    assert cache_key("bench", {"bench": "gzip", "trace_dir": "/tmp/t"}) == base
     assert cache_key("bench", {"bench": "vpr"}) != base
     assert cache_key("compile", {"bench": "gzip"}) != base
 
@@ -176,6 +194,36 @@ def probe(label: str, timeout_s: float = 30.0, **payload) -> JobSpec:
     )
 
 
+#: a guest that divides by zero: the profile-training run raises
+#: ``InterpError`` on every attempt
+DIVIDES_BY_ZERO = """
+int g;
+int main(int n) {
+    g = 10 / n;
+    print(g);
+    return 0;
+}
+"""
+
+
+def guest_error_spec() -> JobSpec:
+    from repro import CompilerOptions, OptLevel, SpecMode
+
+    return JobSpec(
+        kind="compile",
+        payload={
+            "source": DIVIDES_BY_ZERO,
+            "options": options_to_dict(CompilerOptions(
+                opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE,
+            )),
+            "args": [0],
+            "train_args": [0],
+            "name": "div0",
+        },
+        label="compile:div0",
+    )
+
+
 def test_pool_routes_every_outcome_and_balances_ledger():
     policy = RetryPolicy(
         max_attempts=3, base_delay=0.01, jitter=0.0, retry_timeouts=False
@@ -183,7 +231,7 @@ def test_pool_routes_every_outcome_and_balances_ledger():
     with JobPool(jobs=2, retry_policy=policy, crash_budget=8) as pool:
         ids = {
             "ok": pool.submit(probe("ok", value=7)),
-            "flaky": pool.submit(probe("flaky", fail_attempts=1, value=1)),
+            "guest": pool.submit(guest_error_spec()),
             "permanent": pool.submit(probe("permanent", error="source")),
             "crash": pool.submit(probe("crash", die=True)),
             "hang": pool.submit(
@@ -197,8 +245,9 @@ def test_pool_routes_every_outcome_and_balances_ledger():
     assert ok.state == COMPLETED and ok.artifact == {"value": 7}
     assert ok.attempts == 1 and not ok.from_cache
 
-    flaky = res[ids["flaky"]]
-    assert flaky.state == COMPLETED and flaky.attempts == 2
+    guest = res[ids["guest"]]  # deterministic: never retried
+    assert guest.state == FAILED and guest.attempts == 1
+    assert guest.error.type == "InterpError"
 
     perm = res[ids["permanent"]]
     assert perm.state == FAILED and perm.attempts == 1  # never retried
@@ -216,9 +265,19 @@ def test_pool_routes_every_outcome_and_balances_ledger():
     led = pool.ledger
     assert led.balanced()
     assert led.submitted == 5
-    assert led.completed == 2 and led.failed == 2 and led.timed_out == 1
+    assert led.completed == 1 and led.failed == 3 and led.timed_out == 1
     assert led.worker_crashes >= 3  # the crasher burns its attempts
     assert led.workers_respawned >= 3
+    assert led.retries == led.worker_crashes - 1  # only crash requeues
+
+
+def test_pool_never_retries_a_guest_error_on_workers():
+    policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
+    with JobPool(jobs=2, retry_policy=policy) as pool:
+        (result,) = pool.run([guest_error_spec()])
+    assert result.state == FAILED and result.attempts == 1
+    assert result.error.type == "InterpError"
+    assert pool.ledger.retries == 0
 
 
 def test_pool_timeout_consumes_retry_budget_when_retryable():
@@ -241,9 +300,9 @@ def test_pool_jobs_zero_runs_in_process():
     policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
     children = set(multiprocessing.active_children())
     with JobPool(jobs=0, retry_policy=policy) as pool:
-        ok, flaky, perm = pool.run([
+        ok, guest, perm = pool.run([
             probe("ok", value=7),
-            probe("flaky", fail_attempts=1, value=1),
+            guest_error_spec(),
             probe("permanent", error="config"),
         ])
         assert pool.workers == []
@@ -251,10 +310,11 @@ def test_pool_jobs_zero_runs_in_process():
     # Same handlers and routing as a worker, run by the coordinator.
     assert ok.state == COMPLETED and ok.artifact == {"value": 7}
     assert ok.extra == {"worker": -1}
-    assert flaky.state == COMPLETED and flaky.attempts == 2
+    assert guest.state == FAILED and guest.attempts == 1
+    assert guest.error.type == "InterpError"
     assert perm.state == FAILED and perm.attempts == 1
     assert perm.error.type == "ConfigError"
-    assert pool.ledger.balanced() and pool.ledger.retries == 1
+    assert pool.ledger.balanced() and pool.ledger.retries == 0
     with pytest.raises(ServiceError):
         JobPool(jobs=-1)
 
@@ -366,24 +426,18 @@ def test_matrix_degrades_in_process_with_the_same_failure():
 
 def test_matrix_records_match_across_pool_sizes():
     from repro.service.matrix import run_matrix
-    from repro.workloads.runner import store_records
 
-    records = [
-        store_records(
-            run_matrix(jobs=jobs, benchmarks=["vortex"],
-                       profile_sites=True).results
-        )
+    inline, forked = (
+        run_matrix(jobs=jobs, benchmarks=["vortex"],
+                   profile_sites=True).results["vortex"]
         for jobs in (0, 2)
-    ]
-    inline, forked = records
-    assert [r["run_id"] for r in inline] == [r["run_id"] for r in forked]
-    for a, b in zip(inline, forked):
-        assert a["metrics"].keys() == b["metrics"].keys()
-        for section in ("counters", "alat", "cache", "rse", "pre"):
-            assert a["metrics"][section] == b["metrics"][section]
-        assert a.get("sites") == b.get("sites")
-        assert "host" in a["metrics"] and "phase_wall_ms" in a["metrics"]
-    assert inline[1]["sites"]  # the speculative mode was site-profiled
+    )
+    for a, b in zip(inline.modes, forked.modes):
+        assert a.label == b.label
+        assert a.record == b.record  # counters, PRE, ALAT, cache, RSE, sites
+        assert a.host.keys() == b.host.keys()
+        assert "host" in a.host and "phase_wall_ms" in a.host
+    assert inline.speculative.record["sites"]  # site-profiled
 
 
 # -- service-level chaos -------------------------------------------------

@@ -30,9 +30,9 @@ from repro.workloads.programs import BENCHMARKS, get_workload
 from repro.workloads.runner import BASELINE, SPECULATIVE
 
 #: generated programs compared; the seed prefix picks a batch that the
-#: compiler accepts under every mode (about 1 program in 500 still trips
-#: speclint SPEC002 -- a compiler bug the chaos campaign reports, not a
-#: simulator one)
+#: compiler accepts under every mode (about 1 program in 2,800 still
+#: trips speclint SPEC002 after copy propagation -- a compiler bug the
+#: chaos campaign reports, not a simulator one)
 GENERATED = 50
 
 

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.errors import SpecLintError, VerificationError
-from repro.ir.stmt import Assign, Call, SpecFlag
+from repro.ir.expr import BinOp, BinOpKind, ConstInt, VarRead
+from repro.ir.stmt import Assign, Call, SpecFlag, Store
 from repro.ir.verify import verify_module
 from repro.machine.alat import ALATConfig
 from repro.machine.cpu import MachineConfig
@@ -256,6 +257,74 @@ def test_cascade_sources_pass_strict(mode, rounds):
         # safety rules against false positives, so filter them out.
         diags = [d for d in out.diagnostics if d.rule != "PRESSURE"]
         assert not diags, [d.format() for d in diags]
+
+
+#: SSAPRE under ``rounds=2`` forwards the value of ``*p0 = arr[..]``
+#: into both temps caching the location, then stores it:
+#: ``pi5 = pi7; pi6 = pi7; *(pr2) = pi7`` (a reduced chaos program).
+FORWARDED_STORE_SRC = """
+int g0; int g1; int g2; int g3;
+int arr[8];
+int *p0;
+int helper(int x) {
+}
+int main(int n) {
+    p0 = &g0;
+    int s = 0;
+    for (int i = 0; i < n % 9; i = i + 1) {
+            s = s + helper(((i + g1) * (*p0 * i)));
+            *p0 = arr[i % 8];
+            if (s > 4200) { break; }
+            s = s + (arr[i % 8] * *p0);
+    }
+}
+"""
+
+
+def _forwarded_store(out):
+    """The store ending a run ``t1 = e; t2 = e; *(q) = e``."""
+    def shape(block, i):
+        stmt = block.stmts[i]
+        return (
+            isinstance(stmt, Store) and i >= 2
+            and all(
+                isinstance(prev, Assign) and str(prev.expr) == str(stmt.value)
+                for prev in block.stmts[i - 2:i]
+            )
+        )
+
+    for fn in out.module.iter_functions():
+        for block in fn.blocks:
+            for i in range(len(block.stmts)):
+                if shape(block, i):
+                    return block, i
+    raise AssertionError("expected a forwarded store")
+
+
+def test_forwarded_store_syncs_every_temp_of_the_run():
+    out = compile_spec(FORWARDED_STORE_SRC, train=(82,))
+    _forwarded_store(out)
+    assert not lint_output(out).errors
+
+
+def test_sync_run_broken_by_a_write_to_a_read_temp_still_fires():
+    """``t1 = x + 1; x = x + 1; t2 = x + 1; *(q) = x + 1``: every
+    assignment has the stored text, but the middle one writes ``x``, so
+    the store syncs ``t2`` only.  ``t1`` holds the old value, and its
+    reuse past the store must be flagged."""
+    out = compile_spec(FORWARDED_STORE_SRC, train=(82,))
+    block, i = _forwarded_store(out)
+    x = block.stmts[i].value.var
+
+    def bumped():
+        return BinOp(BinOpKind.ADD, VarRead(x), ConstInt(1))
+
+    for stmt in block.stmts[i - 2:i]:
+        stmt.expr = bumped()
+    block.stmts[i].value = bumped()
+    block.stmts.insert(i - 1, Assign(x, bumped()))
+    errors = [d for d in lint_output(out).errors if d.rule == "SPEC002"]
+    assert errors
 
 
 @pytest.mark.parametrize("bench", ["gzip", "mcf", "equake"])

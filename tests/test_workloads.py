@@ -110,27 +110,6 @@ def test_runner_cache_keys_on_workload_content():
     assert two.workload == _unregistered(2)
 
 
-def test_store_records_of_an_unregistered_workload():
-    """``store_records`` takes the source from the result, so a sweep
-    over workloads outside the registry stores full run records."""
-    from repro.obs.store.core import source_sha
-    from repro.workloads.runner import store_records
-
-    workload = _unregistered(3)
-    records = store_records(
-        {workload.name: run_benchmark(workload)},
-        suite="ablation:test", config={"scale": 3},
-    )
-    assert [r["mode"] for r in records] == ["baseline", "speculative"]
-    for record in records:
-        assert record["bench"] == "tiny"
-        assert record["suite"] == "ablation:test"
-        assert record["source_sha"] == source_sha(workload.source)
-        assert record["config"]["scale"] == 3
-        assert record["config"]["options"]
-        assert record["machine"]["alat"]["entries"] == 32
-
-
 def test_baseline_and_speculative_options_differ():
     base, spec = BASELINE(), SPECULATIVE()
     assert base.spec_mode != spec.spec_mode
@@ -173,7 +152,7 @@ def test_records_json_is_sorted_run_records_without_host_times(
     """What the bench session commits as ``records.json`` and
     ``--report-json`` writes: each mode's run record, sorted, with no
     host section, and the same bytes whether or not the run was
-    site-profiled (the results store turns profiling on)."""
+    site-profiled (``--dashboard`` turns profiling on)."""
     import json
 
     import repro.workloads.__main__ as cli
@@ -199,6 +178,26 @@ def test_records_json_is_sorted_run_records_without_host_times(
     report = tmp_path / "report.json"
     assert cli.main(["--report-json", str(report)]) == 0
     assert report.read_text() == text
+
+
+def test_cli_dashboard_renders_its_own_run(tmp_path):
+    """``--dashboard`` site-profiles the run and renders it; the run
+    records it writes beside are those of an unprofiled run."""
+    import repro.workloads.__main__ as cli
+    from repro.workloads.report import records_json
+
+    html_path = tmp_path / "dashboard.html"
+    report = tmp_path / "report.json"
+    assert cli.main([
+        "--benchmarks", "vpr", "--dashboard", str(html_path),
+        "--report-json", str(report),
+    ]) == 0
+    assert report.read_text() == records_json({"vpr": run_benchmark("vpr")})
+    html = html_path.read_text()
+    assert "vpr" in html
+    assert "<svg" in html and "ALAT site pressure" in html
+    for marker in ("http://", "https://", "<script src", "<link"):
+        assert marker not in html, f"external reference: {marker}"
 
 
 # -- CLI exit-code contract ---------------------------------------------
