@@ -118,17 +118,17 @@ def solve(
     solved: dict[int, Optional[frozenset]] = {b.bid: None for b in order}
     met: dict[int, frozenset] = {}
 
-    def edges_in(block: BasicBlock) -> list[BasicBlock]:
-        if direction == FORWARD:
-            return [p for p in block.preds if p.bid in reachable]
-        return [s for s in block.successors() if s.bid in reachable]
-
-    entry_bid = rpo[0].bid
-
-    def is_boundary(block: BasicBlock) -> bool:
-        if direction == FORWARD:
-            return block.bid == entry_bid
-        return not list(block.successors())
+    # The CFG does not change during a solve, so each block's edges and
+    # boundary test are taken once.  ``edges_in`` feed a block's meet;
+    # ``edges_out`` lead to the blocks requeued when its value changes.
+    preds = {b.bid: [p for p in b.preds if p.bid in reachable] for b in order}
+    succs = {b.bid: [s for s in b.successors() if s.bid in reachable] for b in order}
+    if direction == FORWARD:
+        edges_in, edges_out = preds, succs
+        boundary_bids = {rpo[0].bid}
+    else:
+        edges_in, edges_out = succs, preds
+        boundary_bids = {bid for bid, out in succs.items() if not out}
 
     worklist: deque[BasicBlock] = deque(order)
     queued = {b.bid for b in order}
@@ -142,20 +142,17 @@ def solve(
                 f"{direction} dataflow in {fn.name!r} exceeded "
                 f"{max_visits} block visits without converging"
             )
-        incoming = [solved[e.bid] for e in edges_in(block)]
+        incoming = [solved[e.bid] for e in edges_in[block.bid]]
         known = [v for v in incoming if v is not None]
-        if is_boundary(block):
+        if block.bid in boundary_bids:
             known.append(boundary)
         value = _meet_values(known, meet) if known else frozenset()
         met[block.bid] = value
         new = transfer(block, value)
         if new != solved[block.bid]:
             solved[block.bid] = new
-            targets = (
-                block.successors() if direction == FORWARD else block.preds
-            )
-            for t in targets:
-                if t.bid in reachable and t.bid not in queued:
+            for t in edges_out[block.bid]:
+                if t.bid not in queued:
                     worklist.append(t)
                     queued.add(t.bid)
 

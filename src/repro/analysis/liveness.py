@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.analysis import dataflow
 from repro.ir.cfg import BasicBlock
 from repro.ir.function import Function
-from repro.ir.stmt import stmt_defines
+from repro.ir.stmt import ConditionalReload, stmt_defines
 from repro.ir.expr import VarRead
 from repro.ir.symbols import Variable
 
@@ -68,8 +68,6 @@ def _block_use_def(block: BasicBlock) -> tuple[set[int], set[int]]:
                     if isinstance(expr, VarRead) and expr.var.id not in defs:
                         uses.add(expr.var.id)
         # ConditionalReload reads its temp implicitly (may keep old value)
-        from repro.ir.stmt import ConditionalReload
-
         if isinstance(stmt, ConditionalReload) and stmt.temp.id not in defs:
             uses.add(stmt.temp.id)
         target = stmt_defines(stmt)

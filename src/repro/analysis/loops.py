@@ -73,8 +73,9 @@ def find_natural_loops(fn: Function, domtree: DominatorTree) -> LoopForest:
     header dominates the latch), the loop body is every block that can
     reach the latch without passing through the header."""
     loops_by_header: dict[int, Loop] = {}
-    reachable = {b.bid for b in fn.reachable_blocks()}
-    for block in fn.reachable_blocks():
+    blocks = fn.reachable_blocks()
+    reachable = {b.bid for b in blocks}
+    for block in blocks:
         for succ in block.successors():
             if domtree.dominates(succ, block):
                 loop = loops_by_header.setdefault(succ.bid, Loop(succ))
@@ -85,6 +86,57 @@ def find_natural_loops(fn: Function, domtree: DominatorTree) -> LoopForest:
         loop.blocks.add(loop.header.bid)
     _nest_loops(loops)
     return LoopForest(loops)
+
+
+def cyclic_blocks(fn: Function) -> set[int]:
+    """Ids of the blocks that lie on a CFG cycle: the members of every
+    strongly connected component with more than one block, plus each
+    block that branches to itself.
+
+    Unlike :func:`find_natural_loops` this needs no dominance, so it
+    also sees the cycles of irreducible CFGs, which IR built through
+    the builder API may have.  Tarjan's algorithm, iterative."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[BasicBlock] = []
+    on_stack: set[int] = set()
+    cyclic: set[int] = set()
+    for root in fn.blocks:
+        if root.bid in index:
+            continue
+        index[root.bid] = low[root.bid] = len(index)
+        stack.append(root)
+        on_stack.add(root.bid)
+        frames = [(root, iter(root.successors()))]
+        while frames:
+            block, succs = frames[-1]
+            for succ in succs:
+                if succ.bid not in index:
+                    index[succ.bid] = low[succ.bid] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ.bid)
+                    frames.append((succ, iter(succ.successors())))
+                    break
+                if succ is block:
+                    cyclic.add(block.bid)
+                if succ.bid in on_stack:
+                    low[block.bid] = min(low[block.bid], index[succ.bid])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent.bid] = min(low[parent.bid], low[block.bid])
+                if low[block.bid] == index[block.bid]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member.bid)
+                        component.append(member.bid)
+                        if member is block:
+                            break
+                    if len(component) > 1:
+                        cyclic.update(component)
+    return cyclic
 
 
 def _collect_body(loop: Loop, latch: BasicBlock, reachable: set[int]) -> None:

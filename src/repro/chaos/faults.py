@@ -230,6 +230,13 @@ class FaultInjector:
         self.stats.note("spurious_invalidate")
         return self.rng.choice(live)
 
+    @property
+    def flushes(self) -> bool:
+        """Whether :meth:`context_switch` can ever return True.  When it
+        cannot, it draws no random number either, so the simulator may
+        skip the call without moving the RNG stream."""
+        return bool(self.plan.flush_rate)
+
     def context_switch(self) -> bool:
         """True = flush the whole ALAT at this retired instruction."""
         rate = self.plan.flush_rate

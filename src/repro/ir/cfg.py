@@ -41,8 +41,10 @@ class BasicBlock:
         return self.terminator is not None
 
     def successors(self) -> tuple["BasicBlock", ...]:
-        term = self.terminator
-        return term.targets() if term is not None else ()
+        stmts = self.stmts
+        if stmts and isinstance(stmts[-1], Terminator):
+            return stmts[-1].targets()
+        return ()
 
     # -- mutation -----------------------------------------------------
 

@@ -219,9 +219,26 @@ class UnOp(Expr):
 
 def walk_expr(expr: Expr) -> Iterator[Expr]:
     """Pre-order traversal of an expression tree."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expr(child)
+    return walk_exprs_of((expr,))
+
+
+def walk_exprs_of(roots: tuple[Expr, ...]) -> Iterator[Expr]:
+    """Pre-order traversal of several expression trees in turn.
+
+    One generator with an explicit stack instead of a recursive
+    ``yield from`` per node.  A node's children are read when the
+    walk resumes after yielding it, as the recursive walk read them, so
+    a caller that rewrites a node's children before resuming sees the
+    same nodes."""
+    stack = list(roots)
+    stack.reverse()
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        children = node.children()
+        if children:
+            extend(children[::-1])
 
 
 def expr_reads_memory(expr: Expr) -> bool:

@@ -78,19 +78,24 @@ class Function:
                 succ.preds.append(b)
 
     def reachable_blocks(self) -> list[BasicBlock]:
-        """Blocks reachable from entry, in reverse-postorder."""
-        seen: set[int] = set()
+        """Blocks reachable from entry, in reverse-postorder (of a
+        depth-first walk taking successors in branch order)."""
+        if not self.blocks:
+            return []
+        entry = self.entry
+        seen = {entry.bid}
         order: list[BasicBlock] = []
-
-        def dfs(block: BasicBlock) -> None:
-            seen.add(block.bid)
-            for succ in block.successors():
+        frames = [(entry, iter(entry.successors()))]
+        while frames:
+            block, succs = frames[-1]
+            for succ in succs:
                 if succ.bid not in seen:
-                    dfs(succ)
-            order.append(block)
-
-        if self.blocks:
-            dfs(self.entry)
+                    seen.add(succ.bid)
+                    frames.append((succ, iter(succ.successors())))
+                    break
+            else:
+                frames.pop()
+                order.append(block)
         order.reverse()
         return order
 

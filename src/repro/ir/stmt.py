@@ -25,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import IRError
-from repro.ir.expr import Expr, Load, VarRead, walk_expr
+from repro.ir.expr import Expr, Load, VarRead, walk_exprs_of
 from repro.ir.loc import Loc
 from repro.ir.symbols import Variable
 from repro.ir.types import Type
@@ -96,8 +96,7 @@ class Stmt:
 
     def walk_exprs(self) -> Iterator[Expr]:
         """All expression nodes in this statement, pre-order."""
-        for e in self.exprs():
-            yield from walk_expr(e)
+        return walk_exprs_of(self.exprs())
 
 
 class Assign(Stmt):

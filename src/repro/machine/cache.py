@@ -13,7 +13,8 @@ Geometry is configurable; the defaults approximate Itanium's 16 KB
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.errors import ConfigError
 
@@ -74,17 +75,23 @@ class CacheStats:
     l2_misses: int = 0
 
 
+#: Stands in for every set no access has touched yet.  Read-only: an
+#: access that misses replaces it with the set's own dict first.
+_UNTOUCHED: Mapping[int, None] = MappingProxyType({})
+
+
 class _Level:
     """One cache level's sets.  Each set is a dict whose key order is
     its LRU order: a touched line moves to the end, so the first key is
     the least recently used line (the victim a per-access clock would
-    pick)."""
+    pick).  A set's dict is made on its first miss, so a simulator
+    builds no dicts for the sets its program never touches."""
 
     def __init__(self, config: CacheLevelConfig, line_words: int) -> None:
         self.line_words = line_words
         self.associativity = config.associativity
         self.nsets = config.sets
-        self.sets: list[dict[int, None]] = [dict() for _ in range(self.nsets)]
+        self.sets: list = [_UNTOUCHED] * self.nsets
 
 
 class CacheHierarchy:
@@ -115,18 +122,22 @@ class CacheHierarchy:
         l1, l2 = self._l1, self._l2
         line = addr // l1.line_words
         if not is_float:
-            bucket = l1.sets[line % l1.nsets]
+            index = line % l1.nsets
+            bucket = l1.sets[index]
             if line in bucket:
                 del bucket[line]
                 bucket[line] = None
                 stats.l1_hits += 1
                 return self.config.l1.hit_latency
-            if len(bucket) >= l1.associativity:
+            if bucket is _UNTOUCHED:
+                bucket = l1.sets[index] = {}
+            elif len(bucket) >= l1.associativity:
                 del bucket[next(iter(bucket))]
             bucket[line] = None
             stats.l1_misses += 1
         # FP loads bypass L1; they are satisfied from L2 at best.
-        bucket = l2.sets[line % l2.nsets]
+        index = line % l2.nsets
+        bucket = l2.sets[index]
         if line in bucket:
             del bucket[line]
             bucket[line] = None
@@ -136,7 +147,9 @@ class CacheHierarchy:
             if self.observer is not None:
                 self.observer("cache.miss", level="l1", addr=addr, fp=False)
             return self.config.l2.hit_latency
-        if len(bucket) >= l2.associativity:
+        if bucket is _UNTOUCHED:
+            bucket = l2.sets[index] = {}
+        elif len(bucket) >= l2.associativity:
             del bucket[next(iter(bucket))]
         bucket[line] = None
         stats.l2_misses += 1
@@ -149,9 +162,12 @@ class CacheHierarchy:
         (write-buffer model)."""
         for level in (self._l1, self._l2):
             line = addr // level.line_words
-            bucket = level.sets[line % level.nsets]
+            index = line % level.nsets
+            bucket = level.sets[index]
             if line in bucket:
                 del bucket[line]
+            elif bucket is _UNTOUCHED:
+                bucket = level.sets[index] = {}
             elif len(bucket) >= level.associativity:
                 del bucket[next(iter(bucket))]
             bucket[line] = None

@@ -215,6 +215,10 @@ class Probe:
         counters, obs, alat, cache = sim.counters, sim.obs, sim.alat, sim.cache
         snap = obs.snapshot_every
         inj = sim.injector
+        if inj is not None and not inj.flushes:
+            # No per-instruction call: context_switch() would always
+            # return False without drawing a random number.
+            inj = None
         prof = sim.profile
         hp = sim.host
 

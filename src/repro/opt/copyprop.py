@@ -48,6 +48,8 @@ class _Env:
         self.bindings: dict[int, Binding] = {}
         # var id -> binding-target var ids that read it
         self.readers: dict[int, set[int]] = {}
+        #: substitutions made so far that changed what a statement reads
+        self.substituted = 0
 
     def bind(self, target: Variable, value: Binding) -> None:
         self.kill(target.id)
@@ -85,7 +87,13 @@ def _rewrite(expr: Expr, env: _Env) -> Expr:
         if not expr.var.has_memory_home:
             binding = env.lookup(expr.var)
             if binding is not None:
-                return _copy_binding(binding)
+                new = _copy_binding(binding)
+                # A temp bound to a same-named variable (a source local
+                # named like a compiler temp) reads the same afterwards;
+                # the pass has never counted that as a change.
+                if str(new) != expr.var.name:
+                    env.substituted += 1
+                return new
         return expr
     if isinstance(expr, Load):
         expr.addr = _rewrite(expr.addr, env)
@@ -129,16 +137,16 @@ def propagate_copies_in_function(fn: Function) -> int:
     for block in fn.blocks:
         env = _Env()
         for stmt in block.stmts:
-            before = _snapshot(stmt)
+            before = env.substituted
             _rewrite_stmt(stmt, env)
+            if env.substituted != before:
+                replaced += 1
             recovery = getattr(stmt, "recovery", None)
             if recovery:
                 # recovery executes exactly at this program point, so
-                # the same bindings hold
+                # the same bindings hold (its rewrites are not counted)
                 for r in recovery:
                     _rewrite_stmt(r, env)
-            if _snapshot(stmt) != before:
-                replaced += 1
 
             target = stmt_defines(stmt)
             if target is not None:
@@ -163,7 +171,3 @@ def propagate_copies_in_function(fn: Function) -> int:
                     if rt is not None:
                         env.kill(rt.id)
     return replaced
-
-
-def _snapshot(stmt: Stmt) -> str:
-    return str(stmt)

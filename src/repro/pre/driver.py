@@ -9,7 +9,8 @@ Order of operations for one round (paper section 3.2):
 4. run SSAPRE per candidate, **direct candidates first** (their
    variables appear inside indirect candidates' address expressions;
    in-place expression rewriting keeps the shared nodes' identities so
-   the later candidates' occurrence maps stay valid);
+   the later candidates' occurrence maps stay valid), skipping the
+   candidates it cannot change (one load, on no CFG cycle);
 5. verify.
 
 The *cascade* option reruns the whole round once: loads whose addresses
@@ -25,14 +26,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.alias.manager import AliasManager
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.loops import cyclic_blocks, find_natural_loops
 from repro.ir.cfg import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.verify import verify_function
 from repro.obs.trace import NULL_TRACE, TraceContext
 from repro.pre.candidates import CandidateKind, collect_candidates
-from repro.pre.ssapre import PREOptions, PREResult, SSAPRE
+from repro.pre.ssapre import PREOptions, PREResult, SSAPRE, cannot_change_code
 from repro.ssa.hssa import SpecDecider, build_hssa
 
 
@@ -141,6 +142,7 @@ def run_load_pre(
                     fn, module, am, spec_decider=spec_decider
                 )
                 loops = find_natural_loops(fn, info.domtree)
+                cyclic = cyclic_blocks(fn)
                 candidates = collect_candidates(fn, info)
             # direct candidates first (bottom-up expression order)
             candidates.sort(
@@ -149,6 +151,8 @@ def run_load_pre(
             changed = False
             with obs.span("pre.rewrite", candidates=len(candidates)):
                 for cand in candidates:
+                    if cannot_change_code(cand, cyclic):
+                        continue
                     result = SSAPRE(fn, info, cand, round_opts, loops).run()
                     if result.changed or result.checks or result.invalidates:
                         stats.results.append(result)

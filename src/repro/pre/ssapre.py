@@ -190,16 +190,17 @@ class SSAPRE:
         # for THIS candidate iff the store cannot touch the candidate's
         # own target set (coarse class membership must not pessimise
         # unrelated locations, nor let profile-dirty stores through).
+        # Only the value key's bases are ever read (``_base``).
         if candidate.kind is CandidateKind.INDIRECT and options.speculative:
-            self._local_bases = compute_spec_bases(info, self._chi_ignorable)
+            self._local_bases = compute_spec_bases(
+                info, self._chi_ignorable, key=candidate.value_key
+            )
         else:
             self._local_bases = None
         # Cascade mode: earlier-round check defs of address temporaries
         # are speculatively transparent on address keys.
         if options.cascade and options.speculative and info.check_def_links:
-            self._addr_bases = compute_spec_bases(
-                info, lambda chi: False, extra_links=info.check_def_links
-            )
+            self._addr_bases = info.check_bases()
         else:
             self._addr_bases = None
         for occ in candidate.occurrences:
@@ -209,9 +210,8 @@ class SSAPRE:
             ) + (self._base(occ.versions[-1]),)
 
     def _chi_ignorable(self, chi: ChiOperand) -> bool:
-        """May THIS candidate's reuse skip over ``chi``?"""
-        if chi.key != self.cand.value_key:
-            return chi.speculative
+        """May THIS candidate's reuse skip over ``chi``, a χ on its
+        value key?"""
         om = chi.object_mechanisms
         if om is None:
             return False  # call or direct-def update: always real
@@ -292,6 +292,34 @@ class SSAPRE:
     def _new_class(self) -> int:
         self._class_counter += 1
         return self._class_counter
+
+    def _walked_blocks(self) -> set[int]:
+        """Ids of the blocks Rename and Finalize visit in their
+        dominator-tree walks.  Only a block with an occurrence or a Φ, a
+        Φ predecessor or (when there are Φs) an exit acts in the walks;
+        a subtree without one pushes nothing and sets nothing, so the
+        walks enter only the blocks that dominate one."""
+        blocks = [occ.stmt.block for occ in self.cand.occurrences]
+        for phi in self.phis.values():
+            blocks.append(phi.block)
+            blocks.extend(phi.pred_blocks)
+        if self.phis:
+            blocks.extend(
+                b for b in self.fn.blocks
+                if isinstance(b.terminator, Return) or not b.successors()
+            )
+        idom = self.info.domtree.idom
+        walked: set[int] = set()
+        for block in blocks:
+            while block is not None and block.bid not in walked:
+                walked.add(block.bid)
+                block = idom(block)
+        return walked
+
+    def _children(self, block: BasicBlock) -> list[BasicBlock]:
+        """``block``'s dominator-tree children the walks visit."""
+        walked = self._walked
+        return [c for c in self.info.domtree.children[block.bid] if c.bid in walked]
 
     def _rename(self) -> None:
         stack: list[_StackEntry] = []
@@ -430,7 +458,7 @@ class SSAPRE:
                     operand.speculative = bool(matched)
                     operand.def_phi = top.phi if top.kind is _DefKind.PHI else None
 
-        for child in self.info.domtree.children[block.bid]:
+        for child in self._children(block):
             self._rename_block(child, stack)
 
         del stack[mark:]
@@ -640,7 +668,7 @@ class SSAPRE:
                         stack[-1] if stack else None
                     )
 
-            for child in self.info.domtree.children[block.bid]:
+            for child in self._children(block):
                 walk(child)
 
             for cid in reversed(pushed):
@@ -704,6 +732,7 @@ class SSAPRE:
         if not any(not o.is_left for o in self.cand.occurrences):
             return self.result
         self._insert_phis()
+        self._walked = self._walked_blocks()
         self._rename()
         self._down_safety()
         self._will_be_avail()
@@ -1189,6 +1218,26 @@ class SSAPRE:
             check.loc = stmt.loc
             block.insert_after(stmt, check)
             self.result.checks += 1
+
+
+def cannot_change_code(candidate: Candidate, cyclic: set[int]) -> bool:
+    """True when SSAPRE would return an empty result for ``candidate``
+    without changing the function, so it need not run.  ``cyclic`` is
+    :func:`repro.analysis.loops.cyclic_blocks` of the function.
+
+    That is the case when the only occurrence is a load in a block O on
+    no CFG cycle.  Every change SSAPRE makes (a save, reload, insert,
+    check or invalidate) needs some occurrence to be a reload; with one
+    occurrence, O itself would have to reuse the value of an available
+    Φ dominating it, at a block B.  That Φ is available only if an
+    operand carries a real occurrence (``later`` is cleared, or the
+    Figure 2 scheme's ``has_real``), and O is the only one: the operand
+    must come from a predecessor P that O dominates.  Then the edge
+    P → B closes the cycle B → O → P → B through O."""
+    occurrences = candidate.occurrences
+    if len(occurrences) != 1 or occurrences[0].is_left:
+        return False
+    return occurrences[0].stmt.block.bid not in cyclic
 
 
 class _AvailEntry:

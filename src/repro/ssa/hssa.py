@@ -145,6 +145,8 @@ class HSSAInfo:
         #: statement, a χ or a variable phi
         self.def_blocks: dict[VarKey, set[int]] = {}
         self._counters: dict[VarKey, itertools.count] = {}
+        self._chis_by_key: Optional[dict[VarKey, list[ChiOperand]]] = None
+        self._check_bases: Optional[dict[tuple[VarKey, int], int]] = None
 
     def version_at_entry(self, bid: int, key: VarKey) -> int:
         return self.block_entry_versions.get(bid, {}).get(key, 0)
@@ -165,6 +167,30 @@ class HSSAInfo:
 
     def block_phis(self, block: BasicBlock) -> dict[VarKey, VarPhi]:
         return self.phis.get(block.bid, {})
+
+    def chis_of(self, key: VarKey) -> list[ChiOperand]:
+        """The χ operands on ``key``, in layout order.  Indexed on first
+        use and kept for the round: PRE's rewrites only add statements
+        that carry no χ."""
+        if self._chis_by_key is None:
+            index: dict[VarKey, list[ChiOperand]] = {}
+            for block in self.fn.blocks:
+                for stmt in block.stmts:
+                    for chi in stmt.chi_list:
+                        index.setdefault(chi.key, []).append(chi)
+            self._chis_by_key = index
+        return self._chis_by_key.get(key, [])
+
+    def check_bases(self) -> dict[tuple[VarKey, int], int]:
+        """Base versions that skip only the check definitions of earlier
+        rounds (:attr:`check_def_links`), which the cascade case treats
+        as transparent on address keys.  They depend on no candidate,
+        so they are computed once per round."""
+        if self._check_bases is None:
+            self._check_bases = compute_spec_bases(
+                self, lambda chi: False, extra_links=self.check_def_links
+            )
+        return self._check_bases
 
 
 #: Decides whether a may-def/may-use of ``obj`` at ``stmt`` can be
@@ -248,7 +274,7 @@ def _attach_mu_chi(
         "soft" as soon as any object needs the software repair."""
         if spec_decider is None:
             return None
-        objs = am.class_objects(vvar)
+        objs = _by_id(am.class_objects(vvar))
         if not objs:
             return None
         mechanisms = [spec(stmt, o) for o in objs]
@@ -287,7 +313,7 @@ def _attach_mu_chi(
             )
             if spec_decider is not None:
                 chi.object_mechanisms = {
-                    o.id: spec(stmt, o) for o in am.class_objects(vvar)
+                    o.id: spec(stmt, o) for o in _by_id(am.class_objects(vvar))
                 }
             stmt.chi_list.append(chi)
             info.store_chi[stmt.sid] = chi
@@ -336,6 +362,13 @@ def _attach_mu_chi(
                                 vv, speculative=vmech is not None, mechanism=vmech
                             )
                         )
+
+
+def _by_id(objs: frozenset[MemObject]) -> list[MemObject]:
+    """``objs`` in id order.  Memory objects hash by identity, so a
+    set's own order follows heap addresses; the decider must see (and a
+    trace record) its calls in an order no allocation elsewhere moves."""
+    return sorted(objs, key=lambda o: o.id)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +525,7 @@ def compute_spec_bases(
     info: HSSAInfo,
     chi_is_speculative: Callable[[ChiOperand], bool],
     extra_links: Optional[dict[tuple[VarKey, int], tuple[VarKey, int]]] = None,
+    key: Optional[VarKey] = None,
 ) -> dict[tuple[VarKey, int], int]:
     """Fixpoint over versions: a χ_s-defined version inherits the base
     of its operand; a phi whose operands all share one base (other than
@@ -502,19 +536,34 @@ def compute_spec_bases(
     recomputes per candidate (a χ is ignorable for a candidate iff the
     store cannot touch the *candidate's own* target set — coarser class
     membership must not force real updates on unrelated locations).
+
+    ``key`` restricts the computation to one variable.  Every χ link
+    and every phi joins versions of a single key, so the keys never
+    meet: the result is exactly the full map's entries for ``key``.
     """
     # chi links: (key, new) -> (key, old) for speculative chis
     spec_links: dict[tuple[VarKey, int], tuple[VarKey, int]] = {}
     if extra_links:
-        spec_links.update(extra_links)
-    phi_nodes: list[VarPhi] = []
-    for block_phis in info.phis.values():
-        phi_nodes.extend(block_phis.values())
-    for block in info.fn.blocks:
-        for stmt in block.stmts:
-            for chi in stmt.chi_list:
-                if chi_is_speculative(chi):
-                    spec_links[(chi.key, chi.new_version)] = (chi.key, chi.old_version)
+        spec_links.update(
+            (node, link) for node, link in extra_links.items()
+            if key is None or node[0] == key
+        )
+    if key is None:
+        phi_nodes = [
+            phi for block_phis in info.phis.values() for phi in block_phis.values()
+        ]
+        chis = [
+            chi for block in info.fn.blocks for stmt in block.stmts
+            for chi in stmt.chi_list
+        ]
+    else:
+        phi_nodes = [
+            block_phis[key] for block_phis in info.phis.values() if key in block_phis
+        ]
+        chis = info.chis_of(key)
+    for chi in chis:
+        if chi_is_speculative(chi):
+            spec_links[(chi.key, chi.new_version)] = (chi.key, chi.old_version)
 
     base: dict[tuple[VarKey, int], int] = {}
 
@@ -530,31 +579,31 @@ def compute_spec_bases(
         return result
 
     # seed: chi chains
-    for key, version in list(spec_links):
-        resolve_chain(key, version)
+    for link_key, version in list(spec_links):
+        resolve_chain(link_key, version)
 
     # phis: iterate to fixpoint
     changed = True
     while changed:
         changed = False
         for phi in phi_nodes:
-            key = phi.key
+            phi_key = phi.key
             self_version = phi.result_version
             operand_bases = set()
             for op in phi.operands:
                 if op < 0:
                     continue
-                b = base.get((key, op), op)
+                b = base.get((phi_key, op), op)
                 # follow spec links lazily in case a chi of a phi result
                 # was resolved after seeding
-                b = base.get((key, b), b)
-                if b == self_version or b == base.get((key, self_version), -1):
+                b = base.get((phi_key, b), b)
+                if b == self_version or b == base.get((phi_key, self_version), -1):
                     continue  # self reference through the loop
                 operand_bases.add(b)
             if len(operand_bases) == 1:
                 new_base = operand_bases.pop()
-                if base.get((key, self_version), self_version) != new_base:
-                    base[(key, self_version)] = new_base
+                if base.get((phi_key, self_version), self_version) != new_base:
+                    base[(phi_key, self_version)] = new_base
                     changed = True
             # else: merge of genuinely different values; base = itself
 

@@ -77,6 +77,33 @@ def test_l1_capacity_eviction():
     assert lat == config.l2.hit_latency  # still in L2
 
 
+def test_sets_made_on_first_touch_behave_like_prebuilt_sets():
+    """A set's dict is made on its first miss.  The same access stream
+    against sets built up front gives the same latencies, statistics,
+    victims and LRU order."""
+    import random
+
+    config = CacheConfig(
+        l1=CacheLevelConfig(lines=16, associativity=2, hit_latency=2),
+        l2=CacheLevelConfig(lines=64, associativity=4, hit_latency=9),
+    )
+    lazy, eager = CacheHierarchy(config), CacheHierarchy(config)
+    for level in (eager._l1, eager._l2):
+        level.sets = [{} for _ in range(level.nsets)]
+    rng = random.Random(11)
+    for _ in range(5000):
+        addr = rng.randrange(2048)
+        if rng.random() < 0.3:
+            lazy.store_touch(addr)
+            eager.store_touch(addr)
+        else:
+            fp = rng.random() < 0.2
+            assert lazy.load_latency(addr, fp) == eager.load_latency(addr, fp)
+    assert lazy.stats == eager.stats
+    for a, b in ((lazy._l1, eager._l1), (lazy._l2, eager._l2)):
+        assert [list(bucket) for bucket in a.sets] == [list(bucket) for bucket in b.sets]
+
+
 def test_store_touch_prefills():
     cache = CacheHierarchy()
     cache.store_touch(0x5000)

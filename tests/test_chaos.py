@@ -3,6 +3,7 @@ graceful pipeline degradation, and the tolerant workload matrix."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -232,6 +233,31 @@ def test_injector_clamps_geometry():
     # the machine config object itself must not be mutated
     assert out.options.machine.alat.entries != 2 or \
         out.options.machine.alat is not sim.alat.config
+
+
+def test_a_plan_that_never_flushes_adds_no_per_instruction_hook():
+    """At ``flush_rate == 0`` the injector's context switch can never
+    fire, so the probed loop calls nothing per instruction; the run
+    draws the same numbers and injects the same faults."""
+    out = _compile_canonical()
+    no_flush = dataclasses.replace(AGGRESSIVE, flush_rate=0.0)
+    sim = Simulator(
+        out.program, out.options.machine, injector=FaultInjector(no_flush)
+    )
+    assert sim._probe.step is None
+    result = sim.run(list(SELF_TEST_PROGRAM.ref_args))
+    assert result.alat_stats.chaos_dropped_allocations > 0
+    assert result.alat_stats.chaos_flushes == 0
+
+
+def test_a_flushing_plan_keeps_the_per_instruction_hook():
+    out = _compile_canonical()
+    sim = Simulator(
+        out.program, out.options.machine, injector=FaultInjector(AGGRESSIVE)
+    )
+    assert sim._probe.step is not None
+    result = sim.run(list(SELF_TEST_PROGRAM.ref_args))
+    assert result.alat_stats.chaos_flushes > 0
 
 
 def test_chaos_stats_zero_without_injector():

@@ -1,4 +1,4 @@
-"""The two pieces of compile work that are reused instead of redone.
+"""Compile work that is reused or skipped instead of redone.
 
 * ``compile_to_ir`` parses each source text once and reuses the AST for
   later compiles of the same text; every compile still gets a fresh
@@ -7,26 +7,56 @@
   blocks HSSA built for the round, instead of recomputing the frontiers
   and rescanning every statement for each candidate.  The test keeps
   the rescan and compares it with the reused sets at every candidate.
+* The PRE driver skips the candidates SSAPRE cannot change (one load,
+  on no CFG cycle).  The test runs SSAPRE on each of them anyway: the
+  result is empty and the printed function unchanged.
+* SSAPRE computes a candidate's speculative bases for its value key
+  only, and the cascade's address bases once per round.  The test
+  recomputes both in full at every candidate.
+* SSAPRE's Rename and Finalize enter only the dominator subtrees that
+  hold an occurrence, a Phi, a Phi predecessor or an exit.  The test
+  repeats both over the whole tree at every candidate and compares
+  what they decided.
+* Copy propagation counts its substitutions instead of printing every
+  statement twice.  The test prints them and compares the counts.
+* Expression walks are one iterative generator, and so is the
+  depth-first walk behind ``Function.reachable_blocks``.  The test
+  compares both with the recursive walks they replaced on every
+  function that reaches code generation.
+
+The compile tests run every kernel and 50 generated programs under
+every mode of ``tests.corpus.compile_modes()``, with all the checks on.
 """
 
 from __future__ import annotations
 
+import collections
 import random
+from typing import Iterator
 
 import pytest
 
+from repro.alias.manager import AliasAnalysisKind, AliasManager
 from repro.analysis.domfrontier import compute_dominance_frontiers
-from repro.chaos.campaign import default_modes
+from repro.analysis.loops import cyclic_blocks, find_natural_loops
 from repro.chaos.generator import generate_program
 from repro.errors import ParseError, SemanticError, SpecLintError
-from repro.ir.stmt import stmt_defines
+from repro.ir import INT, ModuleBuilder
+from repro.ir.expr import BinOp, ConstInt, Expr, clone_expr, walk_expr
+from repro.ir.printer import format_function
+from repro.ir.stmt import Stmt, stmt_defines
 from repro.minic import lower
-from repro.pipeline import CompilerOptions, OptLevel, SpecMode, compile_source
+from repro.opt import driver as opt_driver
+from repro.pipeline import compile_source
+from repro.pipeline import driver as pipeline_driver
+from repro.pre import driver as pre_driver
 from repro.pre import ssapre
-from repro.ssa.hssa import var_key
+from repro.pre.candidates import collect_candidates
+from repro.ssa.hssa import build_hssa, compute_spec_bases, var_key
 from repro.target.asmprinter import format_program
 from repro.workloads.programs import BENCHMARKS, get_workload
-from repro.workloads.runner import BASELINE, SPECULATIVE, STATIC_SPECULATIVE
+from repro.workloads.runner import BASELINE, SPECULATIVE
+from tests.corpus import compile_modes
 
 # -- parse memo ----------------------------------------------------------------
 
@@ -136,15 +166,145 @@ def checked_phi_insertions(monkeypatch):
     return checked
 
 
-def _modes() -> list[CompilerOptions]:
-    software = CompilerOptions(
-        opt_level=OptLevel.O3, spec_mode=SpecMode.SOFTWARE, fallback=False
+# -- skipped candidates, per-key and per-round bases, the walker ----------------
+
+
+def recursive_walk(expr: Expr) -> Iterator[Expr]:
+    """The recursive pre-order walk ``walk_expr`` replaced."""
+    yield expr
+    for child in expr.children():
+        yield from recursive_walk(child)
+
+
+def recursive_walk_stmt(stmt: Stmt) -> Iterator[Expr]:
+    for e in stmt.exprs():
+        yield from recursive_walk(e)
+
+
+def recursive_reachable_blocks(fn) -> list:
+    """The recursive depth-first walk ``Function.reachable_blocks``
+    replaced: reverse postorder from the entry."""
+    seen: set[int] = set()
+    order: list = []
+
+    def dfs(block) -> None:
+        seen.add(block.bid)
+        for succ in block.successors():
+            if succ.bid not in seen:
+                dfs(succ)
+        order.append(block)
+
+    dfs(fn.entry)
+    order.reverse()
+    return order
+
+
+def walk_state(pre) -> tuple:
+    """What SSAPRE's Rename and Finalize decided, comparable between
+    two instances for the same candidate."""
+    phis = {
+        bid: (
+            phi.class_id, phi.down_safe, phi.can_be_avail, phi.later,
+            phi.alat_avail, id(phi) in pre._phi_used,
+            [(op.class_id, op.has_real_use, op.speculative, op.insert)
+             for op in phi.operands],
+        )
+        for bid, phi in pre.phis.items()
+    }
+    return (
+        phis, pre._occ_class, pre._occ_spec, pre._occ_is_def, pre._role,
+        {k: (e.kind, e.needs_save, e.spec_linked) for k, e in pre._def_entry.items()},
     )
-    return [BASELINE(), SPECULATIVE(), STATIC_SPECULATIVE(), software] + default_modes()
+
+
+@pytest.fixture
+def checked_shortcuts(monkeypatch):
+    """Check every shortcut against the work it replaces.  The returned
+    Counter counts the checks made, by kind."""
+    checked: collections.Counter = collections.Counter()
+    # Skippable candidates by id, kept alive so no id is reused.
+    skippable: dict[int, object] = {}
+
+    def never_skip(cand, cyclic):
+        if ssapre.cannot_change_code(cand, cyclic):
+            skippable[id(cand)] = cand
+        return False
+
+    run = ssapre.SSAPRE.run
+    init = ssapre.SSAPRE.__init__
+
+    def full_walk_state(pre):
+        """Rename and Finalize of ``pre``'s candidate, walking the whole
+        dominator tree."""
+        full = object.__new__(ssapre.SSAPRE)
+        init(full, pre.fn, pre.info, pre.cand, pre.opts, pre.loops)
+        full._insert_phis()
+        full._walked = set(full.info.domtree.children)
+        full._rename()
+        full._down_safety()
+        full._will_be_avail()
+        full._finalize()
+        return walk_state(full)
+
+    def run_checked(pre):
+        if id(pre.cand) not in skippable:
+            reference = full_walk_state(pre)
+            result = run(pre)
+            assert walk_state(pre) == reference
+            checked["dominator walks"] += 1
+            return result
+        before = format_function(pre.fn)
+        result = run(pre)
+        assert result == ssapre.PREResult(pre.cand)
+        assert format_function(pre.fn) == before
+        checked["skips"] += 1
+        return result
+
+    def init_checked(pre, fn, info, cand, options, loops=None):
+        init(pre, fn, info, cand, options, loops)
+        if pre._local_bases is not None:
+            full = compute_spec_bases(info, pre._chi_ignorable)
+            key = cand.value_key
+            assert pre._local_bases == {
+                node: base for node, base in full.items() if node[0] == key
+            }
+            checked["key bases"] += 1
+        if pre._addr_bases is not None:
+            assert pre._addr_bases == compute_spec_bases(
+                info, lambda chi: False, extra_links=info.check_def_links
+            )
+            checked["cascade bases"] += 1
+
+    propagate = opt_driver.propagate_copies_in_function
+
+    def propagate_checked(fn):
+        stmts = list(fn.iter_stmts())
+        before = [str(stmt) for stmt in stmts]
+        changed = propagate(fn)
+        assert changed == sum(str(s) != b for s, b in zip(stmts, before))
+        checked["copies"] += 1
+        return changed
+
+    codegen = pipeline_driver.generate_machine_code
+
+    def codegen_checked(module, *args, **kwargs):
+        for fn in module.iter_functions():
+            assert fn.reachable_blocks() == recursive_reachable_blocks(fn)
+            for stmt in fn.iter_stmts():
+                assert list(stmt.walk_exprs()) == list(recursive_walk_stmt(stmt))
+                checked["walks"] += 1
+        return codegen(module, *args, **kwargs)
+
+    monkeypatch.setattr(pre_driver, "cannot_change_code", never_skip)
+    monkeypatch.setattr(ssapre.SSAPRE, "run", run_checked)
+    monkeypatch.setattr(ssapre.SSAPRE, "__init__", init_checked)
+    monkeypatch.setattr(opt_driver, "propagate_copies_in_function", propagate_checked)
+    monkeypatch.setattr(pipeline_driver, "generate_machine_code", codegen_checked)
+    return checked
 
 
 def _compile_every_mode(source: str, train_args) -> None:
-    for options in _modes():
+    for options in compile_modes():
         try:
             compile_source(source, options, train_args=list(train_args))
         except SpecLintError as exc:
@@ -154,14 +314,100 @@ def _compile_every_mode(source: str, train_args) -> None:
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_kernel_phi_seeds_match_a_full_rescan(name, checked_phi_insertions):
+def test_kernel_phi_seeds_match_a_full_rescan(
+    name, checked_phi_insertions, checked_shortcuts
+):
     workload = get_workload(name)
     _compile_every_mode(workload.source, workload.train_args)
     assert checked_phi_insertions[0] > 0
+    assert checked_shortcuts["walks"] > 0
 
 
 @pytest.mark.parametrize("index", range(50))
-def test_generated_phi_seeds_match_a_full_rescan(index, checked_phi_insertions):
+def test_generated_phi_seeds_match_a_full_rescan(
+    index, checked_phi_insertions, checked_shortcuts
+):
     program = generate_program(random.Random(f"pre-reuse:{index}"), index)
     _compile_every_mode(program.source, program.train_args)
     assert checked_phi_insertions[0] > 0
+    assert checked_shortcuts["walks"] > 0
+
+
+def test_every_shortcut_check_fires(checked_shortcuts):
+    """The compile tests above would pass vacuously if a check never
+    ran; this program exercises all of them."""
+    program = generate_program(random.Random("pre-reuse:9"), 9)
+    _compile_every_mode(program.source, program.train_args)
+    assert set(checked_shortcuts) == {
+        "skips", "key bases", "cascade bases", "dominator walks", "copies",
+        "walks",
+    }
+
+
+def _irreducible_module():
+    """``main`` reads the global ``g`` once, in block ``a``.  ``a`` and
+    ``b`` form a cycle with two entries, so neither dominates the other
+    and the cycle has no natural loop."""
+    mb = ModuleBuilder("irreducible")
+    g = mb.global_var("g", INT, init=3)
+    fb = mb.function("main", [("n", INT)], INT)
+    n = fb.fn.params[0]
+    i = fb.temp(INT, "i")
+    s = fb.temp(INT, "s")
+    a, b, done = fb.block("a"), fb.block("b"), fb.block("done")
+    fb.assign(i, 0)
+    fb.assign(s, 0)
+    fb.branch(fb.lt(n, 1), a, b)
+    fb.set_block(a)
+    fb.assign(s, fb.add(s, fb.read(g)))
+    fb.jump(b)
+    fb.set_block(b)
+    fb.assign(i, fb.add(i, 1))
+    fb.branch(fb.lt(i, n), a, done)
+    fb.set_block(done)
+    fb.ret(fb.read(s))
+    fb.finish()
+    return mb.finish(), a
+
+
+def test_single_load_on_an_irreducible_cycle_is_not_skipped():
+    module, a = _irreducible_module()
+    fn = module.main
+    am = AliasManager(module, AliasAnalysisKind.ANDERSEN, True)
+    pre_driver.split_critical_edges(fn)
+    info = build_hssa(fn, module, am)
+    assert find_natural_loops(fn, info.domtree).innermost_containing(a) is None
+    assert a.bid in cyclic_blocks(fn)
+    (cand,) = collect_candidates(fn, info)
+    assert len(cand.occurrences) == 1 and cand.occurrences[0].stmt.block is a
+    assert not ssapre.cannot_change_code(cand, cyclic_blocks(fn))
+
+
+def _token(expr: Expr) -> tuple:
+    var = getattr(expr, "var", None)
+    return (type(expr).__name__, getattr(expr, "value", None),
+            var.name if var is not None else None)
+
+
+def test_the_walk_reads_children_when_it_resumes():
+    """Both walks read a node's children when they resume after
+    yielding it, so a consumer that replaces the children of the node
+    it was just given walks the new ones, in both."""
+    program = generate_program(random.Random("pre-reuse:1"), 1)
+    module = lower.compile_to_ir(program.source)
+    replaced = 0
+    for stmt in module.main.iter_stmts():
+        for root in stmt.exprs():
+            for stop in range(len(list(recursive_walk(root)))):
+                walked = []
+                for walk in (walk_expr, recursive_walk):
+                    nodes = walk(clone_expr(root))
+                    seen = [next(nodes) for _ in range(stop + 1)]
+                    if isinstance(seen[-1], BinOp):
+                        seen[-1].left = ConstInt(stop)
+                        seen[-1].right = ConstInt(-stop)
+                    seen += nodes
+                    walked.append([_token(e) for e in seen])
+                assert walked[0] == walked[1]
+                replaced += isinstance(seen[stop], BinOp)
+    assert replaced > 0

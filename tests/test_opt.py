@@ -137,6 +137,29 @@ def test_copyprop_never_propagates_memory_reads():
     assert run_module(module, [9]).exit_value == 0  # a captured before store
 
 
+def test_copyprop_counts_the_statements_whose_text_changed():
+    """The count decides when cleanup has converged, and has always
+    counted statements that read differently afterwards.  A temp bound
+    to a same-named temp is still substituted, but not counted."""
+    from repro.ir.stmt import Print, Return
+    from repro.ir.symbols import StorageClass, Variable
+
+    mb = ModuleBuilder("m")
+    fb = mb.function("main", [("n", INT)], INT)
+    first, second = Variable("x", INT, StorageClass.TEMP), Variable("x", INT, StorageClass.TEMP)
+    fb.fn.locals += [first, second]
+    fb.assign(first, fb.add(fb.fn.params[0], 1))
+    fb.assign(second, fb.read(first))
+    fb.print_(fb.read(second))
+    fb.ret(fb.read(second))
+    fb.finish()
+    module = mb.finish()
+    assert propagate_copies_in_function(module.main) == 0
+    uses = [s for s in module.main.iter_stmts() if isinstance(s, (Print, Return))]
+    assert [s.expr.var for s in uses] == [first, first]
+    assert run_module(module, [4]).exit_value == 5
+
+
 # -- DCE ----------------------------------------------------------------------
 
 
