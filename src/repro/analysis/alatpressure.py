@@ -403,7 +403,8 @@ class _FunctionAnalysis:
         armed_kill: dict[int, frozenset] = {}
         needed_gen: dict[int, frozenset] = {}
         needed_kill: dict[int, frozenset] = {}
-        for block in fn.reachable_blocks():
+        rpo = fn.reachable_blocks()
+        for block in rpo:
             g, k = _compose_block(block.stmts, _stmt_armed_gk)
             armed_gen[block.bid], armed_kill[block.bid] = g, k
             g, k = _compose_block(
@@ -415,11 +416,13 @@ class _FunctionAnalysis:
             fn,
             dataflow.FORWARD,
             dataflow.gen_kill_transfer(armed_gen, armed_kill),
+            rpo=rpo,
         )
         needed = dataflow.solve(
             fn,
             dataflow.BACKWARD,
             dataflow.gen_kill_transfer(needed_gen, needed_kill),
+            rpo=rpo,
         )
         self.result.solver_visits = armed.visits + needed.visits
         self._armed = armed

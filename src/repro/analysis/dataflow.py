@@ -87,6 +87,7 @@ def solve(
     meet: str = "union",
     boundary: frozenset = frozenset(),
     max_visits: Optional[int] = None,
+    rpo: Optional[list[BasicBlock]] = None,
 ) -> DataflowResult:
     """Run the worklist algorithm to a fixpoint.
 
@@ -99,13 +100,17 @@ def solve(
     ``max_visits`` bounds total block visits (default: generous multiple
     of the block count) and raises :class:`DataflowDivergence` when
     exhausted — a tripwire for non-monotone transfers.
+
+    ``rpo`` is ``fn.reachable_blocks()`` when the caller already holds
+    it, so a solve does not walk the CFG again.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown dataflow direction: {direction!r}")
     if meet not in ("union", "intersect"):
         raise ValueError(f"unknown meet operator: {meet!r}")
 
-    rpo = fn.reachable_blocks()
+    if rpo is None:
+        rpo = fn.reachable_blocks()
     if not rpo:
         return DataflowResult(direction)
     reachable = {b.bid for b in rpo}

@@ -84,7 +84,8 @@ def compute_liveness(fn: Function) -> LivenessInfo:
     unreachable code cannot manufacture a live range."""
     use_sets: dict[int, frozenset[int]] = {}
     def_sets: dict[int, frozenset[int]] = {}
-    for block in fn.reachable_blocks():
+    rpo = fn.reachable_blocks()
+    for block in rpo:
         uses, defs = _block_use_def(block)
         use_sets[block.bid] = frozenset(uses)
         def_sets[block.bid] = frozenset(defs)
@@ -93,5 +94,6 @@ def compute_liveness(fn: Function) -> LivenessInfo:
         fn,
         dataflow.BACKWARD,
         dataflow.gen_kill_transfer(use_sets, def_sets),
+        rpo=rpo,
     )
     return LivenessInfo(result.in_facts, result.out_facts, use_sets, def_sets)

@@ -40,6 +40,19 @@ so the step budget always trips at the same statement.  Every runtime
 error is raised when the offending code runs, never while decoding, with
 the message and type a statement-by-statement reading of the IR implies.
 
+Translated tier
+---------------
+Unless a host profiler is attached, the interpreter also counts taken
+back edges per loop header (in :meth:`Interpreter._run`) and calls per
+function (in :meth:`Interpreter._call`).  When a count reaches
+:data:`THRESHOLD`, the header's natural loop, or a function of at most
+:data:`MAX_FUNCTION` statements as a whole, is translated into one
+generated Python function (:mod:`repro.ir.translate`, imported on the
+first tier-up) and entered from then on.  The translation gives the same
+results, statistics, errors, memory and tracer events as the closures;
+the closures stay the cold path and the only path of a host-profiled
+interpreter.
+
 Speculation annotations (:class:`SpecFlag`) do not change IR semantics:
 a check statement re-executes its load, which is exactly the reload the
 hardware would perform on an ALAT miss.  The interpreter is thus the
@@ -93,6 +106,19 @@ from repro.ir.stmt import (
 )
 from repro.ir.symbols import Variable
 from repro.ir.types import FloatType
+
+#: taken back edges to a loop header, or calls of a function, before it
+#: is translated.  Translating costs about 120 us per statement on a
+#: 2-vCPU x86_64 VM (two thirds of it in ``compile()``), and a
+#: translated statement runs about 0.6 us faster, so a statement breaks
+#: even after about 200 executions.  Generated test programs stay far
+#: below (at most 76); the paper kernels' hot loops run 300 to 27,200
+#: times (DESIGN section 7, item 12).
+THRESHOLD = 256
+
+#: largest function (in statements) translated whole when it gets hot:
+#: a function is translated whole only if most of it runs per call
+MAX_FUNCTION = 32
 
 GLOBAL_BASE = 0x1000
 STACK_BASE = 0x10_0000
@@ -222,7 +248,7 @@ class InterpResult:
 Op = Callable[[list], Any]
 
 # terminator kinds of a decoded block
-_JUMP, _BRANCH, _RETURN, _FALL = range(4)
+_JUMP, _BRANCH, _RETURN, _FALL, _LOOP = range(5)
 
 
 class _Block:
@@ -231,10 +257,17 @@ class _Block:
     ``kind`` selects the terminator: ``_JUMP`` goes to ``then``;
     ``_BRANCH`` calls ``value`` and goes to ``then`` or ``orelse``;
     ``_RETURN`` returns ``value(r)``; ``_FALL`` (no terminator) raises
-    ``value()``.
+    ``value()``.  ``_LOOP`` is a jump or branch with an edge into a loop
+    header (``value`` is ``_true`` and ``orelse`` is ``then`` for a
+    jump); ``back`` holds the headers it reaches by a back edge.
+
+    ``source`` keeps the statements and terminator the block was decoded
+    from, for the translator.  At a loop header, ``heat`` counts taken
+    back edges and ``region`` is the header's translation once made.
     """
 
-    __slots__ = ("body", "kind", "value", "then", "orelse")
+    __slots__ = ("body", "kind", "value", "then", "orelse", "source",
+                 "back", "heat", "region")
 
     def __init__(self) -> None:
         self.body: tuple[Op, ...] = ()
@@ -242,15 +275,34 @@ class _Block:
         self.value: Any = None
         self.then: Optional[_Block] = None
         self.orelse: Optional[_Block] = None
+        self.source: tuple[tuple[Stmt, ...], Optional[Stmt]] = ((), None)
+        self.back: tuple[_Block, ...] = ()
+        self.heat = 0
+        self.region: Optional[Callable] = None
+
+
+def _successors(blk: _Block) -> tuple[_Block, ...]:
+    kind = blk.kind
+    if kind == _JUMP:
+        return (blk.then,)  # type: ignore[return-value]
+    if kind == _BRANCH or kind == _LOOP:
+        return (blk.then, blk.orelse)  # type: ignore[return-value]
+    return ()
 
 
 class _Code:
-    """A decoded function."""
+    """A decoded function.
 
-    __slots__ = ("entry", "size", "nregs", "params", "owner")
+    ``calls`` counts its calls, ``region`` is its translation as a whole
+    once made, and ``decoder`` is what the translator reads its blocks,
+    slots and frame offsets from."""
+
+    __slots__ = ("entry", "size", "nregs", "params", "owner", "decoder",
+                 "statements", "calls", "region")
 
     def __init__(self, entry: _Block, size: int, nregs: int,
-                 params: tuple, owner: Optional[list]) -> None:
+                 params: tuple, owner: Optional[list],
+                 decoder: "_Decoder", statements: int) -> None:
         self.entry = entry
         #: words of memory-home locals and parameters in one frame
         self.size = size
@@ -260,6 +312,11 @@ class _Code:
         self.params = params
         #: owner tag per frame word (traced interpreters only)
         self.owner = owner
+        self.decoder = decoder
+        #: statements and terminators decoded
+        self.statements = statements
+        self.calls = 0
+        self.region: Optional[Callable] = None
 
 
 def _fault(error: Callable[[], Exception]) -> Op:
@@ -419,8 +476,49 @@ class _Decoder:
             entry.value = lambda: fn.entry  # raises: the function has no blocks
         while self.pending:
             self.fill(*self.pending.pop())
+        if self.host is None:  # a host-profiled interpreter never tiers up
+            self.mark_loops(entry)
         params = tuple(self.writer(p) for p in fn.params)
-        return _Code(entry, self.size, len(self.slots) + 1, params, self.owner)
+        statements = sum(
+            len(body) + (term is not None)
+            for body, term in (blk.source for blk in self.blocks.values())
+        )
+        return _Code(entry, self.size, len(self.slots) + 1, params,
+                     self.owner, self, statements)
+
+    def mark_loops(self, entry: _Block) -> None:
+        """Find the back edges (edges to a block on the depth-first
+        stack) and make every terminator with an edge into a loop header
+        a ``_LOOP``, so the run loop counts the back edges and enters
+        translated loops."""
+        on_stack = {entry}
+        seen = {entry}
+        headers: set[_Block] = set()
+        stack = [(entry, iter(_successors(entry)))]
+        while stack:
+            blk, succs = stack[-1]
+            for succ in succs:
+                if succ in on_stack:
+                    if succ not in blk.back:
+                        blk.back += (succ,)
+                    headers.add(succ)
+                elif succ not in seen:
+                    seen.add(succ)
+                    on_stack.add(succ)
+                    stack.append((succ, iter(_successors(succ))))
+                    break
+            else:
+                on_stack.discard(blk)
+                stack.pop()
+        if not headers:
+            return
+        for blk in self.blocks.values():
+            if blk.kind == _JUMP and blk.then in headers:
+                blk.kind, blk.value, blk.orelse = _LOOP, _true, blk.then
+            elif blk.kind == _BRANCH and (
+                blk.then in headers or blk.orelse in headers
+            ):
+                blk.kind = _LOOP
 
     # -- blocks and statements ------------------------------------------
 
@@ -444,6 +542,7 @@ class _Decoder:
                 op = self.timed(op, stmt)
             body.append(op)
         blk.body = tuple(body)
+        blk.source = (tuple(b.stmts[:len(body)]), term)
         if term is None:
             label, name = b.label, self.fn.name
             blk.value = lambda: InterpError(f"fell off end of block {label} in {name}")
@@ -790,6 +889,8 @@ class Interpreter:
         self._stack_top = STACK_BASE
         self._heap_top = HEAP_BASE
         self._codes: dict[Function, _Code] = {}
+        #: (region name, generated lines) per translation, in order
+        self.translated: list[tuple[str, int]] = []
         # Decoding, frame push and pop, and the call a decoded Call
         # statement makes; a host profiler gets timed versions.
         self._decode, self._push, self._pop = (
@@ -829,11 +930,19 @@ class Interpreter:
         code = self._codes.get(fn)
         if code is None:
             code = self._decode(fn)
-        r = self._push(code, args)
+        code.calls += 1
+        if code.calls == THRESHOLD:
+            self._tier_function(code)
         try:
-            return self._run(code, r)
-        finally:
-            self._pop(code, r[0])
+            r = self._push(code, args)
+            try:
+                return self._run(code, r)
+            finally:
+                self._pop(code, r[0])
+        except RecursionError:
+            raise InterpError(
+                f"call to {fn.name} overflowed the host stack"
+            ) from None
 
     def _push_frame(self, code: _Code, args: list[Value]) -> list:
         """Push a frame: zero its memory, and return its register file
@@ -862,10 +971,22 @@ class Interpreter:
                 self.owner.pop(addr, None)
         self._stack_top = base
 
+    def _tier_function(self, code: _Code) -> None:
+        if self.host is None and code.statements <= MAX_FUNCTION:
+            code.region = _translate(lambda t: t.function_region(self, code))
+
+    def _tier_loop(self, code: _Code, header: _Block) -> None:
+        header.region = _translate(lambda t: t.loop_region(self, code, header))
+
     def _run(self, code: _Code, r: list) -> Optional[Value]:
         stats = self.stats
         limit = self.max_steps
-        blk = code.entry
+        if code.region is None:
+            blk = code.entry
+        else:
+            blk, value = code.region(r)
+            if blk is None:
+                return value
         while True:
             for op in blk.body:
                 stats.steps += 1
@@ -882,8 +1003,32 @@ class Interpreter:
                 blk = blk.then if blk.value(r) else blk.orelse
             elif kind == _JUMP:
                 blk = blk.then
-            else:
+            elif kind == _RETURN:
                 return blk.value(r)
+            else:  # _LOOP: count a back edge; enter a translated loop
+                nxt = blk.then if blk.value(r) else blk.orelse
+                if nxt.region is None and nxt in blk.back:
+                    nxt.heat += 1
+                    if nxt.heat == THRESHOLD:
+                        self._tier_loop(code, nxt)
+                if nxt.region is None:
+                    blk = nxt
+                else:
+                    blk, value = nxt.region(r)
+                    if blk is None:
+                        return value
+
+
+def _translate(make: Callable[[Any], Callable]) -> Optional[Callable]:
+    """``make(repro.ir.translate)``, or None when the host stack is too
+    deep to translate here: the closures then go on running the region,
+    as they would have without the tier."""
+    from repro.ir import translate
+
+    try:
+        return make(translate)
+    except RecursionError:
+        return None
 
 
 def _deferred(hp: "HostProfiler", call: Callable) -> Callable:

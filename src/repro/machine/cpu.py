@@ -161,6 +161,11 @@ def _bad_address(value: Value, mf: MFunction) -> MachineError:
     return MachineError(f"invalid address {value} in {mf.name}")
 
 
+def _overflow(mf: MFunction) -> MachineError:
+    """Guest recursion deeper than the host stack holds."""
+    return MachineError(f"call to {mf.name} overflowed the host stack")
+
+
 def _divide(op: int, lhs: Value, rhs: Value) -> Value:
     """``OP_DIV`` / ``OP_MOD`` with IR semantics (C-style, wrapped)."""
     if op == OP_MOD:
@@ -694,10 +699,12 @@ class Simulator:
                         code = dec.code
                 else:
                     self._execute_rare(dec, pc, regs, ready, serial, start)
-        except BaseException:
+        except BaseException as exc:
             if not in_call:
                 self.time = time
                 counters.instructions = n
+            if exc.__class__ is RecursionError:
+                raise _overflow(mf) from None
             raise
         finally:
             self._pop_frame(mf, base)
@@ -884,9 +891,11 @@ class Simulator:
                     self._execute_rare(dec, pc, regs, ready, serial, start)
                 if done is not None:
                     done(instr)
-        except BaseException:
+        except BaseException as exc:
             if not in_call:
                 self.time = time
+            if exc.__class__ is RecursionError:
+                raise _overflow(mf) from None
             raise
         finally:
             probe.pop_frame(mf, base)

@@ -206,6 +206,34 @@ def test_liveness_loop_variable_live_around_backedge():
     assert "s" in names and "i" in names
 
 
+def test_liveness_walks_the_cfg_once(monkeypatch):
+    """``compute_liveness`` hands its reverse postorder to the solver
+    instead of letting it walk the CFG a second time; the result is the
+    one a solve that walks for itself reaches."""
+    from repro.analysis import dataflow
+    from repro.analysis.liveness import _block_use_def
+    from repro.ir.function import Function
+
+    fn = loop_fn()
+    walk = Function.reachable_blocks
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(Function, "reachable_blocks", counted)
+    live = compute_liveness(fn)
+    assert calls == [fn]
+    monkeypatch.undo()
+    uses = {b.bid: frozenset(_block_use_def(b)[0]) for b in fn.blocks}
+    defs = {b.bid: frozenset(_block_use_def(b)[1]) for b in fn.blocks}
+    alone = dataflow.solve(
+        fn, dataflow.BACKWARD, dataflow.gen_kill_transfer(uses, defs)
+    )
+    assert (live.live_in, live.live_out) == (alone.in_facts, alone.out_facts)
+
+
 def test_liveness_dead_after_last_use():
     src = """
     int main() {

@@ -339,6 +339,24 @@ def test_campaign_smoke_no_divergences(tmp_path):
     assert "no divergences" in report.summary()
 
 
+def test_campaign_skips_a_program_whose_oracle_overflows_the_host_stack():
+    """Like fuel exhaustion, guest recursion too deep for the host stack
+    leaves no reference behaviour: the program is skipped, not failed."""
+    deep = GeneratedProgram(
+        "deep",
+        "int down(int n) {\n"
+        "    if (n == 0) { return 0; }\n"
+        "    return down(n - 1) + 1;\n"
+        "}\n"
+        "int main(int n) { return down(n); }\n",
+        ref_args=(2000,),
+        train_args=(3,),
+    )
+    report = run_campaign(seed=0, programs=[deep], failures_dir=None)
+    assert report.ok, report.summary()
+    assert (report.programs, report.skipped, report.runs) == (1, 1, 0)
+
+
 def test_campaign_report_round_trips_as_json():
     report = run_campaign(seed=2, runs=2, failures_dir=None)
     payload = json.loads(json.dumps(report.as_dict()))

@@ -74,3 +74,35 @@ def test_wrong_arity_arguments():
 
 def test_public_error_export():
     assert repro.ReproError is ReproError
+
+
+DEEP = """
+int down(int n) {
+    if (n == 0) { return 0; }
+    return down(n - 1) + 1;
+}
+
+int main(int n) { return down(n); }
+"""
+
+
+def test_deep_guest_recursion_is_a_typed_error_on_both_engines():
+    """Guest recursion deeper than the host stack holds ends in the
+    engine's own error, naming the function, as every other guest
+    runtime error does, not in a RecursionError."""
+    from repro.pipeline import CompilerOptions, compile_source
+    from repro.workloads.runner import SPECULATIVE
+
+    message = "call to down overflowed the host stack"
+    with pytest.raises(InterpError, match=message):
+        run_program(DEEP, [2000])
+    with pytest.raises(InterpError, match=message):  # the profiling run
+        compile_source(DEEP, SPECULATIVE(), train_args=[2000])
+    output = compile_source(DEEP, CompilerOptions())
+    with pytest.raises(MachineError, match=message):
+        output.run([2000])
+    with pytest.raises(MachineError, match=message):
+        output.run([2000], profile=True)  # the probed loop
+    # recursion that fits still completes on both
+    assert run_program(DEEP, [100]).exit_value == 100
+    assert output.run([100]).exit_value == 100

@@ -1,7 +1,13 @@
-"""The decoded interpreter against the tree walker it replaced.
+"""The decoded interpreter, on both of its tiers, against the tree walker
+it replaced.
 
 ``tests/reference_interp.py`` keeps the tree-walking interpreter.  Each
-case runs one module under both and requires the same output, exit
+case runs one module under it and under the decoded interpreter three
+times (``TIERS``): at the default ``interp.THRESHOLD``; with the
+threshold at 1, so that every loop and every small function is
+translated on first reach (``repro.ir.translate``); and with every
+function translated whole on its first call, so that every statement
+runs as generated code.  Each run must give the same output, exit
 value, statistics (``vars(stats)``), error type and message, final
 memory, and memory-access events — the tracer calls the alias profile
 is built from, together with the profile itself.
@@ -75,11 +81,26 @@ def observe(cls, module, args, traced: bool, max_steps: int) -> dict:
     }
 
 
+#: (THRESHOLD, MAX_FUNCTION) of each run of the decoded interpreter:
+#: the defaults, every loop and small function translated, everything
+#: translated whole
+TIERS = [
+    (interp.THRESHOLD, interp.MAX_FUNCTION), (1, interp.MAX_FUNCTION),
+    (1, 10**9),
+]
+
+
 def assert_same(module, args=(), traced=False, max_steps=50_000_000) -> dict:
-    decoded = observe(interp.Interpreter, module, args, traced, max_steps)
     reference = observe(TreeWalker, module, args, traced, max_steps)
-    assert decoded == reference
-    return decoded
+    for threshold, largest in TIERS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interp, "THRESHOLD", threshold)
+            patch.setattr(interp, "MAX_FUNCTION", largest)
+            decoded = observe(
+                interp.Interpreter, module, args, traced, max_steps
+            )
+        assert decoded == reference, (threshold, largest)
+    return reference
 
 
 def assert_same_traced(module, args=(), max_steps=50_000_000) -> dict:
