@@ -98,8 +98,12 @@ class AliasManager:
             o.id: o for o in self.system.all_objects()
         }
         self._access_cache: dict[tuple[int, str], frozenset[MemObject]] = {}
-        self._build_alias_classes()
-        self._build_mod_ref()
+        accesses, mod, ref, callees = self._scan_module()
+        self._build_alias_classes(accesses)
+        self._close_mod_ref(mod, ref, callees)
+        self._class_objects: Optional[dict[object, frozenset[MemObject]]] = None
+        self._mod_cache: dict[str, frozenset[MemObject]] = {}
+        self._ref_cache: dict[str, frozenset[MemObject]] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -192,22 +196,54 @@ class AliasManager:
         reads = {o.id for o in self.access_targets(load.addr, load.type)}
         return bool(reads & writes)
 
+    # -- one scan of the module ------------------------------------------------
+
+    def _scan_module(self) -> tuple[list, dict, dict, dict]:
+        """One walk of every statement: the target set of each indirect
+        access in module order (the alias classes union them), and each
+        function's direct mod and ref object ids and its callees (closed
+        over the call graph by :meth:`_close_mod_ref`)."""
+        accesses: list[frozenset[MemObject]] = []
+        var_objects = self.system.var_objects
+        direct_mod: dict[str, set[int]] = {}
+        direct_ref: dict[str, set[int]] = {}
+        callees: dict[str, set[str]] = {}
+        for fn in self.module.iter_functions():
+            mod: set[int] = set()
+            ref: set[int] = set()
+            callees[fn.name] = set()
+            for stmt in fn.iter_stmts():
+                for expr in stmt.expr_nodes():
+                    if isinstance(expr, Load):
+                        targets = self.access_targets(expr.addr, expr.type)
+                        accesses.append(targets)
+                        ref.update(o.id for o in targets)
+                    elif isinstance(expr, VarRead) and expr.var.has_memory_home:
+                        obj = var_objects.get(expr.var.id)
+                        if obj is not None:
+                            ref.add(obj.id)
+                if isinstance(stmt, Store):
+                    targets = self.access_targets(stmt.addr, stmt.value.type)
+                    accesses.append(targets)
+                    mod.update(o.id for o in targets)
+                elif isinstance(stmt, Assign) and stmt.target.has_memory_home:
+                    obj = var_objects.get(stmt.target.id)
+                    if obj is not None:
+                        mod.add(obj.id)
+                elif isinstance(stmt, Call):
+                    callees[fn.name].add(stmt.callee)
+            direct_mod[fn.name] = mod
+            direct_ref[fn.name] = ref
+        return accesses, direct_mod, direct_ref, callees
+
     # -- alias classes / virtual variables ------------------------------------
 
-    def _build_alias_classes(self) -> None:
+    def _build_alias_classes(self, accesses: list[frozenset[MemObject]]) -> None:
         """Union the target sets of every indirect access in the module;
         each resulting object class gets one virtual variable."""
         self._uf = _ObjectUnionFind()
-        accesses: list[tuple[Expr, Type]] = []
-        for fn in self.module.iter_functions():
-            for stmt in fn.iter_stmts():
-                for expr in stmt.walk_exprs():
-                    if isinstance(expr, Load):
-                        accesses.append((expr.addr, expr.type))
-                if isinstance(stmt, Store):
-                    accesses.append((stmt.addr, stmt.value.type))
-        for addr, ty in accesses:
-            targets = sorted(self.access_targets(addr, ty), key=lambda o: o.id)
+        for access in accesses:
+            targets = sorted(access, key=lambda o: o.id)
             for other in targets[1:]:
                 self._uf.union(targets[0].id, other.id)
         # materialize virtual variables per class representative
@@ -244,43 +280,25 @@ class AliasManager:
 
     def class_objects(self, vvar: VirtualVariable) -> frozenset[MemObject]:
         """All objects in a virtual variable's alias class."""
-        rep = vvar.group_key
-        return frozenset(
-            o for o in self._objects_by_id.values() if self._uf.find(o.id) == rep
-        )
+        if self._class_objects is None:
+            # The classes are fixed once built: index them all at once.
+            members: dict[object, list[MemObject]] = {}
+            for o in self._objects_by_id.values():
+                members.setdefault(self._uf.find(o.id), []).append(o)
+            self._class_objects = {
+                rep: frozenset(objs) for rep, objs in members.items()
+            }
+        return self._class_objects.get(vvar.group_key, frozenset())
 
     # -- interprocedural mod/ref -----------------------------------------------
 
-    def _build_mod_ref(self) -> None:
-        direct_mod: dict[str, set[int]] = {}
-        direct_ref: dict[str, set[int]] = {}
-        callees: dict[str, set[str]] = {}
-        for fn in self.module.iter_functions():
-            mod: set[int] = set()
-            ref: set[int] = set()
-            callees[fn.name] = set()
-            for stmt in fn.iter_stmts():
-                for expr in stmt.walk_exprs():
-                    if isinstance(expr, Load):
-                        ref |= {o.id for o in self.access_targets(expr.addr, expr.type)}
-                    elif isinstance(expr, VarRead) and expr.var.has_memory_home:
-                        obj = self.system.var_objects.get(expr.var.id)
-                        if obj is not None:
-                            ref.add(obj.id)
-                if isinstance(stmt, Store):
-                    mod |= {
-                        o.id
-                        for o in self.access_targets(stmt.addr, stmt.value.type)
-                    }
-                elif isinstance(stmt, Assign) and stmt.target.has_memory_home:
-                    obj = self.system.var_objects.get(stmt.target.id)
-                    if obj is not None:
-                        mod.add(obj.id)
-                elif isinstance(stmt, Call):
-                    callees[fn.name].add(stmt.callee)
-            direct_mod[fn.name] = mod
-            direct_ref[fn.name] = ref
-
+    def _close_mod_ref(
+        self,
+        direct_mod: dict[str, set[int]],
+        direct_ref: dict[str, set[int]],
+        callees: dict[str, set[str]],
+    ) -> None:
+        """GMOD/GREF: the direct mod/ref sets closed over the call graph."""
         # transitive closure to a fixed point (handles recursion)
         changed = True
         while changed:
@@ -295,19 +313,28 @@ class AliasManager:
                     if direct_ref[callee] - direct_ref[fname]:
                         direct_ref[fname] |= direct_ref[callee]
                         changed = True
-
         self._gmod = direct_mod
         self._gref = direct_ref
 
     def call_mod(self, fname: str) -> frozenset[MemObject]:
         """Objects a call to ``fname`` may modify (callee-local objects
         included; callers filter to what is visible in their scope)."""
-        ids = self._gmod.get(fname, set())
-        return frozenset(self._objects_by_id[i] for i in ids)
+        mod = self._mod_cache.get(fname)
+        if mod is None:
+            ids = self._gmod.get(fname, set())
+            mod = self._mod_cache[fname] = frozenset(
+                self._objects_by_id[i] for i in ids
+            )
+        return mod
 
     def call_ref(self, fname: str) -> frozenset[MemObject]:
-        ids = self._gref.get(fname, set())
-        return frozenset(self._objects_by_id[i] for i in ids)
+        ref = self._ref_cache.get(fname)
+        if ref is None:
+            ids = self._gref.get(fname, set())
+            ref = self._ref_cache[fname] = frozenset(
+                self._objects_by_id[i] for i in ids
+            )
+        return ref
 
     # -- scope helpers ------------------------------------------------------
 

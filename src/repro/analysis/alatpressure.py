@@ -59,7 +59,7 @@ from repro.ir.cfg import BasicBlock
 from repro.ir.expr import VarRead
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.stmt import Assign, Call, InvalidateCheck, Stmt, Store
+from repro.ir.stmt import Assign, Call, InvalidateCheck, SpecFlag, Stmt, Store
 from repro.machine.alat import ALATConfig, set_index_for_register
 
 # -- cost model (documented in DESIGN.md §12) -----------------------------
@@ -294,88 +294,91 @@ def armed_by_stmt(fn: Function) -> dict[int, frozenset[int]]:
     The raw occupancy facts of the forward "armed" analysis (an entry
     is held from its ``ld.a``/``ld.sa`` until a clearing check or
     ``invala.e``), without the profit model on top — speclint's SPEC006
-    pressure rule is rebased on this."""
+    pressure rule is rebased on this.  Only protocol statements change
+    the facts; every other statement carries the facts before it."""
     fn.compute_preds()
-    gen: dict[int, frozenset] = {}
-    kill: dict[int, frozenset] = {}
-    for block in fn.reachable_blocks():
-        gen[block.bid], kill[block.bid] = _compose_block(
-            block.stmts, _stmt_armed_gk
-        )
+    rpo = fn.reachable_blocks()
+    marks: dict[int, list[_Mark]] = {}
+    for block in rpo:
+        found = [m for m in map(_protocol_gk, block.stmts) if m is not None]
+        if found:
+            marks[block.bid] = found
     armed = dataflow.solve(
-        fn, dataflow.FORWARD, dataflow.gen_kill_transfer(gen, kill)
+        fn, dataflow.FORWARD, _transfer(rpo, marks, _ARMED), rpo=rpo
     )
     facts: dict[int, frozenset[int]] = {}
-    for block in fn.reachable_blocks():
+    for block in rpo:
         cur = armed.entry(block)
+        gk = {id(m[0]): m[_ARMED] for m in marks.get(block.bid, ())}
         for stmt in block.stmts:
-            g, k = _stmt_armed_gk(stmt)
-            cur = (cur - k) | g
+            change = gk.get(id(stmt))
+            if change is not None:
+                cur = (cur - change[1]) | change[0]
             facts[stmt.sid] = cur
     return facts
 
 
-def _collect_webs(fn: Function) -> dict[int, _Web]:
-    webs: dict[int, _Web] = {}
+_NONE: frozenset = frozenset()
 
-    def web_for(var) -> _Web:
-        w = webs.get(var.id)
-        if w is None:
-            w = _Web(var.id, var.name, is_float=var.type.is_float)
-            webs[var.id] = w
-        return w
-
-    for stmt in fn.iter_stmts():
-        if isinstance(stmt, Assign):
-            if stmt.spec_flag.is_advanced_load:
-                web_for(stmt.target).arming.append(stmt)
-            elif stmt.spec_flag.is_check:
-                web_for(stmt.target).checks.append(stmt)
-        elif isinstance(stmt, InvalidateCheck):
-            web_for(stmt.temp).invalas.append(stmt)
-    # A temp with checks but no arming (or vice versa) is degenerate;
-    # keep it — the live-range dataflow naturally gives it an empty or
-    # unbounded-but-unneeded range.
-    return {t: w for t, w in webs.items() if w.arming}
+#: (statement, (gen, kill) of the "armed" analysis, (gen, kill) of the
+#: "needed" analysis) of one protocol statement: a speculation-flagged
+#: assign or an ``invala.e``.  Every other statement has empty gen and
+#: kill in both analyses.
+_Mark = tuple[Stmt, tuple[frozenset, frozenset], tuple[frozenset, frozenset]]
+#: the index in a :data:`_Mark` of each analysis's gen/kill
+_ARMED, _NEEDED = 1, 2
 
 
-def _stmt_armed_gk(stmt: Stmt) -> tuple[frozenset, frozenset]:
-    """(gen, kill) of the forward "armed" analysis for one statement."""
-    if isinstance(stmt, Assign):
-        if stmt.spec_flag.is_advanced_load:
-            return frozenset((stmt.target.id,)), frozenset()
-        if stmt.spec_flag.is_check:
-            if stmt.spec_flag.keeps_entry:
-                return frozenset((stmt.target.id,)), frozenset()
-            return frozenset(), frozenset((stmt.target.id,))
-    if isinstance(stmt, InvalidateCheck):
-        return frozenset(), frozenset((stmt.temp.id,))
-    return frozenset(), frozenset()
+def _protocol_gk(stmt: Stmt) -> Optional[_Mark]:
+    """The gen/kill of both analyses for a protocol statement, or None.
+
+    Forward "armed": an ``ld.a``/``ld.sa`` generates its temp, a check
+    generates it if it keeps the entry and kills it otherwise, an
+    ``invala.e`` kills it.  Backward "needed": any check generates its
+    temp and the arming kills it."""
+    kind = type(stmt)
+    if kind is Assign:
+        flag = stmt.spec_flag
+        if flag is SpecFlag.NONE:
+            return None
+        t = frozenset((stmt.target.id,))
+        if flag.is_advanced_load:
+            return stmt, (t, _NONE), (_NONE, t)
+        if flag.keeps_entry:
+            return stmt, (t, _NONE), (t, _NONE)
+        return stmt, (_NONE, t), (t, _NONE)
+    if kind is InvalidateCheck:
+        return stmt, (_NONE, frozenset((stmt.temp.id,))), (_NONE, _NONE)
+    return None
 
 
-def _stmt_needed_gk(stmt: Stmt) -> tuple[frozenset, frozenset]:
-    """(gen, kill) of the backward "needed" analysis for one statement."""
-    if isinstance(stmt, Assign):
-        if stmt.spec_flag.is_check:
-            return frozenset((stmt.target.id,)), frozenset()
-        if stmt.spec_flag.is_advanced_load:
-            return frozenset(), frozenset((stmt.target.id,))
-    return frozenset(), frozenset()
-
-
-def _compose_block(stmts, stmt_gk) -> tuple[frozenset, frozenset]:
-    """Compose per-statement gen/kill into one block transfer."""
-    bg: frozenset = frozenset()
-    bk: frozenset = frozenset()
-    for stmt in stmts:
-        g, k = stmt_gk(stmt)
-        bg = (bg - k) | g
-        bk = (bk | k) - g
-    return bg, bk
+def _transfer(rpo, marks: dict[int, list[_Mark]], analysis: int):
+    """The block transfer of one analysis (``_ARMED`` forward or
+    ``_NEEDED`` backward): each block's protocol statements' gen/kill
+    composed in flow order."""
+    gen: dict[int, frozenset] = {}
+    kill: dict[int, frozenset] = {}
+    for block in rpo:
+        found = marks.get(block.bid)
+        if found:
+            bg: frozenset = _NONE
+            bk: frozenset = _NONE
+            for m in (found if analysis == _ARMED else reversed(found)):
+                g, k = m[analysis]
+                bg = (bg - k) | g
+                bk = (bk | k) - g
+            gen[block.bid], kill[block.bid] = bg, bk
+    return dataflow.gen_kill_transfer(gen, kill)
 
 
 class _FunctionAnalysis:
-    """Runs the live-range/occupancy/profit pipeline for one function."""
+    """Runs the live-range/occupancy/profit pipeline for one function.
+
+    One scan of the function finds its webs, its plain definitions and,
+    per block, the statements the model reads: protocol statements
+    (the only ones with gen/kill), stores and calls.  Everything after
+    it visits those statements only, since the facts cannot change
+    between two of them."""
 
     def __init__(
         self,
@@ -392,37 +395,68 @@ class _FunctionAnalysis:
         self.profile = profile
         self.targets_by_temp = targets_by_temp or {}
         self.prob_source = prob_source
-        self.webs = _collect_webs(fn)
         self.result = FunctionPressure(fn.name)
+        self._scan()
+
+    def _scan(self) -> None:
+        webs: dict[int, _Web] = {}
+
+        def web_for(var) -> _Web:
+            w = webs.get(var.id)
+            if w is None:
+                w = _Web(var.id, var.name, is_float=var.type.is_float)
+                webs[var.id] = w
+            return w
+
+        #: temp id -> plain (unflagged) assigns to it
+        self._plain_defs: dict[int, list[Assign]] = {}
+        #: block id -> [(stmt, mark or None)] for protocol statements
+        #: (with their gen/kill), stores and calls, in order
+        self._events: dict[int, list[tuple[Stmt, Optional[_Mark]]]] = {}
+        #: block id -> protocol gen/kill marks, in order
+        self._marks: dict[int, list[_Mark]] = {}
+        self._check_block: dict[int, BasicBlock] = {}
+        for block in self.fn.blocks:
+            events: list[tuple[Stmt, Optional[_Mark]]] = []
+            for stmt in block.stmts:
+                kind = type(stmt)
+                if kind is Assign:
+                    flag = stmt.spec_flag
+                    if flag is SpecFlag.NONE:
+                        self._plain_defs.setdefault(stmt.target.id, []).append(stmt)
+                        continue
+                    if flag.is_advanced_load:
+                        web_for(stmt.target).arming.append(stmt)
+                    else:
+                        web_for(stmt.target).checks.append(stmt)
+                        self._check_block[stmt.sid] = block
+                    events.append((stmt, _protocol_gk(stmt)))
+                elif kind is InvalidateCheck:
+                    web_for(stmt.temp).invalas.append(stmt)
+                    events.append((stmt, _protocol_gk(stmt)))
+                elif kind is Store or kind is Call:
+                    events.append((stmt, None))
+            if events:
+                self._events[block.bid] = events
+                marks = [m for _, m in events if m is not None]
+                if marks:
+                    self._marks[block.bid] = marks
+        # A temp with checks but no arming (or vice versa) is degenerate;
+        # keep it — the live-range dataflow naturally gives it an empty or
+        # unbounded-but-unneeded range.
+        self.webs = {t: w for t, w in webs.items() if w.arming}
 
     # -- live ranges ----------------------------------------------------
 
-    def _solve_ranges(self) -> None:
+    def _solve_ranges(self, rpo: Optional[list[BasicBlock]] = None) -> None:
         fn = self.fn
-        armed_gen: dict[int, frozenset] = {}
-        armed_kill: dict[int, frozenset] = {}
-        needed_gen: dict[int, frozenset] = {}
-        needed_kill: dict[int, frozenset] = {}
-        rpo = fn.reachable_blocks()
-        for block in rpo:
-            g, k = _compose_block(block.stmts, _stmt_armed_gk)
-            armed_gen[block.bid], armed_kill[block.bid] = g, k
-            g, k = _compose_block(
-                list(reversed(block.stmts)), _stmt_needed_gk
-            )
-            needed_gen[block.bid], needed_kill[block.bid] = g, k
-
+        if rpo is None:
+            rpo = fn.reachable_blocks()
         armed = dataflow.solve(
-            fn,
-            dataflow.FORWARD,
-            dataflow.gen_kill_transfer(armed_gen, armed_kill),
-            rpo=rpo,
+            fn, dataflow.FORWARD, _transfer(rpo, self._marks, _ARMED), rpo=rpo
         )
         needed = dataflow.solve(
-            fn,
-            dataflow.BACKWARD,
-            dataflow.gen_kill_transfer(needed_gen, needed_kill),
-            rpo=rpo,
+            fn, dataflow.BACKWARD, _transfer(rpo, self._marks, _NEEDED), rpo=rpo
         )
         self.result.solver_visits = armed.visits + needed.visits
         self._armed = armed
@@ -432,19 +466,24 @@ class _FunctionAnalysis:
         self, block: BasicBlock
     ) -> tuple[list[frozenset], list[frozenset]]:
         """(armed, needed) ALAT facts after each statement of ``block``."""
+        gk = {id(m[0]): m for m in self._marks.get(block.bid, ())}
         n = len(block.stmts)
         armed_after: list[frozenset] = []
         cur = self._armed.entry(block)
         for stmt in block.stmts:
-            g, k = _stmt_armed_gk(stmt)
-            cur = (cur - k) | g
+            m = gk.get(id(stmt))
+            if m is not None:
+                g, k = m[_ARMED]
+                cur = (cur - k) | g
             armed_after.append(cur)
         needed_after: list[frozenset] = [frozenset()] * n
         cur = self._needed.exit(block)
         for i in range(n - 1, -1, -1):
             needed_after[i] = cur
-            g, k = _stmt_needed_gk(block.stmts[i])
-            cur = (cur - k) | g
+            m = gk.get(id(block.stmts[i]))
+            if m is not None:
+                g, k = m[_NEEDED]
+                cur = (cur - k) | g
         return armed_after, needed_after
 
     def live_after(self, block: BasicBlock) -> list[frozenset]:
@@ -468,11 +507,15 @@ class _FunctionAnalysis:
 
     # -- alias-profile-weighted misspeculation --------------------------
 
-    def _alias_risk(self, live_by_stmt: dict[int, frozenset]) -> dict[int, float]:
+    def _alias_risk(
+        self, live_at: list[tuple[Stmt, frozenset]]
+    ) -> dict[int, float]:
         """Per candidate: probability an aliasing store/call in the live
         range invalidates the entry before its next check.
 
-        Each charged pair is priced by the configured
+        ``live_at`` holds each store and call with a live entry after
+        it, in layout order of the reachable blocks.  Each charged pair
+        is priced by the configured
         :class:`~repro.analysis.probalias.ProbSource` (default: the
         profile-driven constants) and recorded on
         ``result.pair_estimates``."""
@@ -484,63 +527,52 @@ class _FunctionAnalysis:
             from repro.analysis.probalias import ProfileProbSource
 
             source = ProfileProbSource(self.profile, self.am)
-        for block in self.fn.reachable_blocks():
-            for stmt in block.stmts:
-                live = live_by_stmt.get(stmt.sid)
-                if not live:
+        for stmt, live in live_at:
+            unknown = False
+            if type(stmt) is Store:
+                writes = self.am.store_write_ids(stmt)
+                # Promotion rewrote many store addresses into temp
+                # reads the points-to solution has never seen; an
+                # empty target set means "unknown", not "nothing" —
+                # the dynamic address may hit any live entry.
+                unknown = not writes
+            else:
+                writes = frozenset(
+                    o.id for o in self.am.call_mod(stmt.callee)
+                )
+            if not writes and not unknown:
+                continue
+            for t in live:
+                targets = self.targets_by_temp.get(t) or frozenset()
+                if not unknown and not (writes & targets):
                     continue
-                unknown = False
-                if isinstance(stmt, Store):
-                    writes = self.am.store_write_ids(stmt)
-                    # Promotion rewrote many store addresses into temp
-                    # reads the points-to solution has never seen; an
-                    # empty target set means "unknown", not "nothing" —
-                    # the dynamic address may hit any live entry.
-                    unknown = not writes
-                elif isinstance(stmt, Call):
-                    writes = frozenset(
-                        o.id for o in self.am.call_mod(stmt.callee)
+                if type(stmt) is Store:
+                    est = source.store_prob(
+                        self.fn, stmt, targets, unknown
                     )
                 else:
-                    continue
-                if not writes and not unknown:
-                    continue
-                for t in live:
-                    targets = self.targets_by_temp.get(t) or frozenset()
-                    if not unknown and not (writes & targets):
-                        continue
-                    if isinstance(stmt, Store):
-                        est = source.store_prob(
-                            self.fn, stmt, targets, unknown
-                        )
-                    else:
-                        est = source.call_prob(self.fn, stmt, targets)
-                    self.result.pair_estimates.append(
-                        PairEstimate(
-                            function=self.fn.name,
-                            sid=stmt.sid,
-                            temp_id=t,
-                            temp=self.webs[t].name,
-                            kind="store"
-                            if isinstance(stmt, Store)
-                            else "call",
-                            prob=est.prob,
-                            source=est.source,
-                            features=est.features,
-                        )
+                    est = source.call_prob(self.fn, stmt, targets)
+                self.result.pair_estimates.append(
+                    PairEstimate(
+                        function=self.fn.name,
+                        sid=stmt.sid,
+                        temp_id=t,
+                        temp=self.webs[t].name,
+                        kind="store"
+                        if type(stmt) is Store
+                        else "call",
+                        prob=est.prob,
+                        source=est.source,
+                        features=est.features,
                     )
-                    survival[t] *= 1.0 - est.prob
+                )
+                survival[t] *= 1.0 - est.prob
         return {t: 1.0 - s for t, s in survival.items()}
 
     # -- address-dependency closure (cascades) ---------------------------
 
     def _dependents(self) -> dict[int, set[int]]:
-        from repro.ir.stmt import SpecFlag
-
-        plain_defs: dict[int, list[Assign]] = {}
-        for stmt in self.fn.iter_stmts():
-            if isinstance(stmt, Assign) and stmt.spec_flag is SpecFlag.NONE:
-                plain_defs.setdefault(stmt.target.id, []).append(stmt)
+        plain_defs = self._plain_defs
 
         def addr_deps(temp_id: int) -> set[int]:
             deps: set[int] = set()
@@ -548,7 +580,7 @@ class _FunctionAnalysis:
             work: list[int] = []
             web = self.webs[temp_id]
             for stmt in web.arming + web.checks:
-                for e in stmt.walk_exprs():
+                for e in stmt.expr_nodes():
                     if isinstance(e, VarRead) and e.var.is_temp:
                         work.append(e.var.id)
             while work:
@@ -560,7 +592,7 @@ class _FunctionAnalysis:
                     deps.add(v)
                     continue
                 for d in plain_defs.get(v, []):
-                    for e in d.walk_exprs():
+                    for e in d.expr_nodes():
                         if isinstance(e, VarRead) and e.var.is_temp:
                             work.append(e.var.id)
             return deps
@@ -573,15 +605,19 @@ class _FunctionAnalysis:
 
     # -- main entry ------------------------------------------------------
 
+    def _block_weights(self, rpo: list[BasicBlock]) -> dict[int, float]:
+        """Loop-nest weight of every reachable block."""
+        loops: LoopForest = find_natural_loops(self.fn, compute_dominators(self.fn))
+        weights: dict[int, float] = {}
+        for block in rpo:
+            loop = loops.innermost_containing(block)
+            weights[block.bid] = float(LOOP_WEIGHT ** (loop.depth if loop else 0))
+        return weights
+
     def run(self) -> FunctionPressure:
         fn, res = self.fn, self.result
         fn.compute_preds()
-        domtree = compute_dominators(fn)
-        loops: LoopForest = find_natural_loops(fn, domtree)
-
-        def block_weight(block: BasicBlock) -> float:
-            loop = loops.innermost_containing(block)
-            return float(LOOP_WEIGHT ** (loop.depth if loop else 0))
+        rpo = fn.reachable_blocks()
 
         def note_call(stmt: Call, armed: int, w: float) -> None:
             res.calls.append((stmt.callee, armed))
@@ -593,57 +629,89 @@ class _FunctionAnalysis:
             # No candidates, but the function still links call chains:
             # the interprocedural models must see main -> ... -> hot
             # leaf, and the rearm factor needs the call-site weights.
-            for block in fn.reachable_blocks():
-                w = block_weight(block)
-                for stmt in block.stmts:
-                    if isinstance(stmt, Call):
-                        note_call(stmt, 0, w)
+            calls = [
+                (block, stmt)
+                for block in rpo
+                for stmt, _ in self._events.get(block.bid, ())
+                if type(stmt) is Call
+            ]
+            if calls:
+                weights = self._block_weights(rpo)
+                for block, stmt in calls:
+                    note_call(stmt, 0, weights[block.bid])
             return res
-        self._solve_ranges()
+        weights = self._block_weights(rpo)
+        self._solve_ranges(rpo)
 
         set_of = self._assign_sets()
         dependents = self._dependents()
 
-        # One pass over every program point.  Occupancy tracks *armed*
-        # entries (a dead entry still holds a way); profit and alias
-        # risk track armed-and-needed (the value-carrying live range);
-        # an arming whose target is not needed right after it is dead.
-        live_by_stmt: dict[int, frozenset] = {}
-        points: list[tuple[float, frozenset]] = []
+        # One pass over the statements that change or read the facts.
+        # Occupancy tracks *armed* entries (a dead entry still holds a
+        # way) at every program point: the armed set stays as it is
+        # between two protocol statements, so each block contributes
+        # its distinct armed sets, each once.  Profit and alias risk
+        # track armed-and-needed (the value-carrying live range) after
+        # stores and calls; an arming whose target is not needed right
+        # after it is dead.
+        live_at: list[tuple[Stmt, frozenset]] = []
+        points: dict[tuple[float, frozenset], None] = {}
         dead_weight: dict[int, float] = {t: 0.0 for t in self.webs}
         exit_armed: set[int] = set()
-        for block in fn.reachable_blocks():
-            w = block_weight(block)
-            armed_after, needed_after = self.point_facts(block)
-            for stmt, armed, needed in zip(
-                block.stmts, armed_after, needed_after
-            ):
-                live_by_stmt[stmt.sid] = armed & needed
-                points.append((w, armed))
-                if isinstance(stmt, Call):
-                    note_call(stmt, len(armed), w)
-                elif (
-                    isinstance(stmt, Assign)
-                    and stmt.spec_flag.is_advanced_load
-                    and stmt.target.id not in needed
-                ):
-                    dead_weight[stmt.target.id] += w
+        for block in rpo:
+            w = weights[block.bid]
+            events = self._events.get(block.bid, ())
+            # needed after each event, walking the block backwards
+            needed_after: list[frozenset] = [_NONE] * len(events)
+            cur = self._needed.exit(block)
+            for i in range(len(events) - 1, -1, -1):
+                needed_after[i] = cur
+                m = events[i][1]
+                if m is not None:
+                    g, k = m[_NEEDED]
+                    cur = (cur - k) | g
+            cur = self._armed.entry(block)
+            marks = self._marks.get(block.bid)
+            if block.stmts and not (marks and marks[0][0] is block.stmts[0]):
+                # the statements before the first protocol statement
+                points[(w, cur)] = None
+            for (stmt, m), needed in zip(events, needed_after):
+                if m is not None:
+                    g, k = m[_ARMED]
+                    cur = (cur - k) | g
+                    points[(w, cur)] = None
+                    if (
+                        type(stmt) is Assign
+                        and stmt.spec_flag.is_advanced_load
+                        and stmt.target.id not in needed
+                    ):
+                        dead_weight[stmt.target.id] += w
+                else:
+                    live = cur & needed
+                    if live:
+                        live_at.append((stmt, live))
+                    if type(stmt) is Call:
+                        note_call(stmt, len(cur), w)
             if not block.successors():
                 exit_armed |= self._armed.exit(block)
         for t in exit_armed:
             s = set_of[t]
             res.exit_residue[s] = res.exit_residue.get(s, 0) + 1
 
-        p_alias = self._alias_risk(live_by_stmt)
+        p_alias = self._alias_risk(live_at)
 
         # Candidate skeletons + base (alias-only) profit for victim
-        # ordering inside oversubscribed sets.
+        # ordering inside oversubscribed sets.  A check in a block the
+        # entry does not reach weighs 1.
+        check_weight = {
+            sid: weights.get(block.bid, 1.0)
+            for sid, block in self._check_block.items()
+        }
         for t, web in self.webs.items():
             weight = 0.0
             branching = 0
             for c in web.checks:
-                blk = self._block_of(c)
-                weight += block_weight(blk) if blk is not None else 1.0
+                weight += check_weight[c.sid]
                 if c.spec_flag.is_branching_check:
                     branching += 1
             res.candidates[t] = CandidateReport(
@@ -672,7 +740,11 @@ class _FunctionAnalysis:
             return rep.check_weight * (lat * (1.0 - pa) - pa * penalty)
 
         # Occupancy scan: peaks, conflict victims, eviction externality.
+        # Every step is a maximum or a set union, so a point seen again
+        # changes nothing and each distinct one is scanned once.
         for w, armed in points:
+            if not armed:
+                continue
             res.peak_occupancy = max(res.peak_occupancy, len(armed))
             by_set: dict[int, list[int]] = {}
             for t in armed:
@@ -704,8 +776,7 @@ class _FunctionAnalysis:
             pm = rep.p_miss
             profit = 0.0
             for c in web.checks:
-                blk = self._block_of(c)
-                cw = block_weight(blk) if blk is not None else 1.0
+                cw = check_weight[c.sid]
                 penalty = (
                     RECOVERY_PENALTY
                     if c.spec_flag.is_branching_check
@@ -715,16 +786,6 @@ class _FunctionAnalysis:
             profit -= DEAD_ARMING_COST * rep.dead_arming_weight
             rep.profit = profit - rep.conflict_cost
         return res
-
-    def _block_of(self, stmt: Stmt) -> Optional[BasicBlock]:
-        cached = getattr(self, "_pos", None)
-        if cached is None:
-            cached = {}
-            for block in self.fn.reachable_blocks():
-                for s in block.stmts:
-                    cached[s.sid] = block
-            self._pos = cached
-        return cached.get(stmt.sid)
 
 
 def analyze_function_pressure(

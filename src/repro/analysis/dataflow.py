@@ -67,12 +67,12 @@ class DataflowResult:
         return self.out_facts.get(block.bid, frozenset())
 
 
+_EMPTY: frozenset = frozenset()
+
+
 def _meet_values(values: list[frozenset], meet: str) -> frozenset:
     if meet == "union":
-        out: frozenset = frozenset()
-        for v in values:
-            out |= v
-        return out
+        return _EMPTY.union(*values)
     acc = values[0]
     for v in values[1:]:
         acc &= v
@@ -113,65 +113,77 @@ def solve(
         rpo = fn.reachable_blocks()
     if not rpo:
         return DataflowResult(direction)
-    reachable = {b.bid for b in rpo}
     order = list(rpo) if direction == FORWARD else list(reversed(rpo))
     if max_visits is None:
         max_visits = max(4096, 64 * len(order) * len(order))
+    block_of = {b.bid: b for b in order}
 
     # The "solved" side: out for forward, in for backward.  None means
     # not yet computed (top for intersection meets).
-    solved: dict[int, Optional[frozenset]] = {b.bid: None for b in order}
+    solved: dict[int, Optional[frozenset]] = dict.fromkeys(block_of)
     met: dict[int, frozenset] = {}
 
     # The CFG does not change during a solve, so each block's edges and
-    # boundary test are taken once.  ``edges_in`` feed a block's meet;
-    # ``edges_out`` lead to the blocks requeued when its value changes.
-    preds = {b.bid: [p for p in b.preds if p.bid in reachable] for b in order}
-    succs = {b.bid: [s for s in b.successors() if s.bid in reachable] for b in order}
+    # boundary test are taken once, as block ids.  ``edges_in`` feed a
+    # block's meet; ``edges_out`` lead to the blocks requeued when its
+    # value changes.
+    preds = {
+        bid: [p.bid for p in b.preds if p.bid in block_of]
+        for bid, b in block_of.items()
+    }
+    succs = {
+        bid: [s.bid for s in b.successors() if s.bid in block_of]
+        for bid, b in block_of.items()
+    }
     if direction == FORWARD:
         edges_in, edges_out = preds, succs
         boundary_bids = {rpo[0].bid}
     else:
         edges_in, edges_out = succs, preds
         boundary_bids = {bid for bid, out in succs.items() if not out}
+    union = meet == "union"
 
-    worklist: deque[BasicBlock] = deque(order)
-    queued = {b.bid for b in order}
+    worklist: deque[int] = deque(block_of)
+    queued = set(block_of)
     visits = 0
     while worklist:
-        block = worklist.popleft()
-        queued.discard(block.bid)
+        bid = worklist.popleft()
+        queued.discard(bid)
         visits += 1
         if visits > max_visits:
             raise DataflowDivergence(
                 f"{direction} dataflow in {fn.name!r} exceeded "
                 f"{max_visits} block visits without converging"
             )
-        incoming = [solved[e.bid] for e in edges_in[block.bid]]
-        known = [v for v in incoming if v is not None]
-        if block.bid in boundary_bids:
+        known = [v for v in map(solved.__getitem__, edges_in[bid]) if v is not None]
+        if bid in boundary_bids:
             known.append(boundary)
-        value = _meet_values(known, meet) if known else frozenset()
-        met[block.bid] = value
-        new = transfer(block, value)
-        if new != solved[block.bid]:
-            solved[block.bid] = new
-            for t in edges_out[block.bid]:
-                if t.bid not in queued:
+        if not known:
+            value = _EMPTY
+        elif union:
+            value = _EMPTY.union(*known)
+        else:
+            value = _meet_values(known, meet)
+        met[bid] = value
+        new = transfer(block_of[bid], value)
+        if new != solved[bid]:
+            solved[bid] = new
+            for t in edges_out[bid]:
+                if t not in queued:
                     worklist.append(t)
-                    queued.add(t.bid)
+                    queued.add(t)
 
     in_facts: dict[int, frozenset] = {}
     out_facts: dict[int, frozenset] = {}
-    for block in order:
-        fixed = solved[block.bid]
-        fixed = fixed if fixed is not None else frozenset()
+    for bid in block_of:
+        fixed = solved[bid]
+        fixed = fixed if fixed is not None else _EMPTY
         if direction == FORWARD:
-            in_facts[block.bid] = met.get(block.bid, frozenset())
-            out_facts[block.bid] = fixed
+            in_facts[bid] = met.get(bid, _EMPTY)
+            out_facts[bid] = fixed
         else:
-            in_facts[block.bid] = fixed
-            out_facts[block.bid] = met.get(block.bid, frozenset())
+            in_facts[bid] = fixed
+            out_facts[bid] = met.get(bid, _EMPTY)
     return DataflowResult(direction, in_facts, out_facts, visits)
 
 
@@ -185,8 +197,7 @@ def gen_kill_transfer(
     to empty.  Always monotone, so safe for any direction/meet."""
 
     def transfer(block: BasicBlock, facts: frozenset) -> frozenset:
-        g = gen.get(block.bid, frozenset())
-        k = kill.get(block.bid, frozenset())
-        return g | (facts - k)
+        bid = block.bid
+        return gen.get(bid, _EMPTY) | (facts - kill.get(bid, _EMPTY))
 
     return transfer

@@ -13,12 +13,17 @@ accessors report them as having empty live sets.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.analysis import dataflow
 from repro.ir.cfg import BasicBlock
 from repro.ir.function import Function
-from repro.ir.stmt import ConditionalReload, stmt_defines
+from repro.ir.stmt import ConditionalReload, Stmt, stmt_defines
 from repro.ir.expr import VarRead
 from repro.ir.symbols import Variable
+
+#: each statement's :func:`stmt_uses`, by sid
+StmtUses = dict[int, list[int]]
 
 
 class LivenessInfo:
@@ -46,47 +51,58 @@ class LivenessInfo:
         return var.id in self.live_into(block)
 
 
-def _block_use_def(block: BasicBlock) -> tuple[set[int], set[int]]:
-    """Upward-exposed uses and defs of one block.
+def stmt_uses(stmt: Stmt) -> list[int]:
+    """Ids of the variables ``stmt`` reads, with repeats.
 
-    Only register-resident reads count as uses here: a VarRead of a
-    memory variable is a load, not a register use, but we still track all
-    variables so liveness can serve the promotion tests (a promoted
-    temp's VarRead is a register use by construction).
+    Every VarRead of its expressions counts, and of its chk.a recovery
+    code, which executes at the statement's position; so does a
+    ConditionalReload's own temp, which it may keep.  Only
+    register-resident reads are uses in codegen's sense (a VarRead of a
+    memory variable is a load), but every variable is tracked so
+    liveness can serve the promotion tests (a promoted temp's VarRead
+    is a register use by construction).
     """
+    uses = [e.var.id for e in stmt.expr_nodes() if type(e) is VarRead]
+    recovery = getattr(stmt, "recovery", None)
+    if recovery:
+        for r in recovery:
+            uses += [e.var.id for e in r.expr_nodes() if type(e) is VarRead]
+    if type(stmt) is ConditionalReload:
+        uses.append(stmt.temp.id)
+    return uses
+
+
+def _block_use_def(
+    block: BasicBlock, uses_of: Optional[StmtUses] = None
+) -> tuple[set[int], set[int]]:
+    """Upward-exposed uses and defs of one block (a use counts unless an
+    earlier statement of the block defines the variable)."""
     uses: set[int] = set()
     defs: set[int] = set()
     for stmt in block.stmts:
-        for expr in stmt.walk_exprs():
-            if isinstance(expr, VarRead) and expr.var.id not in defs:
-                uses.add(expr.var.id)
-        recovery = getattr(stmt, "recovery", None)
-        if recovery:
-            # chk.a recovery executes at this statement's position
-            for r in recovery:
-                for expr in r.walk_exprs():
-                    if isinstance(expr, VarRead) and expr.var.id not in defs:
-                        uses.add(expr.var.id)
-        # ConditionalReload reads its temp implicitly (may keep old value)
-        if isinstance(stmt, ConditionalReload) and stmt.temp.id not in defs:
-            uses.add(stmt.temp.id)
+        read = uses_of[stmt.sid] if uses_of is not None else stmt_uses(stmt)
+        uses.update(v for v in read if v not in defs)
         target = stmt_defines(stmt)
         if target is not None:
             defs.add(target.id)
     return uses, defs
 
 
-def compute_liveness(fn: Function) -> LivenessInfo:
+def compute_liveness(
+    fn: Function, uses_of: Optional[StmtUses] = None
+) -> LivenessInfo:
     """Backward may-analysis on the generic worklist solver.
 
     Only blocks reachable from the entry participate: use/def sets are
     not even computed for dead blocks, so a ``VarRead`` sitting in
-    unreachable code cannot manufacture a live range."""
+    unreachable code cannot manufacture a live range.  ``uses_of``
+    holds :func:`stmt_uses` for every statement when the caller has
+    them already (dead-code elimination reads them again)."""
     use_sets: dict[int, frozenset[int]] = {}
     def_sets: dict[int, frozenset[int]] = {}
     rpo = fn.reachable_blocks()
     for block in rpo:
-        uses, defs = _block_use_def(block)
+        uses, defs = _block_use_def(block, uses_of)
         use_sets[block.bid] = frozenset(uses)
         def_sets[block.bid] = frozenset(defs)
 

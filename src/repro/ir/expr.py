@@ -241,6 +241,38 @@ def walk_exprs_of(roots: tuple[Expr, ...]) -> Iterator[Expr]:
             extend(children[::-1])
 
 
+#: expression kinds with no children
+_LEAF_KINDS = frozenset((ConstInt, ConstFloat, VarRead, AddrOf))
+
+
+def expr_nodes(roots: tuple[Expr, ...]) -> list[Expr]:
+    """The nodes of several expression trees, pre-order, as one list.
+
+    The same nodes in the same order as :func:`walk_exprs_of`, built
+    without a generator resume per node: for read-only consumers.  A
+    node's children are read when the node is taken, so a caller that
+    rewrites children while it walks uses :func:`walk_exprs_of`."""
+    out: list[Expr] = []
+    append = out.append
+    stack = list(roots)
+    stack.reverse()
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        append(node)
+        kind = type(node)
+        if kind is BinOp:
+            push(node.right)
+            push(node.left)
+        elif kind is Load:
+            push(node.addr)
+        elif kind is UnOp:
+            push(node.operand)
+        elif kind not in _LEAF_KINDS:
+            stack.extend(node.children()[::-1])
+    return out
+
+
 def expr_reads_memory(expr: Expr) -> bool:
     """True when evaluating ``expr`` performs at least one memory load."""
     for node in walk_expr(expr):

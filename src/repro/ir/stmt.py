@@ -25,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import IRError
-from repro.ir.expr import Expr, Load, VarRead, walk_exprs_of
+from repro.ir.expr import Expr, Load, VarRead, expr_nodes, walk_exprs_of
 from repro.ir.loc import Loc
 from repro.ir.symbols import Variable
 from repro.ir.types import Type
@@ -97,6 +97,11 @@ class Stmt:
     def walk_exprs(self) -> Iterator[Expr]:
         """All expression nodes in this statement, pre-order."""
         return walk_exprs_of(self.exprs())
+
+    def expr_nodes(self) -> list[Expr]:
+        """:meth:`walk_exprs` as a list, for a caller that does not
+        rewrite the statement while it reads the nodes."""
+        return expr_nodes(self.exprs())
 
 
 class Assign(Stmt):
@@ -325,22 +330,25 @@ class CondBranch(Terminator):
 
 def stmt_defines(stmt: Stmt) -> Optional[Variable]:
     """The variable directly (must-)defined by ``stmt``, if any."""
-    if isinstance(stmt, Assign):
+    kind = type(stmt)  # no statement class is subclassed
+    if kind is Assign or kind is Alloc:
         return stmt.target
-    if isinstance(stmt, Alloc):
-        return stmt.target
-    if isinstance(stmt, Call):
+    if kind is Call:
         return stmt.result
-    if isinstance(stmt, ConditionalReload):
+    if kind is ConditionalReload:
         return stmt.temp  # may-def, but treat as def for liveness safety
     return None
 
 
-def stmt_direct_var_reads(stmt: Stmt) -> list[VarRead]:
-    """All VarRead occurrences in ``stmt`` (including nested ones)."""
-    return [e for e in stmt.walk_exprs() if isinstance(e, VarRead)]
-
-
-def stmt_indirect_loads(stmt: Stmt) -> list[Load]:
-    """All indirect Load occurrences in ``stmt``."""
-    return [e for e in stmt.walk_exprs() if isinstance(e, Load)]
+def stmt_loads_and_reads(stmt: Stmt) -> tuple[list[Load], list[VarRead]]:
+    """``stmt``'s indirect loads and its variable reads, each in
+    pre-order: one walk for a pass that wants both."""
+    loads: list[Load] = []
+    reads: list[VarRead] = []
+    for e in expr_nodes(stmt.exprs()):
+        kind = type(e)
+        if kind is VarRead:
+            reads.append(e)
+        elif kind is Load:
+            loads.append(e)
+    return loads, reads

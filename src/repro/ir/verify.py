@@ -14,6 +14,12 @@ bug, reported as :class:`VerificationError`.  Checks:
 * every variable referenced is a param, local, or global of the module;
 * speculation flags are used consistently (checks only on temporaries,
   recovery only on chk.a).
+
+A function's blocks are checked in layout order, each block's shape
+before its statements, so the first defect in that order is the one
+reported.  Statements and expressions are told apart by their exact
+class (no IR class is subclassed outside :mod:`repro.ir`), and each
+statement's expressions are read as one list.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.ir.stmt import (
     ConditionalReload,
     InvalidateCheck,
     Return,
+    SpecFlag,
     Stmt,
     Store,
     Terminator,
@@ -59,16 +66,16 @@ def verify_function(fn: Function, module: Module | None = None) -> None:
 
 
 def _verify_block_shape(fn: Function, block, block_ids: set[int]) -> None:
-    if not block.stmts:
+    stmts = block.stmts
+    if not stmts:
         _fail(fn, f"block {block.label} is empty")
-    for i, stmt in enumerate(block.stmts):
-        is_last = i == len(block.stmts) - 1
-        if isinstance(stmt, Terminator) != is_last:
+    last = len(stmts) - 1
+    for i, stmt in enumerate(stmts):
+        if isinstance(stmt, Terminator) != (i == last):
             _fail(fn, f"block {block.label}: terminator position violated at {stmt}")
         if stmt.block is not block:
             _fail(fn, f"block {block.label}: statement {stmt} has stale block pointer")
-    term = block.terminator
-    assert term is not None
+    term = stmts[-1]
     for target in term.targets():
         if target.bid not in block_ids:
             _fail(fn, f"block {block.label} branches to foreign block {target.label}")
@@ -82,13 +89,16 @@ def _verify_stmt(
     known_vars: set[int],
     module: Module | None = None,
 ) -> None:
-    for expr in stmt.walk_exprs():
-        if isinstance(expr, (VarRead, AddrOf)) and expr.var.id not in known_vars:
-            _fail(fn, f"unknown variable {expr.var.name} in {stmt}")
-        if isinstance(expr, Load) and not expr.addr.type.is_pointer:
+    for expr in stmt.expr_nodes():
+        kind = type(expr)
+        if kind is VarRead or kind is AddrOf:
+            if expr.var.id not in known_vars:
+                _fail(fn, f"unknown variable {expr.var.name} in {stmt}")
+        elif kind is Load and not expr.addr.type.is_pointer:
             _fail(fn, f"load through non-pointer in {stmt}")
 
-    if isinstance(stmt, Assign):
+    kind = type(stmt)
+    if kind is Assign:
         if stmt.target.id not in known_vars:
             _fail(fn, f"unknown assign target {stmt.target.name} in {stmt}")
         if not _assignable(stmt.target.type, stmt.expr.type):
@@ -96,14 +106,15 @@ def _verify_stmt(
                 fn,
                 f"type mismatch in {stmt}: {stmt.target.type} = {stmt.expr.type}",
             )
-        if stmt.spec_flag.is_check and not stmt.target.is_temp:
+        flag = stmt.spec_flag
+        if flag is not SpecFlag.NONE and flag.is_check and not stmt.target.is_temp:
             _fail(fn, f"check flag on non-temporary in {stmt}")
-        if stmt.recovery is not None and not stmt.spec_flag.is_branching_check:
+        if stmt.recovery is not None and not flag.is_branching_check:
             _fail(fn, f"recovery code without chk.a flag in {stmt}")
-    elif isinstance(stmt, Store):
+    elif kind is Store:
         if not stmt.addr.type.is_pointer:
             _fail(fn, f"store through non-pointer in {stmt}")
-    elif isinstance(stmt, Call) and module is not None:
+    elif kind is Call and module is not None:
         callee = module.functions.get(stmt.callee)
         if callee is None:
             _fail(fn, f"call to unknown function {stmt.callee} in {stmt}")
@@ -128,21 +139,21 @@ def _verify_stmt(
                 f"call result type mismatch in {stmt}: {stmt.result.type} "
                 f"= {callee.return_type}",
             )
-    elif isinstance(stmt, Alloc):
+    elif kind is Alloc:
         if stmt.target.id not in known_vars:
             _fail(fn, f"unknown alloc target in {stmt}")
         if not isinstance(stmt.count.type, (IntType, BoolType)):
             _fail(fn, f"alloc count must be integer in {stmt}")
-    elif isinstance(stmt, CondBranch):
+    elif kind is CondBranch:
         if not isinstance(stmt.cond.type, (BoolType, IntType)):
             _fail(fn, f"branch condition has type {stmt.cond.type} in {stmt}")
-    elif isinstance(stmt, Return):
+    elif kind is Return:
         if stmt.expr is not None and not _assignable(fn.return_type, stmt.expr.type):
             _fail(fn, f"return type mismatch in {stmt}")
-    elif isinstance(stmt, InvalidateCheck):
+    elif kind is InvalidateCheck:
         if stmt.temp.id not in known_vars:
             _fail(fn, f"unknown temp in {stmt}")
-    elif isinstance(stmt, ConditionalReload):
+    elif kind is ConditionalReload:
         if stmt.temp.id not in known_vars:
             _fail(fn, f"unknown variable in {stmt}")
         if not stmt.home_addr.type.is_pointer or not stmt.store_addr.type.is_pointer:
@@ -152,6 +163,8 @@ def _verify_stmt(
 def _assignable(target_type, value_type) -> bool:
     # bool results may be stored into ints and vice versa (comparisons
     # feeding arithmetic); everything else must be compatible.
+    if target_type is value_type:
+        return True
     if isinstance(target_type, (IntType, BoolType)) and isinstance(
         value_type, (IntType, BoolType)
     ):

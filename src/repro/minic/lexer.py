@@ -28,28 +28,33 @@ KEYWORDS = frozenset(
     "int float void struct if else while for return break continue print alloc".split()
 )
 
-# Longest first, so the alternation takes "->" before "-".
+#: every punctuation token (``_TOKEN`` spells them out, longest first)
 PUNCTUATION = (
     "-> == != <= >= && || += -= *= /= "
     "( ) { } [ ] ; , . + - * / % < > = ! &"
 ).split()
 
+# One match per token: (the whitespace before it, its text).  Words come
+# first, then punctuation, longest first ("/" only where no comment
+# starts), numbers (a float where a fraction or exponent follows),
+# comments, an unterminated block comment, and last any other single
+# character -- or nothing, at the end of the input.
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
-    r"|(?P<open>/\*)"  # a block comment with no end
-    r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
-    r"|(?P<int>[0-9]+)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
-    r"|(?P<bad>.)",
+    r"([ \t\r\n]*)"
+    r"([A-Za-z_][A-Za-z0-9_]*"
+    r"|->|[=!<>+\-*/]=|&&|\|\||[(){}\[\];,.+\-*%<>=!&]|/(?![/*])"
+    r"|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)?"
+    r"|//[^\n]*|/\*.*?\*/|/\*|.?)",
     re.DOTALL,
 )
 
-_KINDS = {
-    "float": TokenKind.FLOAT_LIT,
-    "int": TokenKind.INT_LIT,
-    "punct": TokenKind.PUNCT,
+#: the kind of every keyword and punctuation text
+_FIXED_KINDS = {
+    **{word: TokenKind.KEYWORD for word in KEYWORDS},
+    **{text: TokenKind.PUNCT for text in PUNCTUATION},
 }
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
 
 
 class Token(NamedTuple):
@@ -65,27 +70,40 @@ class Token(NamedTuple):
 def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC source, raising :class:`LexError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    new_token = tuple.__new__  # Token(...) without its Python-level __new__
+    fixed_kind = _FIXED_KINDS.get
     line = 1
     line_start = 0  # index of the current line's first character
-    for m in _TOKEN.finditer(source):
-        group = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if group == "skip":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
-        column = start - line_start + 1
-        if group == "word":
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        elif group == "open":
-            raise LexError("unterminated block comment", line, column)
-        elif group == "bad":
-            raise LexError(f"unexpected character {text!r}", line, column)
-        else:
-            kind = _KINDS[group]
-        tokens.append(Token(kind, text, line, column))
+    pos = 0  # index of the current match's first character
+    for space, text in _TOKEN.findall(source):
+        if space:
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = pos + space.rindex("\n") + 1
+            pos += len(space)
+        kind = fixed_kind(text)
+        if kind is None:
+            first = text[:1]
+            if first in _WORD_START:
+                kind = TokenKind.IDENT
+            elif first in _DIGITS:
+                kind = TokenKind.INT_LIT if text.isdigit() else TokenKind.FLOAT_LIT
+            elif text == "/*":
+                raise LexError("unterminated block comment", line, pos - line_start + 1)
+            elif first == "/":  # a comment
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = pos + text.rindex("\n") + 1
+                pos += len(text)
+                continue
+            elif not text:  # the end of the input
+                break
+            else:
+                raise LexError(
+                    f"unexpected character {text!r}", line, pos - line_start + 1
+                )
+        append(new_token(Token, (kind, text, line, pos - line_start + 1)))
+        pos += len(text)
     tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

@@ -14,8 +14,8 @@ Three conservative ingredients:
 
 from __future__ import annotations
 
-from repro.analysis.liveness import compute_liveness
-from repro.ir.expr import ConstInt, VarRead
+from repro.analysis.liveness import compute_liveness, stmt_uses
+from repro.ir.expr import ConstInt
 from repro.ir.function import Function
 from repro.ir.stmt import (
     Assign,
@@ -55,7 +55,10 @@ def _removable(stmt: Stmt, live_after: set[int]) -> bool:
 
 
 def _sweep_dead_assigns(fn: Function) -> int:
-    liveness = compute_liveness(fn)
+    # Each statement's uses, read once: by the liveness solve and again
+    # by the sweep below.
+    uses_of = {stmt.sid: stmt_uses(stmt) for stmt in fn.iter_stmts()}
+    liveness = compute_liveness(fn, uses_of)
     removed = 0
     for block in fn.blocks:
         live: set[int] = set(liveness.live_outof(block))
@@ -69,17 +72,7 @@ def _sweep_dead_assigns(fn: Function) -> int:
             target = stmt_defines(stmt)
             if target is not None:
                 live.discard(target.id)
-            for expr in stmt.walk_exprs():
-                if isinstance(expr, VarRead):
-                    live.add(expr.var.id)
-            recovery = getattr(stmt, "recovery", None)
-            if recovery:
-                for r in recovery:
-                    for expr in r.walk_exprs():
-                        if isinstance(expr, VarRead):
-                            live.add(expr.var.id)
-            if isinstance(stmt, ConditionalReload):
-                live.add(stmt.temp.id)  # may keep its old value
+            live.update(uses_of[stmt.sid])
     return removed
 
 

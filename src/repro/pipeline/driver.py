@@ -136,6 +136,7 @@ def _run_pressure_gate(
         prob_source=prob_source,
     )
     output.pressure = pressure
+    plan = pressure.demotion_plan()
     if obs.enabled:
         for fp in pressure.functions.values():
             for pe in fp.pair_estimates:
@@ -149,28 +150,27 @@ def _run_pressure_gate(
                     source=pe.source,
                     features=pe.features,
                 )
-    plan = pressure.demotion_plan()
-    for fn_name, fp in pressure.functions.items():
-        demoted = plan.get(fn_name, {})
-        for rep in fp.candidates.values():
-            obs.event(
-                "pressure.decision",
-                function=fn_name,
-                temp=rep.name,
-                register=rep.register,
-                set_index=rep.set_index,
-                checks=rep.n_checks,
-                p_alias=round(rep.p_alias, 4),
-                p_conflict=round(rep.p_conflict, 4),
-                profit=round(rep.profit, 2),
-                verdict=(
-                    "keep"
-                    if rep.temp_id not in demoted
-                    else "demote"
-                    if opts.promotion_gate is PromotionGate.ON
-                    else "flag"
-                ),
-            )
+        for fn_name, fp in pressure.functions.items():
+            demoted = plan.get(fn_name, {})
+            for rep in fp.candidates.values():
+                obs.event(
+                    "pressure.decision",
+                    function=fn_name,
+                    temp=rep.name,
+                    register=rep.register,
+                    set_index=rep.set_index,
+                    checks=rep.n_checks,
+                    p_alias=round(rep.p_alias, 4),
+                    p_conflict=round(rep.p_conflict, 4),
+                    profit=round(rep.profit, 2),
+                    verdict=(
+                        "keep"
+                        if rep.temp_id not in demoted
+                        else "demote"
+                        if opts.promotion_gate is PromotionGate.ON
+                        else "flag"
+                    ),
+                )
     info["candidates"] = sum(1 for _ in pressure.all_candidates())
     info["predicted_peak"] = pressure.predicted_peak
 

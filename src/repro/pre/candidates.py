@@ -29,7 +29,7 @@ from repro.ir.expr import (
     Load,
     VarRead,
     expr_lexical_key,
-    walk_expr,
+    expr_nodes,
 )
 from repro.ir.function import Function
 from repro.ir.stmt import Assign, SpecFlag, Stmt, Store
@@ -110,12 +110,12 @@ def _is_direct_candidate_var(var: Variable) -> bool:
 
 
 def _addr_has_load(addr: Expr) -> bool:
-    return any(isinstance(e, Load) for e in walk_expr(addr))
+    return any(type(e) is Load for e in expr_nodes((addr,)))
 
 
 def _addr_var_keys(addr: Expr) -> tuple[VarKey, ...]:
     return tuple(
-        var_key(e.var) for e in walk_expr(addr) if isinstance(e, VarRead)
+        var_key(e.var) for e in expr_nodes((addr,)) if type(e) is VarRead
     )
 
 
@@ -170,12 +170,13 @@ def collect_candidates(fn: Function, info: HSSAInfo) -> list[Candidate]:
             # loads implement the speculation protocol and must stay.
             if isinstance(stmt, Assign) and stmt.spec_flag is not SpecFlag.NONE:
                 continue
-            for expr in stmt.walk_exprs():
-                if isinstance(expr, VarRead) and _is_direct_candidate_var(expr.var):
+            for expr in stmt.expr_nodes():
+                kind = type(expr)
+                if kind is VarRead and _is_direct_candidate_var(expr.var):
                     cand = candidate_for_direct(expr.var)
                     cand.occurrences.append(Occurrence(stmt, expr))
                 elif (
-                    isinstance(expr, Load)
+                    kind is Load
                     and expr.type.is_scalar
                     and not _addr_has_load(expr.addr)
                 ):
@@ -242,8 +243,8 @@ def _fill_occurrence_versions(info: HSSAInfo, cand: Candidate, occ: Occurrence) 
     addr_versions: list[int] = []
     if cand.kind is CandidateKind.INDIRECT:
         addr_expr = occ.expr.addr if occ.expr is not None else occ.stmt.addr  # type: ignore[union-attr]
-        for node in walk_expr(addr_expr):
-            if isinstance(node, VarRead):
+        for node in expr_nodes((addr_expr,)):
+            if type(node) is VarRead:
                 addr_versions.append(info.use_version[node.eid])
     if occ.is_left:
         if cand.kind is CandidateKind.DIRECT:

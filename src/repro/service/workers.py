@@ -85,8 +85,14 @@ def _run_compile(payload: dict, ctx: dict) -> tuple[dict, dict]:
         "exit_value": machine.exit_value,
         "fallback": output.fallback,
     }
-    extra = {"host": build_host_metrics(machine, output.obs)}
-    return artifact, extra
+    host = build_host_metrics(machine, output.obs)
+    # Wall ms per phase the job ran (``wall_ms`` is their sum): host
+    # data, like the rest of ``extra``, never hashed or cached.
+    host["phase_ms"] = {
+        name: round(seconds * 1e3, 3)
+        for name, seconds in output.obs.phase_times.items()
+    }
+    return artifact, {"host": host}
 
 
 # -- bench: one workload-matrix benchmark -------------------------------

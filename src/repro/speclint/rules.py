@@ -27,6 +27,7 @@ rules exist to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.analysis.dominators import DominatorTree, compute_dominators
@@ -92,8 +93,6 @@ class _FunctionLint:
         self.alat_entries = alat_entries
         self.diags: list[Diagnostic] = []
 
-        self.domtree: DominatorTree = compute_dominators(fn)
-        self.loops = find_natural_loops(fn, self.domtree)
         #: sid -> (block, index) for every statement in a block
         self.pos: dict[int, tuple[BasicBlock, int]] = {}
         for block in fn.blocks:
@@ -132,6 +131,17 @@ class _FunctionLint:
         )
         self._dep_cache: dict[int, frozenset[int]] = {}
         self._combined_cache: dict[int, frozenset[int]] = {}
+
+    # Dominators and loops are computed on first use: a function with no
+    # ALAT protocol statement needs neither.
+
+    @cached_property
+    def domtree(self) -> DominatorTree:
+        return compute_dominators(self.fn)
+
+    @cached_property
+    def loops(self):
+        return find_natural_loops(self.fn, self.domtree)
 
     # -- shared helpers --------------------------------------------------
 
@@ -569,7 +579,7 @@ class _FunctionLint:
     def rule_spec004(self) -> None:
         """A temp armed only outside a loop, used inside it, and
         invalidated inside it must have an in-loop repair."""
-        if self.am is None or not self.facts.targets_by_temp:
+        if self.am is None or not self.facts.targets_by_temp or not self.arming:
             return
         for loop in self.loops:
             for t in sorted(self.web_temps):
@@ -647,6 +657,8 @@ class _FunctionLint:
         still occupies a way every iteration)."""
         from repro.analysis.alatpressure import armed_by_stmt
 
+        if not self.arming and not self.checks:
+            return  # nothing arms an entry: every armed set is empty
         armed = armed_by_stmt(self.fn)
         for loop in self.loops:
             live: frozenset[int] = frozenset()

@@ -29,7 +29,7 @@ from repro.ir.cfg import BasicBlock
 from repro.ir.expr import Load, VarRead
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.stmt import Assign, Call, Stmt, Store, stmt_defines
+from repro.ir.stmt import Assign, Call, Stmt, Store, stmt_defines, stmt_loads_and_reads
 from repro.ir.symbols import Variable, VirtualVariable
 
 #: Keys uniting real and virtual variables in one namespace.
@@ -193,6 +193,10 @@ class HSSAInfo:
         return self._check_bases
 
 
+#: Each statement's indirect loads and variable reads, by sid
+#: (:func:`repro.ir.stmt.stmt_loads_and_reads`)
+Walks = dict[int, tuple[list[Load], list[VarRead]]]
+
 #: Decides whether a may-def/may-use of ``obj`` at ``stmt`` can be
 #: speculatively ignored.  Returns a falsy value for "real", or the
 #: check mechanism: ``"alat"`` (ALAT ld.c checks) or ``"soft"``
@@ -216,9 +220,13 @@ def build_hssa(
     fn.compute_preds()
     domtree = compute_dominators(fn)
     info = HSSAInfo(fn, am, domtree)
-    _attach_mu_chi(fn, module, am, info, spec_decider)
-    _insert_phis(fn, info, domtree)
-    _Renamer(fn, info, domtree).run()
+    # One walk per statement: μ/χ attachment (twice), the variable scan
+    # behind Phi placement and renaming all read the same nodes, and
+    # nothing rewrites an expression while HSSA is built.
+    walks = {stmt.sid: stmt_loads_and_reads(stmt) for stmt in fn.iter_stmts()}
+    _attach_mu_chi(fn, module, am, info, spec_decider, walks)
+    _insert_phis(fn, info, domtree, walks)
+    _Renamer(fn, info, domtree, walks).run()
     _compute_spec_bases(info)
     return info
 
@@ -234,6 +242,7 @@ def _attach_mu_chi(
     am: AliasManager,
     info: HSSAInfo,
     spec_decider: Optional[SpecDecider],
+    walks: Walks,
 ) -> None:
     visible = am.visible_var_objects(fn)
 
@@ -250,9 +259,8 @@ def _attach_mu_chi(
     # First pass: collect vvars of accesses so direct stores know which
     # classes matter.
     for stmt in fn.iter_stmts():
-        for expr in stmt.walk_exprs():
-            if isinstance(expr, Load):
-                vvar_for(am.access_targets(expr.addr, expr.type))
+        for expr in walks[stmt.sid][0]:
+            vvar_for(am.access_targets(expr.addr, expr.type))
         if isinstance(stmt, Store):
             vvar_for(am.access_targets(stmt.addr, stmt.value.type))
         elif isinstance(stmt, Call):
@@ -286,21 +294,20 @@ def _attach_mu_chi(
         stmt.mu_list = []
         stmt.chi_list = []
         # μ for every indirect load in the statement
-        for expr in stmt.walk_exprs():
-            if isinstance(expr, Load):
-                targets = am.access_targets(expr.addr, expr.type)
-                vvar = vvar_for(targets)
-                if vvar is None:
-                    # No points-to information: private class per access.
-                    vvar = VirtualVariable(group_key=("load", expr.eid))
-                mu = MuOperand(vvar)
-                stmt.mu_list.append(mu)
-                info.load_mu[expr.eid] = mu
-                for obj in sorted(targets, key=lambda o: o.id):
-                    if isinstance(obj, VarMemObject) and obj.id in visible:
-                        stmt.mu_list.append(
-                            MuOperand(obj.var, speculative=bool(spec(stmt, obj)))
-                        )
+        for expr in walks[stmt.sid][0]:
+            targets = am.access_targets(expr.addr, expr.type)
+            vvar = vvar_for(targets)
+            if vvar is None:
+                # No points-to information: private class per access.
+                vvar = VirtualVariable(group_key=("load", expr.eid))
+            mu = MuOperand(vvar)
+            stmt.mu_list.append(mu)
+            info.load_mu[expr.eid] = mu
+            for obj in sorted(targets, key=lambda o: o.id):
+                if isinstance(obj, VarMemObject) and obj.id in visible:
+                    stmt.mu_list.append(
+                        MuOperand(obj.var, speculative=bool(spec(stmt, obj)))
+                    )
 
         if isinstance(stmt, Store):
             targets = am.access_targets(stmt.addr, stmt.value.type)
@@ -376,38 +383,43 @@ def _by_id(objs: frozenset[MemObject]) -> list[MemObject]:
 # ---------------------------------------------------------------------------
 
 
-def _collect_ssa_vars(fn: Function) -> dict[VarKey, SSAVar]:
-    """Every variable (real or virtual) that needs SSA versions."""
+def _collect_ssa_vars(
+    fn: Function, walks: Walks
+) -> tuple[dict[VarKey, SSAVar], dict[VarKey, list[BasicBlock]]]:
+    """Every variable (real or virtual) that needs SSA versions, and
+    the blocks defining each, in layout order: one scan."""
     result: dict[VarKey, SSAVar] = {}
+    defined_in: dict[VarKey, list[BasicBlock]] = {}
     for var in fn.all_variables():
         result[var_key(var)] = var
-    for stmt in fn.iter_stmts():
-        for expr in stmt.walk_exprs():
-            if isinstance(expr, VarRead):
-                result.setdefault(var_key(expr.var), expr.var)
-        for mu in stmt.mu_list:
-            result.setdefault(mu.key, mu.var)
-        for chi in stmt.chi_list:
-            result.setdefault(chi.key, chi.var)
-        target = stmt_defines(stmt)
-        if target is not None:
-            result.setdefault(var_key(target), target)
-    return result
-
-
-def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
-    df = info.frontiers = compute_dominance_frontiers(fn, domtree)
-    ssa_vars = _collect_ssa_vars(fn)
-
-    # def blocks per variable
-    def_blocks: dict[VarKey, list[BasicBlock]] = {k: [] for k in ssa_vars}
     for block in fn.blocks:
         for stmt in block.stmts:
+            for expr in walks[stmt.sid][1]:
+                result.setdefault(var_key(expr.var), expr.var)
+            for mu in stmt.mu_list:
+                result.setdefault(mu.key, mu.var)
+            for chi in stmt.chi_list:
+                result.setdefault(chi.key, chi.var)
             target = stmt_defines(stmt)
             if target is not None:
-                def_blocks[var_key(target)].append(block)
+                key = var_key(target)
+                result.setdefault(key, target)
+                defined_in.setdefault(key, []).append(block)
             for chi in stmt.chi_list:
-                def_blocks[chi.key].append(block)
+                defined_in.setdefault(chi.key, []).append(block)
+    return result, defined_in
+
+
+def _insert_phis(
+    fn: Function, info: HSSAInfo, domtree: DominatorTree, walks: Walks
+) -> None:
+    df = info.frontiers = compute_dominance_frontiers(fn, domtree)
+    ssa_vars, defined_in = _collect_ssa_vars(fn, walks)
+
+    # def blocks per variable, in the variables' order
+    def_blocks: dict[VarKey, list[BasicBlock]] = {
+        k: defined_in.get(k, []) for k in ssa_vars
+    }
 
     for key, blocks in def_blocks.items():
         if not blocks:
@@ -436,10 +448,13 @@ def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
 
 
 class _Renamer:
-    def __init__(self, fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
+    def __init__(
+        self, fn: Function, info: HSSAInfo, domtree: DominatorTree, walks: Walks
+    ) -> None:
         self.fn = fn
         self.info = info
         self.domtree = domtree
+        self.walks = walks
         self.stacks: dict[VarKey, list[int]] = {}
 
     def current(self, key: VarKey) -> int:
@@ -472,9 +487,8 @@ class _Renamer:
 
         for stmt in block.stmts:
             # uses first (RHS and address expressions)
-            for expr in stmt.walk_exprs():
-                if isinstance(expr, VarRead):
-                    info.use_version[expr.eid] = self.current(var_key(expr.var))
+            for expr in self.walks[stmt.sid][1]:
+                info.use_version[expr.eid] = self.current(var_key(expr.var))
             for mu in stmt.mu_list:
                 mu.version = self.current(mu.key)
             # then defs

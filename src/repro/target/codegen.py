@@ -86,6 +86,16 @@ from repro.target.isa import (
 )
 
 
+def _frame_unless_scanned(var) -> bool:
+    """A variable only the ``&v`` scan can put in the frame: it has a
+    memory home but is neither an aggregate nor flagged address-taken."""
+    return (
+        var.has_memory_home
+        and not var.type.is_aggregate
+        and not var.is_address_taken
+    )
+
+
 def _collect_frame_vars(fn: Function) -> set[int]:
     """Variable ids that need a memory slot in this function's frame:
     aggregates, variables flagged address-taken, plus a conservative
@@ -99,8 +109,8 @@ def _collect_frame_vars(fn: Function) -> set[int]:
             frame.add(var.id)
 
     def scan(stmt: Stmt) -> None:
-        for e in stmt.walk_exprs():
-            if isinstance(e, AddrOf) and e.var.id in own_ids:
+        for e in stmt.expr_nodes():
+            if type(e) is AddrOf and e.var.id in own_ids:
                 frame.add(e.var.id)
         if isinstance(stmt, Assign) and stmt.recovery:
             for r in stmt.recovery:
@@ -111,7 +121,9 @@ def _collect_frame_vars(fn: Function) -> set[int]:
     return frame
 
 
-def assign_registers(fn: Function) -> dict[int, int]:
+def assign_registers(
+    fn: Function, frame_ids: Optional[set[int]] = None
+) -> dict[int, int]:
     """Deterministic variable-id → register-number assignment.
 
     Params take registers 0..n-1 (calling convention), then every
@@ -119,8 +131,15 @@ def assign_registers(fn: Function) -> dict[int, int]:
     variables (aggregates / address-taken) get no register.  This is the
     single source of truth shared by the lowering below and by the
     static ALAT pressure model, which must predict the set index
-    (``register % sets``) each promoted temporary's entry maps to."""
-    frame_ids = _collect_frame_vars(fn)
+    (``register % sets``) each promoted temporary's entry maps to.
+    ``frame_ids`` is ``_collect_frame_vars(fn)`` when the caller has it."""
+    if frame_ids is None:
+        if any(_frame_unless_scanned(var) for var in fn.locals):
+            frame_ids = _collect_frame_vars(fn)
+        else:
+            # Only a local's frame slot moves a register number, and the
+            # scan for ``&v`` can add none here: skip it.
+            frame_ids = {var.id for var in fn.locals if var.has_memory_home}
     var_reg: dict[int, int] = {}
     reg = 0
     for p in fn.params:
@@ -158,7 +177,7 @@ class _FunctionCodegen:
 
         # Register assignment: params first (calling convention), then
         # every register-resident variable; scratch space above that.
-        self.var_reg = assign_registers(fn)
+        self.var_reg = assign_registers(fn, frame_ids)
         reg = (max(self.var_reg.values()) + 1) if self.var_reg else 0
         self._scratch_base = reg
         self._scratch = reg

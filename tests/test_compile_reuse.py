@@ -19,10 +19,22 @@
   what they decided.
 * Copy propagation counts its substitutions instead of printing every
   statement twice.  The test prints them and compares the counts.
-* Expression walks are one iterative generator, and so is the
-  depth-first walk behind ``Function.reachable_blocks``.  The test
-  compares both with the recursive walks they replaced on every
+* Expression walks are one iterative generator (and, for callers that
+  only read, one list-building loop, ``Stmt.expr_nodes``), and so is
+  the depth-first walk behind ``Function.reachable_blocks``.  The test
+  compares them with the recursive walks they replaced on every
   function that reaches code generation.
+* HSSA construction walks each statement's expressions once and shares
+  the loads and variable reads between μ/χ attachment, the variable
+  scan behind Phi placement and renaming.  The test builds HSSA again
+  at every call with the construction it replaced
+  (``tests/reference_hssa.py``, which walks at each of those steps) and
+  compares the μ/χ lists, the Phis and every version map.
+* ``AliasManager`` builds its alias classes and GMOD/GREF in one scan of
+  the module.  The test repeats the two scans it replaced
+  (``tests/reference_alias.py``) for every manager the compiler builds
+  and compares each object's class, the order the classes' virtual
+  variables are made in, and both summaries.
 
 The compile tests run every kernel and 50 generated programs under
 every mode of ``tests.corpus.compile_modes()``, with all the checks on.
@@ -31,6 +43,7 @@ every mode of ``tests.corpus.compile_modes()``, with all the checks on.
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 from typing import Iterator
 
@@ -42,6 +55,7 @@ from repro.analysis.loops import cyclic_blocks, find_natural_loops
 from repro.chaos.generator import generate_program
 from repro.errors import ParseError, SemanticError, SpecLintError
 from repro.ir import INT, ModuleBuilder
+from repro.ir import symbols
 from repro.ir.expr import BinOp, ConstInt, Expr, clone_expr, walk_expr
 from repro.ir.printer import format_function
 from repro.ir.stmt import Stmt, stmt_defines
@@ -56,6 +70,7 @@ from repro.ssa.hssa import build_hssa, compute_spec_bases, var_key
 from repro.target.asmprinter import format_program
 from repro.workloads.programs import BENCHMARKS, get_workload
 from repro.workloads.runner import BASELINE, SPECULATIVE
+from tests import reference_alias, reference_hssa
 from tests.corpus import compile_modes
 
 # -- parse memo ----------------------------------------------------------------
@@ -199,6 +214,31 @@ def recursive_reachable_blocks(fn) -> list:
     return order
 
 
+def hssa_state(info) -> tuple:
+    """What HSSA construction decided, comparable between two builds of
+    one function that number their virtual variables alike."""
+    stmts = [
+        (
+            stmt.sid,
+            [(str(mu), mu.speculative) for mu in stmt.mu_list],
+            [(str(chi), chi.speculative, chi.mechanism, chi.object_mechanisms)
+             for chi in stmt.chi_list],
+        )
+        for stmt in info.fn.iter_stmts()
+    ]
+    phis = {
+        bid: [(key, str(phi), phi.operands) for key, phi in block_phis.items()]
+        for bid, block_phis in info.phis.items()
+    }
+    return (
+        stmts, phis, info.use_version, info.def_version, info.spec_base,
+        info.def_site, info.check_def_links, info.block_entry_versions,
+        info.block_exit_versions, info.def_blocks, info.frontiers,
+        {eid: str(mu) for eid, mu in info.load_mu.items()},
+        {sid: str(chi) for sid, chi in info.store_chi.items()},
+    )
+
+
 def walk_state(pre) -> tuple:
     """What SSAPRE's Rename and Finalize decided, comparable between
     two instances for the same candidate."""
@@ -285,17 +325,47 @@ def checked_shortcuts(monkeypatch):
         checked["copies"] += 1
         return changed
 
+    build = pre_driver.build_hssa
+
+    def build_checked(fn, module, am, spec_decider=None):
+        # Both builds number the virtual variables they make from the
+        # same id, so their states compare as printed.
+        start = next(symbols._virtual_ids)
+        symbols._virtual_ids = itertools.count(start)
+        reference = hssa_state(
+            reference_hssa.build_hssa(fn, module, am, spec_decider)
+        )
+        symbols._virtual_ids = itertools.count(start)
+        info = build(fn, module, am, spec_decider=spec_decider)
+        assert hssa_state(info) == reference
+        checked["hssa"] += 1
+        return info
+
+    manager_init = AliasManager.__init__
+
+    def manager_checked(am, *args, **kwargs):
+        manager_init(am, *args, **kwargs)
+        classes, reps = reference_alias.alias_classes(am)
+        assert {oid: am._uf.find(oid) for oid in classes} == classes
+        assert list(am._vvar_by_class) == reps
+        assert (am._gmod, am._gref) == reference_alias.mod_ref(am)
+        checked["alias"] += 1
+
     codegen = pipeline_driver.generate_machine_code
 
     def codegen_checked(module, *args, **kwargs):
         for fn in module.iter_functions():
             assert fn.reachable_blocks() == recursive_reachable_blocks(fn)
             for stmt in fn.iter_stmts():
-                assert list(stmt.walk_exprs()) == list(recursive_walk_stmt(stmt))
+                reference = list(recursive_walk_stmt(stmt))
+                assert list(stmt.walk_exprs()) == reference
+                assert stmt.expr_nodes() == reference
                 checked["walks"] += 1
         return codegen(module, *args, **kwargs)
 
     monkeypatch.setattr(pre_driver, "cannot_change_code", never_skip)
+    monkeypatch.setattr(pre_driver, "build_hssa", build_checked)
+    monkeypatch.setattr(AliasManager, "__init__", manager_checked)
     monkeypatch.setattr(ssapre.SSAPRE, "run", run_checked)
     monkeypatch.setattr(ssapre.SSAPRE, "__init__", init_checked)
     monkeypatch.setattr(opt_driver, "propagate_copies_in_function", propagate_checked)
@@ -340,7 +410,7 @@ def test_every_shortcut_check_fires(checked_shortcuts):
     _compile_every_mode(program.source, program.train_args)
     assert set(checked_shortcuts) == {
         "skips", "key bases", "cascade bases", "dominator walks", "copies",
-        "walks",
+        "walks", "hssa", "alias",
     }
 
 

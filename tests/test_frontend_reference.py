@@ -77,6 +77,30 @@ def test_generated_programs(seed):
         assert_same_program(source)
 
 
+#: every statement form and every expression form, nested blocks included
+GRAMMAR_TOUR = """
+struct node { int key; float w[4]; struct node *next; };
+int g[8];
+float scale = 1.5;
+struct node **heads;
+void helper(int a, float *b) { *b = (float) a; return; }
+int main() {
+  int i = 0; int a[3]; struct node *n = alloc(struct node, 2);
+  { int j; { j = 1; } i += j; }
+  for (int k = 0; k < 3; k += 1) { if (k == 1) continue; else { a[k] = k; } }
+  for (;;) break;
+  while (i != 0 && !(i > 9) || -i >= 3) { i -= 1; i *= 2; i /= 3; }
+  n->next = n; n[1].key = (int) n->w[2] % 5; helper(i, &n->w[0]);
+  print(g[i] + *&i - scale * (float) a[0] / 2.0e1);
+  return helper2(1, 2)[0];
+}
+"""
+
+
+def test_grammar_tour():
+    assert_same_program(GRAMMAR_TOUR)
+
+
 MALFORMED = [
     # tests/test_parser.py's syntax errors
     "int main() { return 1 }",

@@ -136,3 +136,25 @@ def test_comments_accept_any_character():
         (TokenKind.IDENT, "b"),
         (TokenKind.IDENT, "c"),
     ]
+
+
+def test_every_keyword_and_punctuation_text_is_one_token():
+    # The lexer's pattern spells punctuation out on its own; each listed
+    # text must come back whole, with its kind, and nothing else must.
+    from repro.minic.lexer import KEYWORDS, PUNCTUATION
+
+    for text in sorted(KEYWORDS):
+        assert kinds(text) == [(TokenKind.KEYWORD, text)]
+    for text in PUNCTUATION:
+        assert kinds(text) == [(TokenKind.PUNCT, text)]
+        assert kinds(f"a{text}b")[1] == (TokenKind.PUNCT, text)
+    for char in "|^~?:#$@\\'\"`":
+        with pytest.raises(LexError):
+            tokenize(char)
+
+
+def test_positions_after_comments_and_trailing_space():
+    toks = tokenize("/* a\nbc */ x // y\n\t z /**/w \n\n")
+    assert [(t.text, t.line, t.column) for t in toks] == [
+        ("x", 2, 7), ("z", 3, 3), ("w", 3, 9), ("", 5, 1),
+    ]

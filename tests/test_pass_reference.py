@@ -1,0 +1,153 @@
+"""The pressure analysis, liveness and the dead-code sweep against the
+code they replaced.
+
+``tests/reference_pressure.py`` keeps the ALAT pressure analysis that
+built gen/kill for every statement and computed dominators and loops
+for every function; ``tests/reference_liveness.py`` keeps the liveness
+solve that walked every statement again in each DCE round, its solver,
+and the sweep's decision.  The compile tests run every kernel and 100
+generated programs under every mode of ``tests.corpus.compile_modes()``
+and, at every call the compiler makes, require of the passes in use:
+
+* the same pressure report, field by field (every ``FunctionPressure``
+  and ``CandidateReport``, the pair estimates in order, the peaks and
+  the residue), the same demotion plan, and the same armed facts for
+  speclint's SPEC006;
+* the same live-in and live-out set of every block;
+* the same statements removed in each DCE round, and the same count.
+"""
+
+from __future__ import annotations
+
+import collections
+
+import pytest
+
+from repro.analysis import alatpressure
+from repro.errors import SpecLintError
+from repro.ir.stmt import InvalidateCheck
+from repro.opt import dce
+from repro.pipeline import compile_source
+from repro.workloads.programs import BENCHMARKS, get_workload
+from tests import reference_liveness, reference_pressure
+from tests.corpus import chaos_program, compile_modes, service_program
+
+#: generated programs per test, and tests per corpus
+BATCH = 10
+BATCHES = 5
+
+#: Figure 2's partial redundancy, which PRE repairs with an invala.e:
+#: no kernel and none of the generated programs here has one
+PARTIAL_REDUNDANCY = """
+int a; int b;
+int *r;
+int main(int n) {
+    if (n > 100) { r = &a; } else { r = &b; }
+    int x = 0;
+    int y = 0;
+    if (n % 2 == 0) { x = a + 1; }
+    *r = n;
+    if (n % 3 == 0) { y = a + 3; }
+    print(x); print(y);
+    return 0;
+}
+"""
+
+
+@pytest.fixture
+def checked_passes(monkeypatch):
+    """Check every call against the reference.  The returned Counter
+    counts the checks made, by kind."""
+    checked: collections.Counter = collections.Counter()
+    analyze = alatpressure.analyze_module_pressure
+    armed = alatpressure.armed_by_stmt
+    liveness = dce.compute_liveness
+    sweep = dce._sweep_dead_assigns
+
+    def analyze_checked(module, *args, **kwargs):
+        reference = reference_pressure.analyze_module_pressure(module, *args, **kwargs)
+        result = analyze(module, *args, **kwargs)
+        assert result == reference
+        assert result.demotion_plan() == reference.demotion_plan()
+        checked["pressure"] += 1
+        checked["candidates"] += sum(1 for _ in result.all_candidates())
+        checked["invalas"] += sum(
+            isinstance(stmt, InvalidateCheck)
+            for fn in module.iter_functions() for stmt in fn.iter_stmts()
+        )
+        return result
+
+    def armed_checked(fn):
+        result = armed(fn)
+        assert result == reference_pressure.armed_by_stmt(fn)
+        checked["armed"] += 1
+        return result
+
+    def liveness_checked(fn, *args):
+        result = liveness(fn, *args)
+        reference = reference_liveness.compute_liveness(fn)
+        assert result.live_in == reference.live_in
+        assert result.live_out == reference.live_out
+        checked["liveness"] += 1
+        return result
+
+    def sweep_checked(fn):
+        expected = reference_liveness.dead_assigns(fn)
+        before = [list(block.stmts) for block in fn.blocks]
+        removed = sweep(fn)
+        kept = {stmt.sid for stmt in fn.iter_stmts()}
+        gone = [
+            stmt.sid for stmts in before for stmt in reversed(stmts)
+            if stmt.sid not in kept
+        ]
+        assert gone == expected
+        assert removed == len(expected)
+        checked["sweeps"] += 1
+        checked["removed"] += removed
+        return removed
+
+    monkeypatch.setattr(alatpressure, "analyze_module_pressure", analyze_checked)
+    monkeypatch.setattr(alatpressure, "armed_by_stmt", armed_checked)
+    monkeypatch.setattr(dce, "compute_liveness", liveness_checked)
+    monkeypatch.setattr(dce, "_sweep_dead_assigns", sweep_checked)
+    return checked
+
+
+def compile_every_mode(source: str, train_args) -> None:
+    for options in compile_modes():
+        # A failed check must fail the test, not a compile retried at a
+        # lower level.
+        assert not options.fallback
+        try:
+            compile_source(source, options, train_args=list(train_args))
+        except SpecLintError as exc:
+            # the one known speclint SPEC002 shape left, about 1
+            # program in 2,800 (copy propagation, ROADMAP item 1)
+            assert {d.rule for d in exc.report.errors} == {"SPEC002"}
+
+
+def assert_every_check_ran(checked) -> None:
+    assert set(checked) >= {"pressure", "candidates", "armed", "liveness", "sweeps"}
+
+
+def test_partial_redundancy(checked_passes):
+    compile_every_mode(PARTIAL_REDUNDANCY, [6])
+    assert_every_check_ran(checked_passes)
+    assert checked_passes["invalas"] > 0
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_kernels(name, checked_passes):
+    workload = get_workload(name)
+    compile_every_mode(workload.source, workload.train_args)
+    assert_every_check_ran(checked_passes)
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+@pytest.mark.parametrize("corpus", [chaos_program, service_program])
+def test_generated_programs(corpus, batch, checked_passes):
+    for index in range(batch * BATCH, (batch + 1) * BATCH):
+        program = corpus(index)
+        compile_every_mode(program.source, program.train_args)
+    assert_every_check_ran(checked_passes)
+    assert checked_passes["removed"] > 0

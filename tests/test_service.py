@@ -369,6 +369,35 @@ def test_pool_compile_cold_then_verified_warm_hit(tmp_path):
     assert cold.extra.get("host") and not warm.extra
 
 
+#: every phase a SPECULATIVE() compile job runs, in order
+JOB_PHASES = [
+    "frontend", "profile", "scalarrepl", "pre", "pressure", "cleanup",
+    "verify", "codegen", "speclint", "simulate",
+]
+
+
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_compile_job_reports_its_phase_times(jobs):
+    """A compile job's host block carries the wall time of every phase
+    it ran, in ms, in phase order; ``wall_ms`` is their sum."""
+    from repro.workloads.runner import SPECULATIVE
+
+    spec = compile_spec()
+    spec.payload["options"] = options_to_dict(SPECULATIVE())
+    spec.payload["train_args"] = [3]
+    with JobPool(jobs=jobs) as pool:
+        (result,) = pool.run([spec])
+    assert result.state == COMPLETED
+    host = result.extra["host"]
+    phases = host["phase_ms"]
+    assert list(phases) == JOB_PHASES
+    assert all(ms >= 0.0 for ms in phases.values())
+    # each phase and the total are rounded to the microsecond
+    assert sum(phases.values()) == pytest.approx(host["wall_ms"], abs=1e-3 * len(phases))
+    assert phases["simulate"] == host["simulate_wall_ms"]
+    assert "phase_ms" not in json.dumps(result.artifact)
+
+
 def test_pool_bad_machine_geometry_fails_once_as_config_error():
     # Bad geometry is a permanent, typed error: the pool must not retry it.
     spec = compile_spec()
