@@ -25,7 +25,18 @@ import itertools
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import IRError
-from repro.ir.expr import Expr, Load, VarRead, expr_nodes, walk_exprs_of
+from repro.ir.expr import (
+    AddrOf,
+    BinOp,
+    ConstFloat,
+    ConstInt,
+    Expr,
+    Load,
+    UnOp,
+    VarRead,
+    expr_nodes,
+    walk_exprs_of,
+)
 from repro.ir.loc import Loc
 from repro.ir.symbols import Variable
 from repro.ir.types import Type
@@ -345,10 +356,23 @@ def stmt_loads_and_reads(stmt: Stmt) -> tuple[list[Load], list[VarRead]]:
     pre-order: one walk for a pass that wants both."""
     loads: list[Load] = []
     reads: list[VarRead] = []
-    for e in expr_nodes(stmt.exprs()):
+    # the walk of expr_nodes, sorting the nodes as they are taken
+    stack = list(stmt.exprs())
+    stack.reverse()
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
         kind = type(e)
         if kind is VarRead:
             reads.append(e)
+        elif kind is BinOp:
+            push(e.right)
+            push(e.left)
         elif kind is Load:
             loads.append(e)
+            push(e.addr)
+        elif kind is UnOp:
+            push(e.operand)
+        elif kind is not ConstInt and kind is not ConstFloat and kind is not AddrOf:
+            stack.extend(e.children()[::-1])
     return loads, reads

@@ -25,7 +25,7 @@ statement's expressions are read as one list.
 from __future__ import annotations
 
 from repro.errors import VerificationError
-from repro.ir.expr import AddrOf, Load, VarRead
+from repro.ir.expr import AddrOf, BinOp, ConstFloat, ConstInt, Load, UnOp, VarRead
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.stmt import (
@@ -89,13 +89,28 @@ def _verify_stmt(
     known_vars: set[int],
     module: Module | None = None,
 ) -> None:
-    for expr in stmt.expr_nodes():
+    # The statement's expression nodes in pre-order, checked as they
+    # are taken (the walk of :func:`repro.ir.expr.expr_nodes`).
+    stack = list(stmt.exprs())
+    stack.reverse()
+    pop, push = stack.pop, stack.append
+    while stack:
+        expr = pop()
         kind = type(expr)
-        if kind is VarRead or kind is AddrOf:
+        if kind is BinOp:
+            push(expr.right)
+            push(expr.left)
+        elif kind is VarRead or kind is AddrOf:
             if expr.var.id not in known_vars:
                 _fail(fn, f"unknown variable {expr.var.name} in {stmt}")
-        elif kind is Load and not expr.addr.type.is_pointer:
-            _fail(fn, f"load through non-pointer in {stmt}")
+        elif kind is Load:
+            if not expr.addr.type.is_pointer:
+                _fail(fn, f"load through non-pointer in {stmt}")
+            push(expr.addr)
+        elif kind is UnOp:
+            push(expr.operand)
+        elif kind is not ConstInt and kind is not ConstFloat:
+            stack.extend(expr.children()[::-1])
 
     kind = type(stmt)
     if kind is Assign:

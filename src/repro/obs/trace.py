@@ -100,9 +100,8 @@ needs and flat counters cannot give.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Iterator, Optional
+from typing import ContextManager, Optional
 
 from repro.obs.sinks import NULL_SINK, Sink
 
@@ -133,20 +132,144 @@ class Span:
         return max(0.0, self.wall_ms - self.child_wall_ms)
 
 
-class _LiveSpan:
-    """Bookkeeping for a span currently on the stack."""
+class _OpenSpan:
+    """The context manager :meth:`TraceContext.span` and
+    :meth:`TraceContext.phase` return, and the bookkeeping of the span
+    while it is on the stack.  A class rather than a generator, so a
+    span costs two method calls when no sink is attached; each kind
+    still emits its events by literal name (the trace schema drift test
+    scans the source for them)."""
 
-    __slots__ = ("record", "t0", "mem0", "peak_abs", "reentrant")
+    __slots__ = (
+        "ctx", "name", "fields", "is_phase", "info", "record", "t0",
+        "mem0", "peak_abs", "reentrant",
+    )
 
-    def __init__(self, record: Span, t0: float, reentrant: bool) -> None:
-        self.record = record
+    def __init__(
+        self, ctx: "TraceContext", name: str, fields: dict, is_phase: bool
+    ) -> None:
+        self.ctx = ctx
+        self.name = name
+        self.fields = fields
+        self.is_phase = is_phase
+
+    def __enter__(self) -> dict:
+        ctx = self.ctx
+        name = self.name
+        stack = ctx._stack
+        ctx._next_span_id += 1
+        span_id = ctx._next_span_id
+        parent = stack[-1] if stack else None
+        parent_id = parent.record.span_id if parent is not None else None
+        t0 = time.perf_counter()
+        self.record = Span(span_id, parent_id, name, (t0 - ctx._origin) * 1e3)
         self.t0 = t0
         self.mem0 = 0
         #: max absolute tracemalloc peak observed inside this span so
         #: far (children propagate theirs up on exit)
         self.peak_abs = 0
         #: same span *name* already open further down the stack
-        self.reentrant = reentrant
+        self.reentrant = False
+        for live in stack:
+            if live.name == name:
+                self.reentrant = True
+                break
+        if ctx._track_memory:
+            import tracemalloc
+
+            cur, peak = tracemalloc.get_traced_memory()
+            if parent is not None and peak > parent.peak_abs:
+                # Credit the parent with the high-water mark reached
+                # before this child resets the peak counter.
+                parent.peak_abs = peak
+            tracemalloc.reset_peak()
+            self.mem0 = cur
+            self.peak_abs = cur
+        stack.append(self)
+        self.info = {}
+        if ctx.sink.enabled:
+            try:
+                if self.is_phase:
+                    ctx.event(
+                        "phase.begin", phase=name, span_id=span_id,
+                        parent_id=parent_id,
+                    )
+                else:
+                    ctx.event(
+                        "span.begin", span=name, span_id=span_id,
+                        parent_id=parent_id,
+                    )
+            except BaseException as exc:
+                self.__exit__(type(exc), exc, exc.__traceback__)
+                raise
+        return self.info
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        ctx = self.ctx
+        rec = self.record
+        rec.wall_ms = (time.perf_counter() - self.t0) * 1e3
+        stack = ctx._stack
+        # Tolerate abandoned children (a context manager whose __exit__
+        # never ran, e.g. a generator collected mid-span) so one leak
+        # cannot corrupt every enclosing span.
+        while stack and stack[-1] is not self:
+            stack.pop()
+        if stack:
+            stack.pop()
+        parent = stack[-1] if stack else None
+        if parent is not None:
+            parent.record.child_wall_ms += rec.wall_ms
+        if ctx._track_memory:
+            import tracemalloc
+
+            cur, peak = tracemalloc.get_traced_memory()
+            span_peak = max(self.peak_abs, peak)
+            rec.mem_kb = round(max(0, span_peak - self.mem0) / 1024.0, 1)
+            if parent is not None and span_peak > parent.peak_abs:
+                parent.peak_abs = span_peak
+            tracemalloc.reset_peak()
+        if ctx._record_spans:
+            ctx.spans.append(rec)
+        fields, info = self.fields, self.info
+        if fields or info:
+            rec.fields = {**fields, **info}
+        if self.is_phase and not self.reentrant:
+            # A re-entrant instance is covered by the outer one's time.
+            name = self.name
+            ctx.phase_times[name] = ctx.phase_times.get(name, 0.0) + rec.wall_ms / 1e3
+            if rec.mem_kb is not None:
+                ctx.phase_mem_kb[name] = max(
+                    ctx.phase_mem_kb.get(name, 0.0), rec.mem_kb
+                )
+        if not ctx.sink.enabled:
+            return
+        extra: dict = {}
+        if rec.mem_kb is not None:
+            extra["mem_kb"] = rec.mem_kb
+        if exc_type is not None:
+            extra["error"] = f"{exc_type.__name__}: {exc}"
+        if self.is_phase:
+            ctx.event(
+                "phase.end",
+                phase=self.name,
+                span_id=rec.span_id,
+                parent_id=rec.parent_id,
+                wall_ms=round(rec.wall_ms, 3),
+                **fields,
+                **info,
+                **extra,
+            )
+        else:
+            ctx.event(
+                "span.end",
+                span=self.name,
+                span_id=rec.span_id,
+                parent_id=rec.parent_id,
+                wall_ms=round(rec.wall_ms, 3),
+                **fields,
+                **info,
+                **extra,
+            )
 
 
 class TraceContext:
@@ -186,7 +309,7 @@ class TraceContext:
         #: completed spans in begin order (when ``record_spans``)
         self.spans: list[Span] = []
         self._record_spans = record_spans
-        self._stack: list[_LiveSpan] = []
+        self._stack: list[_OpenSpan] = []
         self._next_span_id = 0
         self._origin = time.perf_counter()
         self._track_memory = track_memory
@@ -217,102 +340,6 @@ class TraceContext:
 
     # -- spans ----------------------------------------------------------
 
-    def _begin_span(self, name: str) -> _LiveSpan:
-        self._next_span_id += 1
-        parent = self._stack[-1] if self._stack else None
-        t0 = time.perf_counter()
-        record = Span(
-            span_id=self._next_span_id,
-            parent_id=parent.record.span_id if parent else None,
-            name=name,
-            start_ms=(t0 - self._origin) * 1e3,
-        )
-        reentrant = any(live.record.name == name for live in self._stack)
-        live = _LiveSpan(record, t0, reentrant)
-        if self._track_memory:
-            import tracemalloc
-
-            cur, peak = tracemalloc.get_traced_memory()
-            if parent is not None and peak > parent.peak_abs:
-                # Credit the parent with the high-water mark reached
-                # before this child resets the peak counter.
-                parent.peak_abs = peak
-            tracemalloc.reset_peak()
-            live.mem0 = cur
-            live.peak_abs = cur
-        self._stack.append(live)
-        return live
-
-    def _finish_span(self, live: _LiveSpan) -> Span:
-        rec = live.record
-        rec.wall_ms = (time.perf_counter() - live.t0) * 1e3
-        # Tolerate abandoned children (a context manager whose __exit__
-        # never ran, e.g. a generator collected mid-span) so one leak
-        # cannot corrupt every enclosing span.
-        while self._stack and self._stack[-1] is not live:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.record.child_wall_ms += rec.wall_ms
-        if self._track_memory:
-            import tracemalloc
-
-            cur, peak = tracemalloc.get_traced_memory()
-            span_peak = max(live.peak_abs, peak)
-            rec.mem_kb = round(max(0, span_peak - live.mem0) / 1024.0, 1)
-            if parent is not None and span_peak > parent.peak_abs:
-                parent.peak_abs = span_peak
-            tracemalloc.reset_peak()
-        if self._record_spans:
-            self.spans.append(rec)
-        return rec
-
-    @contextmanager
-    def _bracket(
-        self,
-        name: str,
-        fields: dict,
-        begin: Callable[..., None],
-        end: Callable[..., None],
-        on_finish: Optional[Callable[[_LiveSpan], None]] = None,
-    ) -> Iterator[dict]:
-        """The body :meth:`span` and :meth:`phase` share: one span whose
-        ``begin``/``end`` callbacks emit the kind's two events.  Each
-        caller spells its event names out as literals, which the trace
-        schema drift test scans the source for.  ``on_finish`` sees the
-        closed span before ``end`` runs."""
-        live = self._begin_span(name)
-        rec = live.record
-        info: dict = {}
-        error: Optional[str] = None
-        try:
-            begin(span_id=rec.span_id, parent_id=rec.parent_id)
-            yield info
-        except BaseException as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            self._finish_span(live)
-            rec.fields.update(fields)
-            rec.fields.update(info)
-            if on_finish is not None:
-                on_finish(live)
-            extra: dict = {}
-            if rec.mem_kb is not None:
-                extra["mem_kb"] = rec.mem_kb
-            if error is not None:
-                extra["error"] = error
-            end(
-                span_id=rec.span_id,
-                parent_id=rec.parent_id,
-                wall_ms=round(rec.wall_ms, 3),
-                **fields,
-                **info,
-                **extra,
-            )
-
     def span(self, name: str, **fields) -> ContextManager[dict]:
         """Time a hierarchical span (generic: not a pipeline phase).
 
@@ -321,12 +348,7 @@ class TraceContext:
         record.  Spans nest and re-enter freely; parent linkage comes
         from the live stack.
         """
-        return self._bracket(
-            name,
-            fields,
-            lambda **kw: self.event("span.begin", span=name, **kw),
-            lambda **kw: self.event("span.end", span=name, **kw),
-        )
+        return _OpenSpan(self, name, fields, False)
 
     def phase(self, name: str, **fields) -> ContextManager[dict]:
         """Time a pipeline phase (a span that feeds :attr:`phase_times`).
@@ -341,25 +363,7 @@ class TraceContext:
         ``error`` field carrying ``ExcType: message`` — so a trace
         always brackets correctly and records *where* the pipeline died.
         """
-        return self._bracket(
-            name,
-            fields,
-            lambda **kw: self.event("phase.begin", phase=name, **kw),
-            lambda **kw: self.event("phase.end", phase=name, **kw),
-            self._charge_phase,
-        )
-
-    def _charge_phase(self, live: _LiveSpan) -> None:
-        if live.reentrant:
-            return
-        rec = live.record
-        self.phase_times[rec.name] = (
-            self.phase_times.get(rec.name, 0.0) + rec.wall_ms / 1e3
-        )
-        if rec.mem_kb is not None:
-            self.phase_mem_kb[rec.name] = max(
-                self.phase_mem_kb.get(rec.name, 0.0), rec.mem_kb
-            )
+        return _OpenSpan(self, name, fields, True)
 
     def close(self) -> None:
         self.sink.close()

@@ -23,7 +23,18 @@ from repro.ir.expr import (
 )
 from repro.ir.function import Function
 from repro.ir.interp import int_div, int_mod, wrap_int
-from repro.ir.stmt import Stmt
+from repro.ir.stmt import (
+    Alloc,
+    Assign,
+    Call,
+    CondBranch,
+    ConditionalReload,
+    EvalStmt,
+    Print,
+    Return,
+    Stmt,
+    Store,
+)
 from repro.ir.types import BoolType, IntType, PointerType
 
 
@@ -150,15 +161,16 @@ def _fold_unop(expr: UnOp) -> Optional[Expr]:
 
 def fold_expr(expr: Expr) -> Expr:
     """Recursively fold one expression tree (in place where possible)."""
-    if isinstance(expr, Load):
-        expr.addr = fold_expr(expr.addr)
-        return expr
-    if isinstance(expr, BinOp):
+    kind = type(expr)  # no expression class is subclassed
+    if kind is BinOp:
         expr.left = fold_expr(expr.left)
         expr.right = fold_expr(expr.right)
         folded = _fold_binop(expr)
         return folded if folded is not None else expr
-    if isinstance(expr, UnOp):
+    if kind is Load:
+        expr.addr = fold_expr(expr.addr)
+        return expr
+    if kind is UnOp:
         expr.operand = fold_expr(expr.operand)
         folded = _fold_unop(expr)
         return folded if folded is not None else expr
@@ -166,38 +178,25 @@ def fold_expr(expr: Expr) -> Expr:
 
 
 def fold_constants_in_stmt(stmt: Stmt) -> None:
-
-    # Rewrite each top-level expression slot via the shared slot writer:
-    # build an identity mapping trick is overkill — fold slots directly.
-    from repro.ir.stmt import (
-        Alloc,
-        Assign,
-        Call,
-        CondBranch,
-        ConditionalReload,
-        EvalStmt,
-        Print,
-        Return,
-        Store,
-    )
-
-    if isinstance(stmt, Assign):
+    """Fold each of ``stmt``'s expression slots in place."""
+    kind = type(stmt)  # no statement class is subclassed
+    if kind is Assign:
         stmt.expr = fold_expr(stmt.expr)
-    elif isinstance(stmt, Store):
+    elif kind is Store:
         stmt.addr = fold_expr(stmt.addr)
         stmt.value = fold_expr(stmt.value)
-    elif isinstance(stmt, Call):
+    elif kind is Call:
         stmt.args = [fold_expr(a) for a in stmt.args]
-    elif isinstance(stmt, Alloc):
+    elif kind is Alloc:
         stmt.count = fold_expr(stmt.count)
-    elif isinstance(stmt, (Print, EvalStmt)):
+    elif kind is Print or kind is EvalStmt:
         stmt.expr = fold_expr(stmt.expr)
-    elif isinstance(stmt, Return):
+    elif kind is Return:
         if stmt.expr is not None:
             stmt.expr = fold_expr(stmt.expr)
-    elif isinstance(stmt, CondBranch):
+    elif kind is CondBranch:
         stmt.cond = fold_expr(stmt.cond)
-    elif isinstance(stmt, ConditionalReload):
+    elif kind is ConditionalReload:
         stmt.home_addr = fold_expr(stmt.home_addr)
         stmt.store_addr = fold_expr(stmt.store_addr)
 

@@ -83,7 +83,8 @@ def _copy_binding(value: Binding) -> Binding:
 
 
 def _rewrite(expr: Expr, env: _Env) -> Expr:
-    if isinstance(expr, VarRead):
+    kind = type(expr)  # no expression class is subclassed
+    if kind is VarRead:
         if not expr.var.has_memory_home:
             binding = env.lookup(expr.var)
             if binding is not None:
@@ -95,37 +96,35 @@ def _rewrite(expr: Expr, env: _Env) -> Expr:
                     env.substituted += 1
                 return new
         return expr
-    if isinstance(expr, Load):
-        expr.addr = _rewrite(expr.addr, env)
-        return expr
-    if isinstance(expr, BinOp):
+    if kind is BinOp:
         expr.left = _rewrite(expr.left, env)
         expr.right = _rewrite(expr.right, env)
-        return expr
-    if isinstance(expr, UnOp):
+    elif kind is Load:
+        expr.addr = _rewrite(expr.addr, env)
+    elif kind is UnOp:
         expr.operand = _rewrite(expr.operand, env)
-        return expr
     return expr
 
 
 def _rewrite_stmt(stmt: Stmt, env: _Env) -> None:
-    if isinstance(stmt, Assign):
+    kind = type(stmt)  # no statement class is subclassed
+    if kind is Assign:
         stmt.expr = _rewrite(stmt.expr, env)
-    elif isinstance(stmt, Store):
+    elif kind is Store:
         stmt.addr = _rewrite(stmt.addr, env)
         stmt.value = _rewrite(stmt.value, env)
-    elif isinstance(stmt, Call):
+    elif kind is Call:
         stmt.args = [_rewrite(a, env) for a in stmt.args]
-    elif isinstance(stmt, Alloc):
+    elif kind is Alloc:
         stmt.count = _rewrite(stmt.count, env)
-    elif isinstance(stmt, (Print, EvalStmt)):
+    elif kind is Print or kind is EvalStmt:
         stmt.expr = _rewrite(stmt.expr, env)
-    elif isinstance(stmt, Return):
+    elif kind is Return:
         if stmt.expr is not None:
             stmt.expr = _rewrite(stmt.expr, env)
-    elif isinstance(stmt, CondBranch):
+    elif kind is CondBranch:
         stmt.cond = _rewrite(stmt.cond, env)
-    elif isinstance(stmt, ConditionalReload):
+    elif kind is ConditionalReload:
         stmt.home_addr = _rewrite(stmt.home_addr, env)
         stmt.store_addr = _rewrite(stmt.store_addr, env)
 

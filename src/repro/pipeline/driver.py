@@ -6,6 +6,7 @@ Pipeline per compilation::
       └─ frontend (parse → sema → lower)          repro.minic
       └─ [profile run on train input]             repro.speculation.profile
       └─ O1: unaliased-scalar promotion           repro.pre.scalarrepl
+      └─ O2+: alias analysis                      repro.alias
       └─ O2+: PRE register promotion              repro.pre
             O2  classical
             O3  + software-check promotion  (the paper's -O3 baseline)
@@ -404,7 +405,8 @@ def _compile_module(
             promote_module_scalars(module)
 
     if opts.opt_level >= OptLevel.O2:
-        am = AliasManager(module, opts.alias_analysis, opts.use_type_filter)
+        with obs.phase("alias"):
+            am = AliasManager(module, opts.alias_analysis, opts.use_type_filter)
         output.alias_manager = am
         decider = None
         pre_opts = PREOptions(

@@ -28,6 +28,7 @@ from repro.ir.expr import (
     Expr,
     Load,
     VarRead,
+    clone_expr,
     expr_lexical_key,
     expr_nodes,
 )
@@ -42,7 +43,7 @@ class CandidateKind(enum.Enum):
     INDIRECT = "indirect"
 
 
-@dataclass
+@dataclass(slots=True)
 class Occurrence:
     """One occurrence of a candidate expression.
 
@@ -121,24 +122,32 @@ def _addr_var_keys(addr: Expr) -> tuple[VarKey, ...]:
 
 def collect_candidates(fn: Function, info: HSSAInfo) -> list[Candidate]:
     """Collect promotion candidates with their occurrences in layout
-    order (SSAPRE later re-sorts by dominator preorder)."""
-    by_key: dict[tuple, Candidate] = {}
-    order: list[tuple] = []
+    order (SSAPRE later re-sorts by dominator preorder): the direct
+    candidates first, then the indirect ones, each kind in the order of
+    its first occurrence.  Direct candidates go first because their
+    variables appear inside indirect candidates' address expressions.
+
+    Each statement's loads and reads come from the walk HSSA made of
+    it (:attr:`HSSAInfo.walks`).  A candidate's occurrences are all
+    loads or all reads, so taking the two lists one after the other
+    gives every candidate the occurrences, in the order, of one walk of
+    the statement's expressions."""
+    direct: dict[int, Candidate] = {}  # by variable id
+    indirect: dict[tuple, Candidate] = {}
+    #: _is_direct_candidate_var by variable id
+    is_candidate_var: dict[int, bool] = {}
 
     def candidate_for_direct(var: Variable) -> Candidate:
-        key = ("direct", var.id)
-        cand = by_key.get(key)
+        cand = direct.get(var.id)
         if cand is None:
-            cand = Candidate(
+            cand = direct[var.id] = Candidate(
                 kind=CandidateKind.DIRECT,
-                lexical_key=key,
+                lexical_key=("direct", var.id),
                 template=VarRead(var),
                 var=var,
                 vvar=None,
                 addr_keys=(),
             )
-            by_key[key] = cand
-            order.append(key)
         return cand
 
     def candidate_for_indirect(load: Load) -> Optional[Candidate]:
@@ -148,10 +157,10 @@ def collect_candidates(fn: Function, info: HSSAInfo) -> list[Candidate]:
         vvar = mu.var
         assert isinstance(vvar, VirtualVariable)
         key = ("indirect", expr_lexical_key(load), vvar.id)
-        cand = by_key.get(key)
+        cand = indirect.get(key)
         if cand is None:
             targets = info.am.access_targets(load.addr, load.type)
-            cand = Candidate(
+            cand = indirect[key] = Candidate(
                 kind=CandidateKind.INDIRECT,
                 lexical_key=key,
                 template=load,
@@ -160,53 +169,47 @@ def collect_candidates(fn: Function, info: HSSAInfo) -> list[Candidate]:
                 addr_keys=_addr_var_keys(load.addr),
                 target_ids=frozenset(o.id for o in targets),
             )
-            by_key[key] = cand
-            order.append(key)
         return cand
 
+    walks = info.walks
     for block in fn.blocks:
         for stmt in block.stmts:
+            kind = type(stmt)
             # Skip statements produced by earlier promotion rounds: their
             # loads implement the speculation protocol and must stay.
-            if isinstance(stmt, Assign) and stmt.spec_flag is not SpecFlag.NONE:
+            if kind is Assign and stmt.spec_flag is not SpecFlag.NONE:
                 continue
-            for expr in stmt.expr_nodes():
-                kind = type(expr)
-                if kind is VarRead and _is_direct_candidate_var(expr.var):
-                    cand = candidate_for_direct(expr.var)
-                    cand.occurrences.append(Occurrence(stmt, expr))
-                elif (
-                    kind is Load
-                    and expr.type.is_scalar
-                    and not _addr_has_load(expr.addr)
-                ):
+            loads, reads = walks[stmt.sid]
+            for expr in reads:
+                var = expr.var
+                ok = is_candidate_var.get(var.id)
+                if ok is None:
+                    ok = is_candidate_var[var.id] = _is_direct_candidate_var(var)
+                if ok:
+                    candidate_for_direct(var).occurrences.append(Occurrence(stmt, expr))
+            for expr in loads:
+                if expr.type.is_scalar and not _addr_has_load(expr.addr):
                     cand = candidate_for_indirect(expr)
                     if cand is not None:
                         cand.occurrences.append(Occurrence(stmt, expr))
             # left occurrences
-            if isinstance(stmt, Assign) and _is_direct_candidate_var(stmt.target):
+            if kind is Assign and _is_direct_candidate_var(stmt.target):
                 cand = candidate_for_direct(stmt.target)
                 cand.occurrences.append(Occurrence(stmt, None, is_left=True))
-            elif isinstance(stmt, Store) and not _addr_has_load(stmt.addr):
+            elif kind is Store and not _addr_has_load(stmt.addr):
                 if stmt.value.type.is_scalar:
                     chi = info.store_chi.get(stmt.sid)
                     if chi is not None and isinstance(chi.var, VirtualVariable):
                         key = ("indirect", expr_lexical_key_of_store(stmt), chi.var.id)
-                        cand = by_key.get(key)
-                        if cand is not None:
-                            cand.occurrences.append(
-                                Occurrence(stmt, None, is_left=True)
-                            )
-                        else:
+                        cand = indirect.get(key)
+                        if cand is None:
                             # Create the candidate lazily so a later load
                             # of the same location still finds the store.
-                            from repro.ir.expr import clone_expr
-
                             synth = Load(clone_expr(stmt.addr), stmt.value.type)
                             targets = info.am.access_targets(
                                 stmt.addr, stmt.value.type
                             )
-                            cand = Candidate(
+                            cand = indirect[key] = Candidate(
                                 kind=CandidateKind.INDIRECT,
                                 lexical_key=key,
                                 template=synth,
@@ -215,17 +218,14 @@ def collect_candidates(fn: Function, info: HSSAInfo) -> list[Candidate]:
                                 addr_keys=_addr_var_keys(stmt.addr),
                                 target_ids=frozenset(o.id for o in targets),
                             )
-                            by_key[key] = cand
-                            order.append(key)
-                            cand.occurrences.append(
-                                Occurrence(stmt, None, is_left=True)
-                            )
+                        cand.occurrences.append(
+                            Occurrence(stmt, None, is_left=True)
+                        )
 
     result = []
-    for key in order:
-        cand = by_key[key]
+    for cand in list(direct.values()) + list(indirect.values()):
         # A candidate with only left occurrences promotes nothing.
-        if any(not o.is_left for o in cand.occurrences):
+        if not all(o.is_left for o in cand.occurrences):
             for occ in cand.occurrences:
                 _fill_occurrence_versions(info, cand, occ)
             result.append(cand)

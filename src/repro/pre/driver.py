@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.alias.manager import AliasManager
-from repro.analysis.loops import cyclic_blocks, find_natural_loops
+from repro.analysis.loops import cyclic_blocks
 from repro.ir.cfg import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.verify import verify_function
 from repro.obs.trace import NULL_TRACE, TraceContext
-from repro.pre.candidates import CandidateKind, collect_candidates
+from repro.pre.candidates import collect_candidates
 from repro.pre.ssapre import PREOptions, PREResult, SSAPRE, cannot_change_code
 from repro.ssa.hssa import SpecDecider, build_hssa
 
@@ -141,19 +141,14 @@ def run_load_pre(
                 info = build_hssa(
                     fn, module, am, spec_decider=spec_decider
                 )
-                loops = find_natural_loops(fn, info.domtree)
                 cyclic = cyclic_blocks(fn)
                 candidates = collect_candidates(fn, info)
-            # direct candidates first (bottom-up expression order)
-            candidates.sort(
-                key=lambda c: 0 if c.kind is CandidateKind.DIRECT else 1
-            )
             changed = False
             with obs.span("pre.rewrite", candidates=len(candidates)):
                 for cand in candidates:
                     if cannot_change_code(cand, cyclic):
                         continue
-                    result = SSAPRE(fn, info, cand, round_opts, loops).run()
+                    result = SSAPRE(fn, info, cand, round_opts).run()
                     if result.changed or result.checks or result.invalidates:
                         stats.results.append(result)
                         changed = changed or result.changed

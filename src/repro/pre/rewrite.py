@@ -46,19 +46,20 @@ def rewrite_expr(expr: Expr, mapping: dict[int, Expr]) -> Expr:
     replacement = mapping.get(expr.eid)
     if replacement is not None:
         return replacement
-    if isinstance(expr, (ConstInt, ConstFloat, VarRead, AddrOf)):
-        return expr
-    if isinstance(expr, Load):
+    kind = type(expr)  # no expression class is subclassed
+    if kind is Load:
         expr.addr = rewrite_expr(expr.addr, mapping)
-        return expr
-    if isinstance(expr, BinOp):
+    elif kind is BinOp:
         expr.left = rewrite_expr(expr.left, mapping)
         expr.right = rewrite_expr(expr.right, mapping)
-        return expr
-    if isinstance(expr, UnOp):
+    elif kind is UnOp:
         expr.operand = rewrite_expr(expr.operand, mapping)
-        return expr
-    raise IRError(f"rewrite_expr: unknown expression {expr!r}")
+    elif kind not in _LEAVES:
+        raise IRError(f"rewrite_expr: unknown expression {expr!r}")
+    return expr
+
+
+_LEAVES = (ConstInt, ConstFloat, VarRead, AddrOf)
 
 
 def replace_exprs_in_stmt(stmt: Stmt, mapping: dict[int, Expr]) -> None:

@@ -29,7 +29,15 @@ from repro.ir.cfg import BasicBlock
 from repro.ir.expr import Load, VarRead
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.stmt import Assign, Call, Stmt, Store, stmt_defines, stmt_loads_and_reads
+from repro.ir.stmt import (
+    Assign,
+    Call,
+    Return,
+    Stmt,
+    Store,
+    stmt_defines,
+    stmt_loads_and_reads,
+)
 from repro.ir.symbols import Variable, VirtualVariable
 
 #: Keys uniting real and virtual variables in one namespace.
@@ -44,24 +52,25 @@ def var_key(v: SSAVar) -> VarKey:
     return ("vv", v.id)
 
 
-@dataclass
+@dataclass(slots=True)
 class MuOperand:
     """May-use of ``var`` (version filled by renaming)."""
 
     var: SSAVar
     version: int = -1
     speculative: bool = False
+    #: ``var_key(var)``, made once
+    key: VarKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> VarKey:
-        return var_key(self.var)
+    def __post_init__(self) -> None:
+        self.key = var_key(self.var)
 
     def __str__(self) -> str:
         tag = "mu_s" if self.speculative else "mu"
         return f"{tag}({self.var}{self.version})"
 
 
-@dataclass
+@dataclass(slots=True)
 class ChiOperand:
     """May-def of ``var``: ``var_new <- chi(var_old)``.
 
@@ -80,17 +89,18 @@ class ChiOperand:
     #: class object ({object id: "alat"|"soft"|None}); None for chis
     #: where per-object refinement is meaningless (calls, direct defs)
     object_mechanisms: Optional[dict] = None
+    #: ``var_key(var)``, made once
+    key: VarKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> VarKey:
-        return var_key(self.var)
+    def __post_init__(self) -> None:
+        self.key = var_key(self.var)
 
     def __str__(self) -> str:
         tag = "chi_s" if self.speculative else "chi"
         return f"{self.var}{self.new_version} <- {tag}({self.var}{self.old_version})"
 
 
-@dataclass
+@dataclass(slots=True)
 class VarPhi:
     """SSA phi for one variable at a block (operands align with preds)."""
 
@@ -98,10 +108,11 @@ class VarPhi:
     block: BasicBlock
     result_version: int = -1
     operands: list[int] = field(default_factory=list)
+    #: ``var_key(var)``, made once
+    key: VarKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> VarKey:
-        return var_key(self.var)
+    def __post_init__(self) -> None:
+        self.key = var_key(self.var)
 
     def __str__(self) -> str:
         ops = ", ".join(f"{self.var}{v}" for v in self.operands)
@@ -144,9 +155,23 @@ class HSSAInfo:
         #: ids of the blocks that define a version of each key: by a
         #: statement, a χ or a variable phi
         self.def_blocks: dict[VarKey, set[int]] = {}
+        #: each statement's indirect loads and variable reads as HSSA
+        #: saw them (:func:`repro.ir.stmt.stmt_loads_and_reads`), by
+        #: sid.  PRE collects its candidates from them before any
+        #: rewrite of the round changes a statement.
+        self.walks: Walks = {}
+        #: speculative base versions of one value key for one set of
+        #: target objects (SSAPRE's indirect candidates), by (key, ids)
+        self.candidate_bases: dict[
+            tuple[VarKey, frozenset], dict[tuple[VarKey, int], int]
+        ] = {}
         self._counters: dict[VarKey, itertools.count] = {}
         self._chis_by_key: Optional[dict[VarKey, list[ChiOperand]]] = None
         self._check_bases: Optional[dict[tuple[VarKey, int], int]] = None
+        self._layout_position: Optional[dict[int, int]] = None
+        self._exits: Optional[list[BasicBlock]] = None
+        self._exit_ids: frozenset[int] = frozenset()
+        self._loop_headers: Optional[frozenset[int]] = None
 
     def version_at_entry(self, bid: int, key: VarKey) -> int:
         return self.block_entry_versions.get(bid, {}).get(key, 0)
@@ -180,6 +205,46 @@ class HSSAInfo:
                         index.setdefault(chi.key, []).append(chi)
             self._chis_by_key = index
         return self._chis_by_key.get(key, [])
+
+    # -- facts of the round -------------------------------------------
+    # PRE builds HSSA once per round, after it has split the critical
+    # edges, and its rewrites only insert statements that are not
+    # terminators into existing blocks.  The CFG, and what these
+    # methods derive from it on first use, stays as it is for the round.
+
+    def layout_position(self) -> dict[int, int]:
+        """Each block id's index in the function's block list."""
+        if self._layout_position is None:
+            self._layout_position = {b.bid: i for i, b in enumerate(self.fn.blocks)}
+        return self._layout_position
+
+    def exits(self) -> list[BasicBlock]:
+        """The blocks that leave the function (a return, or no
+        successor), in layout order."""
+        if self._exits is None:
+            self._exits = [
+                b for b in self.fn.blocks
+                if isinstance(b.terminator, Return) or not b.successors()
+            ]
+            self._exit_ids = frozenset(b.bid for b in self._exits)
+        return self._exits
+
+    def exit_ids(self) -> frozenset[int]:
+        """Ids of :meth:`exits`."""
+        self.exits()
+        return self._exit_ids
+
+    def loop_headers(self) -> frozenset[int]:
+        """Ids of the natural loop headers: the blocks that dominate a
+        predecessor (the target of a back edge), the headers
+        :func:`repro.analysis.loops.find_natural_loops` finds."""
+        if self._loop_headers is None:
+            dominates = self.domtree.dominates
+            self._loop_headers = frozenset(
+                b.bid for b in self.fn.blocks
+                if any(dominates(b, p) for p in b.preds)
+            )
+        return self._loop_headers
 
     def check_bases(self) -> dict[tuple[VarKey, int], int]:
         """Base versions that skip only the check definitions of earlier
@@ -223,7 +288,9 @@ def build_hssa(
     # One walk per statement: μ/χ attachment (twice), the variable scan
     # behind Phi placement and renaming all read the same nodes, and
     # nothing rewrites an expression while HSSA is built.
-    walks = {stmt.sid: stmt_loads_and_reads(stmt) for stmt in fn.iter_stmts()}
+    walks = info.walks = {
+        stmt.sid: stmt_loads_and_reads(stmt) for stmt in fn.iter_stmts()
+    }
     _attach_mu_chi(fn, module, am, info, spec_decider, walks)
     _insert_phis(fn, info, domtree, walks)
     _Renamer(fn, info, domtree, walks).run()
@@ -257,16 +324,45 @@ def _attach_mu_chi(
         return vvar
 
     # First pass: collect vvars of accesses so direct stores know which
-    # classes matter.
+    # classes matter.  Each access's targets are looked up once, by the
+    # load's eid or the store's sid.
+    load_targets: dict[int, frozenset[MemObject]] = {}
+    store_targets: dict[int, frozenset[MemObject]] = {}
     for stmt in fn.iter_stmts():
         for expr in walks[stmt.sid][0]:
-            vvar_for(am.access_targets(expr.addr, expr.type))
-        if isinstance(stmt, Store):
-            vvar_for(am.access_targets(stmt.addr, stmt.value.type))
-        elif isinstance(stmt, Call):
+            targets = load_targets[expr.eid] = am.access_targets(expr.addr, expr.type)
+            vvar_for(targets)
+        kind = type(stmt)
+        if kind is Store:
+            targets = store_targets[stmt.sid] = am.access_targets(
+                stmt.addr, stmt.value.type
+            )
+            vvar_for(targets)
+        elif kind is Call:
             for obj in am.call_mod(stmt.callee) | am.call_ref(stmt.callee):
                 for vv in am.virtual_vars_containing(obj):
                     used_vvars[vv.id] = vv
+
+    #: each object set met, in id order
+    in_id_order: dict[frozenset[MemObject], list[MemObject]] = {}
+
+    def by_id(objs: frozenset[MemObject]) -> list[MemObject]:
+        ordered = in_id_order.get(objs)
+        if ordered is None:
+            ordered = in_id_order[objs] = _by_id(objs)
+        return ordered
+
+    #: the visible variable objects of each target set, in id order
+    visible_of: dict[frozenset[MemObject], list[VarMemObject]] = {}
+
+    def visible_targets(targets: frozenset[MemObject]) -> list[VarMemObject]:
+        objs = visible_of.get(targets)
+        if objs is None:
+            objs = visible_of[targets] = [
+                obj for obj in by_id(targets)
+                if isinstance(obj, VarMemObject) and obj.id in visible
+            ]
+        return objs
 
     def spec(stmt: Stmt, obj: Optional[MemObject]) -> Optional[str]:
         if spec_decider is None or obj is None:
@@ -282,7 +378,7 @@ def _attach_mu_chi(
         "soft" as soon as any object needs the software repair."""
         if spec_decider is None:
             return None
-        objs = _by_id(am.class_objects(vvar))
+        objs = by_id(am.class_objects(vvar))
         if not objs:
             return None
         mechanisms = [spec(stmt, o) for o in objs]
@@ -295,7 +391,7 @@ def _attach_mu_chi(
         stmt.chi_list = []
         # μ for every indirect load in the statement
         for expr in walks[stmt.sid][0]:
-            targets = am.access_targets(expr.addr, expr.type)
+            targets = load_targets[expr.eid]
             vvar = vvar_for(targets)
             if vvar is None:
                 # No points-to information: private class per access.
@@ -303,14 +399,14 @@ def _attach_mu_chi(
             mu = MuOperand(vvar)
             stmt.mu_list.append(mu)
             info.load_mu[expr.eid] = mu
-            for obj in sorted(targets, key=lambda o: o.id):
-                if isinstance(obj, VarMemObject) and obj.id in visible:
-                    stmt.mu_list.append(
-                        MuOperand(obj.var, speculative=bool(spec(stmt, obj)))
-                    )
+            for obj in visible_targets(targets):
+                stmt.mu_list.append(
+                    MuOperand(obj.var, speculative=bool(spec(stmt, obj)))
+                )
 
-        if isinstance(stmt, Store):
-            targets = am.access_targets(stmt.addr, stmt.value.type)
+        kind = type(stmt)
+        if kind is Store:
+            targets = store_targets[stmt.sid]
             vvar = vvar_for(targets)
             if vvar is None:
                 vvar = VirtualVariable(group_key=("store", stmt.sid))
@@ -320,19 +416,18 @@ def _attach_mu_chi(
             )
             if spec_decider is not None:
                 chi.object_mechanisms = {
-                    o.id: spec(stmt, o) for o in _by_id(am.class_objects(vvar))
+                    o.id: spec(stmt, o) for o in by_id(am.class_objects(vvar))
                 }
             stmt.chi_list.append(chi)
             info.store_chi[stmt.sid] = chi
-            for obj in sorted(targets, key=lambda o: o.id):
-                if isinstance(obj, VarMemObject) and obj.id in visible:
-                    mech = spec(stmt, obj)
-                    stmt.chi_list.append(
-                        ChiOperand(
-                            obj.var, speculative=mech is not None, mechanism=mech
-                        )
+            for obj in visible_targets(targets):
+                mech = spec(stmt, obj)
+                stmt.chi_list.append(
+                    ChiOperand(
+                        obj.var, speculative=mech is not None, mechanism=mech
                     )
-        elif isinstance(stmt, Assign) and stmt.target.has_memory_home:
+                )
+        elif kind is Assign and stmt.target.has_memory_home:
             # Direct store: χ the virtual variables of classes that
             # contain the target, so indirect loads observe the update.
             obj = am.object_of_var(stmt.target)
@@ -340,19 +435,19 @@ def _attach_mu_chi(
                 for vv in am.virtual_vars_containing(obj):
                     if vv.id in used_vvars:
                         stmt.chi_list.append(ChiOperand(vv))
-        elif isinstance(stmt, Call):
+        elif kind is Call:
             mod = am.call_mod(stmt.callee)
             ref = am.call_ref(stmt.callee)
             seen_mu: set[int] = set()
             seen_chi: set[int] = set()
-            for obj in sorted(ref, key=lambda o: o.id):
+            for obj in by_id(ref):
                 if isinstance(obj, VarMemObject) and obj.id in visible:
                     stmt.mu_list.append(MuOperand(obj.var))
                 for vv in am.virtual_vars_containing(obj):
                     if vv.id in used_vvars and vv.id not in seen_mu:
                         seen_mu.add(vv.id)
                         stmt.mu_list.append(MuOperand(vv))
-            for obj in sorted(mod, key=lambda o: o.id):
+            for obj in by_id(mod):
                 if isinstance(obj, VarMemObject) and obj.id in visible:
                     mech = spec(stmt, obj)
                     stmt.chi_list.append(
@@ -395,7 +490,8 @@ def _collect_ssa_vars(
     for block in fn.blocks:
         for stmt in block.stmts:
             for expr in walks[stmt.sid][1]:
-                result.setdefault(var_key(expr.var), expr.var)
+                # a read is always of a real variable
+                result.setdefault(("v", expr.var.id), expr.var)
             for mu in stmt.mu_list:
                 result.setdefault(mu.key, mu.var)
             for chi in stmt.chi_list:
@@ -416,15 +512,11 @@ def _insert_phis(
     df = info.frontiers = compute_dominance_frontiers(fn, domtree)
     ssa_vars, defined_in = _collect_ssa_vars(fn, walks)
 
-    # def blocks per variable, in the variables' order
-    def_blocks: dict[VarKey, list[BasicBlock]] = {
-        k: defined_in.get(k, []) for k in ssa_vars
-    }
-
-    for key, blocks in def_blocks.items():
+    # per variable, in the variables' order
+    for key, var in ssa_vars.items():
+        blocks = defined_in.get(key)
         if not blocks:
             continue
-        var = ssa_vars[key]
         placed: set[int] = set()
         worklist = list(blocks)
         on_list = {b.bid for b in worklist}
@@ -448,6 +540,18 @@ def _insert_phis(
 
 
 class _Renamer:
+    """The dominator-tree renaming walk.
+
+    ``current`` maps every key with a version in scope to its current
+    version (absent: version 0, the entry value); a block saves what it
+    overwrites and restores it on the way out, which is what one version
+    stack per key would hold on top.  The entry and exit version maps
+    HSSA keeps per block are copies of ``current``, made only where it
+    changed: a block without Phis starts from its dominator-tree
+    parent's exit map, and a block that defines nothing ends on the map
+    it started with.  Nothing writes to a stored map, so blocks share
+    them."""
+
     def __init__(
         self, fn: Function, info: HSSAInfo, domtree: DominatorTree, walks: Walks
     ) -> None:
@@ -455,79 +559,90 @@ class _Renamer:
         self.info = info
         self.domtree = domtree
         self.walks = walks
-        self.stacks: dict[VarKey, list[int]] = {}
-
-    def current(self, key: VarKey) -> int:
-        stack = self.stacks.get(key)
-        return stack[-1] if stack else 0  # version 0 = entry value
-
-    def push(self, key: VarKey, version: int) -> None:
-        self.stacks.setdefault(key, []).append(version)
+        self.current: dict[VarKey, int] = {}
 
     def run(self) -> None:
         info = self.info
         for key in list(info.phis.get(self.fn.entry.bid, {})):
             raise IRError("phi in entry block (entry must have no preds)")
-        self._walk(self.fn.entry)
+        self._walk(self.fn.entry, {})
 
-    def _walk(self, block: BasicBlock) -> None:
+    def _walk(self, block: BasicBlock, versions: dict[VarKey, int]) -> None:
+        """Rename ``block`` and its dominator subtree; ``versions`` is a
+        map equal to ``current``."""
         info = self.info
-        pushed: list[VarKey] = []
+        current = self.current
+        def_site = info.def_site
+        new_version = info.new_version
+        bid = block.bid
+        #: (key, version it replaced or None) per definition, in order
+        saved: list[tuple[VarKey, Optional[int]]] = []
 
-        for key, phi in info.block_phis(block).items():
-            version = info.new_version(key)
-            phi.result_version = version
-            info.def_site[(key, version)] = ("phi", block.bid)
-            self.push(key, version)
-            pushed.append(key)
+        phis = info.phis.get(bid)
+        if phis:
+            for key, phi in phis.items():
+                version = new_version(key)
+                phi.result_version = version
+                def_site[(key, version)] = ("phi", bid)
+                saved.append((key, current.get(key)))
+                current[key] = version
+            versions = current.copy()
+        info.block_entry_versions[bid] = versions
 
-        info.block_entry_versions[block.bid] = {
-            key: stack[-1] for key, stack in self.stacks.items() if stack
-        }
-
+        use_version = info.use_version
+        walks = self.walks
         for stmt in block.stmts:
-            # uses first (RHS and address expressions)
-            for expr in self.walks[stmt.sid][1]:
-                info.use_version[expr.eid] = self.current(var_key(expr.var))
+            # uses first (RHS and address expressions); a read is always
+            # of a real variable
+            for expr in walks[stmt.sid][1]:
+                use_version[expr.eid] = current.get(("v", expr.var.id), 0)
             for mu in stmt.mu_list:
-                mu.version = self.current(mu.key)
+                mu.version = current.get(mu.key, 0)
             # then defs
             target = stmt_defines(stmt)
             if target is not None:
                 key = var_key(target)
-                prior = self.current(key)
-                version = info.new_version(key)
+                prior = current.get(key, 0)
+                version = new_version(key)
                 info.def_version[stmt.sid] = version
-                info.def_site[(key, version)] = ("stmt", stmt.sid)
-                if isinstance(stmt, Assign) and stmt.spec_flag.is_check:
+                def_site[(key, version)] = ("stmt", stmt.sid)
+                if type(stmt) is Assign and stmt.spec_flag.is_check:
                     info.check_def_links[(key, version)] = (key, prior)
-                self.push(key, version)
-                pushed.append(key)
+                saved.append((key, current.get(key)))
+                current[key] = version
             for chi in stmt.chi_list:
                 key = chi.key
-                chi.old_version = self.current(key)
-                version = info.new_version(key)
+                old = current.get(key)
+                chi.old_version = 0 if old is None else old
+                version = new_version(key)
                 chi.new_version = version
-                info.def_site[(key, version)] = ("chi", stmt.sid)
-                self.push(key, version)
-                pushed.append(key)
+                def_site[(key, version)] = ("chi", stmt.sid)
+                saved.append((key, old))
+                current[key] = version
 
-        info.block_exit_versions[block.bid] = {
-            key: stack[-1] for key, stack in self.stacks.items() if stack
-        }
+        if len(saved) > (len(phis) if phis else 0):
+            versions = current.copy()
+        info.block_exit_versions[bid] = versions
 
         for succ in block.successors():
+            succ_phis = info.phis.get(succ.bid)
+            if not succ_phis:
+                continue
             pred_index = succ.preds.index(block)
-            for key, phi in info.block_phis(succ).items():
-                while len(phi.operands) < len(succ.preds):
-                    phi.operands.append(-1)
-                phi.operands[pred_index] = self.current(key)
+            for key, phi in succ_phis.items():
+                operands = phi.operands
+                while len(operands) < len(succ.preds):
+                    operands.append(-1)
+                operands[pred_index] = current.get(key, 0)
 
-        for child in self.domtree.children[block.bid]:
-            self._walk(child)
+        for child in self.domtree.children[bid]:
+            self._walk(child, versions)
 
-        for key in reversed(pushed):
-            self.stacks[key].pop()
+        for key, old in reversed(saved):
+            if old is None:
+                del current[key]
+            else:
+                current[key] = old
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ This is ``repro.ssa.hssa.build_hssa`` with its μ/χ attachment, variable
 scan, Phi placement and renaming before the steps shared one walk of
 each statement: μ/χ attachment walks every statement's expressions
 twice, the variable scan behind Phi placement once more, and renaming
-once again.  ``tests/test_compile_reuse.py`` builds both at every call
-the compiler makes and requires the same μ/χ lists, Phis and version
-maps.  The overlay classes and the base-version fixpoint are the
+once again, with one version stack per key and a fresh copy of every
+key's version at each block's entry and exit.  ``info.walks``, which
+candidate collection reads, is filled by one more walk of each
+statement.  ``tests/test_compile_reuse.py`` builds both at every call
+the compiler makes and requires the same μ/χ lists, Phis, version maps
+and walks.  The overlay classes and the base-version fixpoint are the
 module's own.  Nothing in ``src/`` imports it.
 """
 
@@ -56,6 +59,13 @@ def build_hssa(
     fn.compute_preds()
     domtree = compute_dominators(fn)
     info = HSSAInfo(fn, am, domtree)
+    info.walks = {
+        stmt.sid: (
+            [e for e in stmt.walk_exprs() if isinstance(e, Load)],
+            [e for e in stmt.walk_exprs() if isinstance(e, VarRead)],
+        )
+        for stmt in fn.iter_stmts()
+    }
     _attach_mu_chi(fn, module, am, info, spec_decider)
     _insert_phis(fn, info, domtree)
     _Renamer(fn, info, domtree).run()

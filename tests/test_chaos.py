@@ -663,3 +663,38 @@ def test_chaos_cli_rejects_bad_runs(tmp_path):
 
     with pytest.raises(SystemExit):
         main(["--runs", "0"])
+
+
+# -- Figure 2 through the differential --------------------------------------
+
+#: the dynamic fault kinds (the rest clamp the geometry before a run)
+DYNAMIC_FAULTS = {"drop_alloc", "spurious_invalidate", "flush"}
+
+
+def test_figure2_partial_redundancy_survives_the_differential():
+    """Figure 2's partial redundancy, which PRE repairs with an
+    ``invala.e``, through ``check_program`` under every default mode and
+    fault plan, on inputs that take each branch.  The generator never
+    emits this shape, so this is where the campaign injects faults
+    around an ``invala.e``."""
+    from repro.chaos.campaign import CampaignReport, check_program
+    from repro.target.asmprinter import format_program
+    from tests.test_pass_reference import PARTIAL_REDUNDANCY
+
+    modes = default_modes()
+    for mode in modes:
+        output = compile_source(PARTIAL_REDUNDANCY, mode, train_args=[6])
+        assert "invala.e" in format_program(output.program), mode.describe()
+    stress = FaultPlan(name="stress", seed=0, spurious_invalidate_rate=0.4,
+                       drop_alloc_rate=0.2, flush_rate=0.01)
+    plans = [None] + [
+        plan for seed in range(3) for plan in default_fault_plans(seed)
+    ] + [stress]
+    report = CampaignReport(seed=0)
+    for ref_arg in (4, 6, 9, 102):
+        program = GeneratedProgram(
+            f"figure2-{ref_arg}", PARTIAL_REDUNDANCY, (ref_arg,), (6,)
+        )
+        assert check_program(program, modes, plans, report) == []
+    assert report.runs == 4 * len(modes) * len(plans)
+    assert sum(report.faults_injected.get(k, 0) for k in DYNAMIC_FAULTS) > 0

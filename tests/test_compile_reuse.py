@@ -26,10 +26,15 @@
   function that reaches code generation.
 * HSSA construction walks each statement's expressions once and shares
   the loads and variable reads between μ/χ attachment, the variable
-  scan behind Phi placement and renaming.  The test builds HSSA again
-  at every call with the construction it replaced
-  (``tests/reference_hssa.py``, which walks at each of those steps) and
-  compares the μ/χ lists, the Phis and every version map.
+  scan behind Phi placement, renaming and candidate collection, and
+  its renamer copies the current versions only at the blocks that
+  change them.  The test builds HSSA again at every call with the
+  construction it replaced (``tests/reference_hssa.py``, which walks
+  at each of those steps and copies every block's versions) and
+  compares the μ/χ lists, the Phis, every version map and the walks.
+  It also computes the facts of the round ``HSSAInfo`` derives on
+  first use (the exits, the loop headers, the layout positions) the
+  way SSAPRE used to for every candidate, and compares them.
 * ``AliasManager`` builds its alias classes and GMOD/GREF in one scan of
   the module.  The test repeats the two scans it replaced
   (``tests/reference_alias.py``) for every manager the compiler builds
@@ -58,7 +63,7 @@ from repro.ir import INT, ModuleBuilder
 from repro.ir import symbols
 from repro.ir.expr import BinOp, ConstInt, Expr, clone_expr, walk_expr
 from repro.ir.printer import format_function
-from repro.ir.stmt import Stmt, stmt_defines
+from repro.ir.stmt import Return, Stmt, stmt_defines
 from repro.minic import lower
 from repro.opt import driver as opt_driver
 from repro.pipeline import compile_source
@@ -230,12 +235,37 @@ def hssa_state(info) -> tuple:
         bid: [(key, str(phi), phi.operands) for key, phi in block_phis.items()]
         for bid, block_phis in info.phis.items()
     }
+    walks = {
+        sid: ([e.eid for e in loads], [e.eid for e in reads])
+        for sid, (loads, reads) in info.walks.items()
+    }
     return (
         stmts, phis, info.use_version, info.def_version, info.spec_base,
         info.def_site, info.check_def_links, info.block_entry_versions,
         info.block_exit_versions, info.def_blocks, info.frontiers,
         {eid: str(mu) for eid, mu in info.load_mu.items()},
         {sid: str(chi) for sid, chi in info.store_chi.items()},
+        walks,
+    )
+
+
+def round_facts(info) -> tuple:
+    """The facts of the round HSSAInfo derives on first use, and the
+    same facts as SSAPRE computed them for every candidate: the exit
+    blocks by a scan, the loop headers from the natural loops, and each
+    block's position by its index in the block list."""
+    fn = info.fn
+    exits = [
+        b for b in fn.blocks
+        if isinstance(b.terminator, Return) or not b.successors()
+    ]
+    headers = {
+        loop.header.bid for loop in find_natural_loops(fn, info.domtree)
+    }
+    positions = {b.bid: i for i, b in enumerate(fn.blocks)}
+    return (
+        (info.exits(), info.exit_ids(), info.loop_headers(), info.layout_position()),
+        (exits, {b.bid for b in exits}, headers, positions),
     )
 
 
@@ -245,16 +275,21 @@ def walk_state(pre) -> tuple:
     phis = {
         bid: (
             phi.class_id, phi.down_safe, phi.can_be_avail, phi.later,
-            phi.alat_avail, id(phi) in pre._phi_used,
+            phi.alat_avail, phi.used,
             [(op.class_id, op.has_real_use, op.speculative, op.insert)
              for op in phi.operands],
         )
         for bid, phi in pre.phis.items()
     }
-    return (
-        phis, pre._occ_class, pre._occ_spec, pre._occ_is_def, pre._role,
-        {k: (e.kind, e.needs_save, e.spec_linked) for k, e in pre._def_entry.items()},
-    )
+    occs = [
+        (
+            rec.class_id, rec.speculative, rec.is_def, rec.role,
+            (rec.entry.kind, rec.entry.needs_save, rec.entry.spec_linked)
+            if rec.role in ("left", "def") else None,
+        )
+        for rec in pre._occs
+    ]
+    return phis, occs
 
 
 @pytest.fixture
@@ -277,7 +312,7 @@ def checked_shortcuts(monkeypatch):
         """Rename and Finalize of ``pre``'s candidate, walking the whole
         dominator tree."""
         full = object.__new__(ssapre.SSAPRE)
-        init(full, pre.fn, pre.info, pre.cand, pre.opts, pre.loops)
+        init(full, pre.fn, pre.info, pre.cand, pre.opts)
         full._insert_phis()
         full._walked = set(full.info.domtree.children)
         full._rename()
@@ -300,8 +335,8 @@ def checked_shortcuts(monkeypatch):
         checked["skips"] += 1
         return result
 
-    def init_checked(pre, fn, info, cand, options, loops=None):
-        init(pre, fn, info, cand, options, loops)
+    def init_checked(pre, fn, info, cand, options):
+        init(pre, fn, info, cand, options)
         if pre._local_bases is not None:
             full = compute_spec_bases(info, pre._chi_ignorable)
             key = cand.value_key
@@ -338,6 +373,8 @@ def checked_shortcuts(monkeypatch):
         symbols._virtual_ids = itertools.count(start)
         info = build(fn, module, am, spec_decider=spec_decider)
         assert hssa_state(info) == reference
+        facts, expected = round_facts(info)
+        assert facts == expected
         checked["hssa"] += 1
         return info
 

@@ -1,5 +1,5 @@
-"""The pressure analysis, liveness and the dead-code sweep against the
-code they replaced.
+"""The pressure analysis, liveness, the dead-code sweep and SSAPRE
+against the code they replaced.
 
 ``tests/reference_pressure.py`` keeps the ALAT pressure analysis that
 built gen/kill for every statement and computed dominators and loops
@@ -15,11 +15,18 @@ and, at every call the compiler makes, require of the passes in use:
   speclint's SPEC006;
 * the same live-in and live-out set of every block;
 * the same statements removed in each DCE round, and the same count.
+
+``tests/reference_ssapre.py`` keeps SSAPRE and candidate collection as
+they were before they computed each round's facts once.  The same
+programs compile under every mode twice, once with the reference in
+the PRE driver's place, and must give the same machine code and the
+same ``PREResult`` for every candidate, in order.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
 
@@ -28,8 +35,10 @@ from repro.errors import SpecLintError
 from repro.ir.stmt import InvalidateCheck
 from repro.opt import dce
 from repro.pipeline import compile_source
+from repro.pre import driver as pre_driver
+from repro.target.asmprinter import format_program
 from repro.workloads.programs import BENCHMARKS, get_workload
-from tests import reference_liveness, reference_pressure
+from tests import reference_liveness, reference_pressure, reference_ssapre
 from tests.corpus import chaos_program, compile_modes, service_program
 
 #: generated programs per test, and tests per corpus
@@ -151,3 +160,73 @@ def test_generated_programs(corpus, batch, checked_passes):
         compile_every_mode(program.source, program.train_args)
     assert_every_check_ran(checked_passes)
     assert checked_passes["removed"] > 0
+
+
+# -- SSAPRE against its reference -------------------------------------------
+
+
+def pre_outcome(source: str, options, train_args) -> tuple:
+    """What one compile produced: the machine code and every
+    candidate's ``PREResult`` (its candidate and temp by name), or the
+    speclint rules it failed."""
+    try:
+        output = compile_source(source, options, train_args=list(train_args))
+    except SpecLintError as exc:
+        return ("speclint", sorted(d.rule for d in exc.report.errors))
+    results = {
+        fn: [
+            (r.candidate.kind, str(r.candidate.template),
+             r.temp.name if r.temp is not None else None)
+            + tuple(
+                getattr(r, f.name) for f in dataclasses.fields(r)
+                if f.name not in ("candidate", "temp")
+            )
+            for r in stats.results
+        ]
+        for fn, stats in output.pre_stats.items()
+    }
+    return (format_program(output.program), results)
+
+
+def assert_pre_matches_reference(source: str, train_args, monkeypatch) -> int:
+    """Compile under every mode with the reference SSAPRE and with the
+    compiler's; returns the candidates compared."""
+    compared = 0
+    for options in compile_modes():
+        assert not options.fallback
+        with monkeypatch.context() as patch:
+            patch.setattr(pre_driver, "SSAPRE", reference_ssapre.SSAPRE)
+            patch.setattr(
+                pre_driver, "collect_candidates",
+                reference_ssapre.collect_candidates,
+            )
+            reference = pre_outcome(source, options, train_args)
+        outcome = pre_outcome(source, options, train_args)
+        assert outcome == reference, options.describe()
+        if outcome[0] != "speclint":
+            compared += sum(len(r) for r in outcome[1].values())
+    return compared
+
+
+def test_ssapre_partial_redundancy(monkeypatch):
+    assert assert_pre_matches_reference(PARTIAL_REDUNDANCY, [6], monkeypatch) > 0
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_ssapre_kernels(name, monkeypatch):
+    workload = get_workload(name)
+    assert assert_pre_matches_reference(
+        workload.source, workload.train_args, monkeypatch
+    ) > 0
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+@pytest.mark.parametrize("corpus", [chaos_program, service_program])
+def test_ssapre_generated_programs(corpus, batch, monkeypatch):
+    compared = 0
+    for index in range(batch * BATCH, (batch + 1) * BATCH):
+        program = corpus(index)
+        compared += assert_pre_matches_reference(
+            program.source, program.train_args, monkeypatch
+        )
+    assert compared > 0

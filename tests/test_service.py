@@ -371,8 +371,8 @@ def test_pool_compile_cold_then_verified_warm_hit(tmp_path):
 
 #: every phase a SPECULATIVE() compile job runs, in order
 JOB_PHASES = [
-    "frontend", "profile", "scalarrepl", "pre", "pressure", "cleanup",
-    "verify", "codegen", "speclint", "simulate",
+    "frontend", "profile", "scalarrepl", "alias", "pre", "pressure",
+    "cleanup", "verify", "codegen", "speclint", "simulate",
 ]
 
 
