@@ -97,7 +97,7 @@ class AliasManager:
         self._objects_by_id: dict[int, MemObject] = {
             o.id: o for o in self.system.all_objects()
         }
-        self._access_cache: dict[tuple[int, str], frozenset[MemObject]] = {}
+        self._access_cache: dict[tuple[int, Type], frozenset[MemObject]] = {}
         accesses, mod, ref, callees = self._scan_module()
         self._build_alias_classes(accesses)
         self._close_mod_ref(mod, ref, callees)
@@ -114,7 +114,11 @@ class AliasManager:
     def access_targets(self, addr: Expr, access_type: Type) -> frozenset[MemObject]:
         """Type-filtered points-to set for an indirect access through
         ``addr`` reading/writing a value of ``access_type``."""
-        key = (addr.eid, str(access_type))
+        # Equal types print alike (scalar, pointer and array types are
+        # frozen dataclasses, a struct type equals only itself), so
+        # keying on the type is at least as fine as keying on its text,
+        # which ``type_filter_points_to`` filters by.
+        key = (addr.eid, access_type)
         cached = self._access_cache.get(key)
         if cached is not None:
             return cached

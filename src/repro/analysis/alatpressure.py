@@ -295,26 +295,57 @@ def armed_by_stmt(fn: Function) -> dict[int, frozenset[int]]:
     is held from its ``ld.a``/``ld.sa`` until a clearing check or
     ``invala.e``), without the profit model on top — speclint's SPEC006
     pressure rule is rebased on this.  Only protocol statements change
-    the facts; every other statement carries the facts before it."""
+    the facts; every other statement carries the facts before it.  The
+    solve runs on bit sets, one bit per temp; a statement's facts are
+    the set of its bits, made once per distinct mask."""
     fn.compute_preds()
     rpo = fn.reachable_blocks()
-    marks: dict[int, list[_Mark]] = {}
+    bits: dict[int, int] = {}
+    #: block id -> [(statement, gen, kill)] of its protocol statements
+    marks: dict[int, list[tuple[Stmt, int, int]]] = {}
+    gen: dict[int, int] = {}
+    kill: dict[int, int] = {}
     for block in rpo:
-        found = [m for m in map(_protocol_gk, block.stmts) if m is not None]
+        found = []
+        bg = bk = 0
+        for m in map(_protocol_gk, block.stmts):
+            if m is None:
+                continue
+            g, k = (
+                sum(dataflow.bit_of(bits, t) for t in facts)
+                for facts in m[_ARMED]
+            )
+            found.append((m[0], g, k))
+            bg = (bg & ~k) | g
+            bk = (bk | k) & ~g
         if found:
             marks[block.bid] = found
-    armed = dataflow.solve(
-        fn, dataflow.FORWARD, _transfer(rpo, marks, _ARMED), rpo=rpo
-    )
+            gen[block.bid], kill[block.bid] = bg, bk
+    entry, _, _ = dataflow.solve_bits(rpo, dataflow.FORWARD, gen, kill)
+    order = list(bits)
+    sets: dict[int, frozenset[int]] = {}
+
+    def as_set(mask: int) -> frozenset[int]:
+        facts = sets.get(mask)
+        if facts is None:
+            facts = sets[mask] = dataflow.mask_set(mask, order)
+        return facts
+
     facts: dict[int, frozenset[int]] = {}
     for block in rpo:
-        cur = armed.entry(block)
-        gk = {id(m[0]): m[_ARMED] for m in marks.get(block.bid, ())}
+        cur = entry[block.bid]
+        found = marks.get(block.bid)
+        if not found:
+            facts.update(dict.fromkeys([s.sid for s in block.stmts], as_set(cur)))
+            continue
+        changes = {id(m[0]): m for m in found}
+        cur_set = as_set(cur)
         for stmt in block.stmts:
-            change = gk.get(id(stmt))
+            change = changes.get(id(stmt))
             if change is not None:
-                cur = (cur - change[1]) | change[0]
-            facts[stmt.sid] = cur
+                cur = (cur & ~change[2]) | change[1]
+                cur_set = as_set(cur)
+            facts[stmt.sid] = cur_set
     return facts
 
 
@@ -607,7 +638,9 @@ class _FunctionAnalysis:
 
     def _block_weights(self, rpo: list[BasicBlock]) -> dict[int, float]:
         """Loop-nest weight of every reachable block."""
-        loops: LoopForest = find_natural_loops(self.fn, compute_dominators(self.fn))
+        loops: LoopForest = find_natural_loops(
+            self.fn, compute_dominators(self.fn, rpo)
+        )
         weights: dict[int, float] = {}
         for block in rpo:
             loop = loops.innermost_containing(block)

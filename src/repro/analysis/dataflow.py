@@ -22,6 +22,11 @@ Conventions:
   (forward) or postorder (backward), so structured CFGs converge in a
   couple of passes; ``DataflowResult.visits`` records the actual visit
   count for the termination tests.
+
+:func:`solve_bits` runs the same worklist for a union gen/kill problem
+on int bit sets, one bit per fact, with the transfer written in: the
+compiler solves liveness and the armed facts speclint reads that way on
+every compile.
 """
 
 from __future__ import annotations
@@ -111,52 +116,42 @@ def solve(
 
     if rpo is None:
         rpo = fn.reachable_blocks()
-    if not rpo:
+    n = len(rpo)
+    if not n:
         return DataflowResult(direction)
-    order = list(rpo) if direction == FORWARD else list(reversed(rpo))
     if max_visits is None:
-        max_visits = max(4096, 64 * len(order) * len(order))
-    block_of = {b.bid: b for b in order}
+        max_visits = max(4096, 64 * n * n)
+    # The CFG does not change during a solve, so each block's edges are
+    # taken once, by position in ``rpo``.
+    edges_in, edges_out, order = _position_edges(rpo, direction)
+    union = meet == "union"
+    # The boundary joins the meet at the entry (forward) or at every
+    # exit (backward); an empty one adds nothing to a union.
+    if union and not boundary:
+        at_boundary = [False] * n
+    elif direction == FORWARD:
+        at_boundary = [i == 0 for i in range(n)]
+    else:
+        at_boundary = [not succs for succs in edges_in]
 
     # The "solved" side: out for forward, in for backward.  None means
     # not yet computed (top for intersection meets).
-    solved: dict[int, Optional[frozenset]] = dict.fromkeys(block_of)
-    met: dict[int, frozenset] = {}
-
-    # The CFG does not change during a solve, so each block's edges and
-    # boundary test are taken once, as block ids.  ``edges_in`` feed a
-    # block's meet; ``edges_out`` lead to the blocks requeued when its
-    # value changes.
-    preds = {
-        bid: [p.bid for p in b.preds if p.bid in block_of]
-        for bid, b in block_of.items()
-    }
-    succs = {
-        bid: [s.bid for s in b.successors() if s.bid in block_of]
-        for bid, b in block_of.items()
-    }
-    if direction == FORWARD:
-        edges_in, edges_out = preds, succs
-        boundary_bids = {rpo[0].bid}
-    else:
-        edges_in, edges_out = succs, preds
-        boundary_bids = {bid for bid, out in succs.items() if not out}
-    union = meet == "union"
-
-    worklist: deque[int] = deque(block_of)
-    queued = set(block_of)
+    solved: list[Optional[frozenset]] = [None] * n
+    met: list[frozenset] = [_EMPTY] * n
+    worklist = deque(order)
+    queued = [True] * n
     visits = 0
     while worklist:
-        bid = worklist.popleft()
-        queued.discard(bid)
+        i = worklist.popleft()
+        queued[i] = False
         visits += 1
         if visits > max_visits:
             raise DataflowDivergence(
                 f"{direction} dataflow in {fn.name!r} exceeded "
                 f"{max_visits} block visits without converging"
             )
-        known = [v for v in map(solved.__getitem__, edges_in[bid]) if v is not None]
-        if bid in boundary_bids:
+        known = [v for v in map(solved.__getitem__, edges_in[i]) if v is not None]
+        if at_boundary[i]:
             known.append(boundary)
         if not known:
             value = _EMPTY
@@ -164,27 +159,114 @@ def solve(
             value = _EMPTY.union(*known)
         else:
             value = _meet_values(known, meet)
-        met[bid] = value
-        new = transfer(block_of[bid], value)
-        if new != solved[bid]:
-            solved[bid] = new
-            for t in edges_out[bid]:
-                if t not in queued:
-                    worklist.append(t)
-                    queued.add(t)
+        met[i] = value
+        new = transfer(rpo[i], value)
+        if new != solved[i]:
+            solved[i] = new
+            for j in edges_out[i]:
+                if not queued[j]:
+                    worklist.append(j)
+                    queued[j] = True
 
-    in_facts: dict[int, frozenset] = {}
-    out_facts: dict[int, frozenset] = {}
-    for bid in block_of:
-        fixed = solved[bid]
-        fixed = fixed if fixed is not None else _EMPTY
-        if direction == FORWARD:
-            in_facts[bid] = met.get(bid, _EMPTY)
-            out_facts[bid] = fixed
-        else:
-            in_facts[bid] = fixed
-            out_facts[bid] = met.get(bid, _EMPTY)
-    return DataflowResult(direction, in_facts, out_facts, visits)
+    result = DataflowResult(direction, visits=visits)
+    fixed_side = result.out_facts if direction == FORWARD else result.in_facts
+    met_side = result.in_facts if direction == FORWARD else result.out_facts
+    for i in order:
+        bid = rpo[i].bid
+        fixed = solved[i]
+        met_side[bid] = met[i]
+        fixed_side[bid] = fixed if fixed is not None else _EMPTY
+    return result
+
+
+def _position_edges(
+    rpo: list[BasicBlock], direction: str
+) -> tuple[list[list[int]], list[list[int]], range]:
+    """The edges between the blocks of ``rpo`` by position, as
+    :func:`solve` takes them: ``(edges_in, edges_out, order)``, where
+    ``edges_in`` feed a block's meet, ``edges_out`` lead to the blocks
+    requeued when its value changes, and ``order`` seeds the
+    worklist."""
+    index = {b.bid: i for i, b in enumerate(rpo)}
+    succs = [[index[s.bid] for s in b.successors() if s.bid in index] for b in rpo]
+    preds = [[index[p.bid] for p in b.preds if p.bid in index] for b in rpo]
+    n = len(rpo)
+    if direction == FORWARD:
+        return preds, succs, range(n)
+    return succs, preds, range(n - 1, -1, -1)
+
+
+def solve_bits(
+    rpo: list[BasicBlock],
+    direction: str,
+    gen: Mapping[int, int],
+    kill: Mapping[int, int],
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """:func:`solve` of a union gen/kill problem over int bit sets.
+
+    A fact is a bit; ``gen``/``kill`` map block ids to masks (missing
+    blocks: 0) and the boundary is empty.  The worklist is
+    :func:`solve`'s (seeded in reverse postorder or postorder, first in
+    first out, a block requeued when its solved value changes), so it
+    reaches the same fixpoint in the same number of visits as
+    :func:`solve` with :func:`gen_kill_transfer` over the same facts.
+    A gen/kill transfer is monotone, so no visit budget is needed.
+
+    ``rpo`` is ``fn.reachable_blocks()`` (predecessor lists up to
+    date).  Returns ``(in_masks, out_masks, visits)`` by block id, with
+    the conventions of :class:`DataflowResult`."""
+    n = len(rpo)
+    edges_in, edges_out, order = _position_edges(rpo, direction)
+    gens = [gen.get(b.bid, 0) for b in rpo]
+    keeps = [~kill.get(b.bid, 0) for b in rpo]
+    solved: list[Optional[int]] = [None] * n
+    met = [0] * n
+    worklist = deque(order)
+    queued = [True] * n
+    visits = 0
+    while worklist:
+        i = worklist.popleft()
+        queued[i] = False
+        visits += 1
+        value = 0
+        for j in edges_in[i]:
+            v = solved[j]
+            if v is not None:
+                value |= v
+        met[i] = value
+        new = gens[i] | (value & keeps[i])
+        if new != solved[i]:
+            solved[i] = new
+            for j in edges_out[i]:
+                if not queued[j]:
+                    worklist.append(j)
+                    queued[j] = True
+    fixed = {b.bid: solved[i] for i, b in enumerate(rpo)}
+    meets = {b.bid: met[i] for i, b in enumerate(rpo)}
+    if direction == FORWARD:
+        return meets, fixed, visits
+    return fixed, meets, visits
+
+
+def bit_of(bits: dict, key) -> int:
+    """The bit (a one-bit int) ``bits`` gives ``key``, numbering a key
+    it has not seen yet; ``list(bits)[i]`` is the key of bit ``i``."""
+    bit = bits.get(key)
+    if bit is None:
+        bit = bits[key] = 1 << len(bits)
+    return bit
+
+
+def mask_set(mask: int, order: list) -> frozenset:
+    """The elements of ``mask``, where bit ``i`` stands for ``order[i]``."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(order[i])
+        mask >>= 1
+        i += 1
+    return frozenset(out)
 
 
 def gen_kill_transfer(

@@ -20,17 +20,24 @@ class DominatorTree:
     ``idom[b]`` is the immediate dominator of block ``b`` (the entry has
     none).  ``children`` gives the dominator-tree children, and
     ``dominates(a, b)`` answers ancestor queries in O(1) using a DFS
-    interval numbering of the tree.
+    interval numbering of the tree.  ``rpo`` is the reverse postorder
+    of the reachable blocks the tree was computed over.
     """
 
-    def __init__(self, fn: Function, idom: dict[int, Optional[BasicBlock]]) -> None:
+    def __init__(
+        self,
+        fn: Function,
+        idom: dict[int, Optional[BasicBlock]],
+        rpo: Optional[list[BasicBlock]] = None,
+    ) -> None:
         self.fn = fn
         self._idom = idom
-        self._blocks_by_id = {b.bid: b for b in fn.blocks}
+        self.rpo = rpo if rpo is not None else fn.reachable_blocks()
         self.children: dict[int, list[BasicBlock]] = {b.bid: [] for b in fn.blocks}
-        for bid, parent in idom.items():
+        for block in self.rpo:
+            parent = idom.get(block.bid)
             if parent is not None:
-                self.children[parent.bid].append(self._blocks_by_id[bid])
+                self.children[parent.bid].append(block)
         # DFS interval numbering for O(1) dominance queries.
         self._pre: dict[int, int] = {}
         self._post: dict[int, int] = {}
@@ -54,12 +61,10 @@ class DominatorTree:
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True if ``a`` dominates ``b`` (reflexive)."""
-        if a.bid not in self._pre or b.bid not in self._pre:
+        pre = self._pre
+        if a.bid not in pre or b.bid not in pre:
             return False  # unreachable block dominates nothing
-        return (
-            self._pre[a.bid] <= self._pre[b.bid]
-            and self._post[a.bid] >= self._post[b.bid]
-        )
+        return pre[a.bid] <= pre[b.bid] and self._post[a.bid] >= self._post[b.bid]
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates(a, b)
@@ -85,41 +90,46 @@ class DominatorTree:
         return d
 
 
-def compute_dominators(fn: Function) -> DominatorTree:
-    """Compute the dominator tree of ``fn`` (preds must be up to date)."""
-    rpo = fn.reachable_blocks()  # reverse postorder
+def compute_dominators(
+    fn: Function, rpo: Optional[list[BasicBlock]] = None
+) -> DominatorTree:
+    """Compute the dominator tree of ``fn`` (preds must be up to date).
+
+    ``rpo`` is ``fn.reachable_blocks()`` when the caller holds it.  The
+    iteration runs on reverse-postorder positions: a block's position
+    is its number, so "earlier in reverse postorder" is ``<``."""
+    if rpo is None:
+        rpo = fn.reachable_blocks()  # reverse postorder
     if not rpo or rpo[0] is not fn.entry:
         raise IRError(f"{fn.name}: entry must head the reverse postorder")
     order = {b.bid: i for i, b in enumerate(rpo)}
-    idom: dict[int, Optional[BasicBlock]] = {fn.entry.bid: fn.entry}
-
-    def intersect(a: BasicBlock, b: BasicBlock) -> BasicBlock:
-        while a is not b:
-            while order[a.bid] > order[b.bid]:
-                parent = idom[a.bid]
-                assert parent is not None
-                a = parent
-            while order[b.bid] > order[a.bid]:
-                parent = idom[b.bid]
-                assert parent is not None
-                b = parent
-        return a
+    preds = [[order[p.bid] for p in b.preds if p.bid in order] for b in rpo]
+    idom: list[Optional[int]] = [None] * len(rpo)
+    idom[0] = 0
 
     changed = True
     while changed:
         changed = False
-        for block in rpo[1:]:
-            processed_preds = [p for p in block.preds if p.bid in idom]
-            if not processed_preds:
-                continue
-            new_idom = processed_preds[0]
-            for p in processed_preds[1:]:
-                new_idom = intersect(p, new_idom)
-            if idom.get(block.bid) is not new_idom:
-                idom[block.bid] = new_idom
+        for i in range(1, len(rpo)):
+            new = None
+            for p in preds[i]:
+                if idom[p] is None:
+                    continue  # not processed yet
+                if new is None:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while a > new:
+                        a = idom[a]
+                    while new > a:
+                        new = idom[new]
+            if new is not None and idom[i] != new:
+                idom[i] = new
                 changed = True
 
-    result: dict[int, Optional[BasicBlock]] = {
-        bid: (None if bid == fn.entry.bid else parent) for bid, parent in idom.items()
-    }
-    return DominatorTree(fn, result)
+    result: dict[int, Optional[BasicBlock]] = {fn.entry.bid: None}
+    for i in range(1, len(rpo)):
+        if idom[i] is not None:
+            result[rpo[i].bid] = rpo[idom[i]]
+    return DominatorTree(fn, result, rpo)

@@ -73,11 +73,13 @@ def find_natural_loops(fn: Function, domtree: DominatorTree) -> LoopForest:
     header dominates the latch), the loop body is every block that can
     reach the latch without passing through the header."""
     loops_by_header: dict[int, Loop] = {}
-    blocks = fn.reachable_blocks()
+    # the dominator tree's reverse postorder: the reachable blocks
+    blocks = domtree.rpo
     reachable = {b.bid for b in blocks}
+    dominates = domtree.dominates
     for block in blocks:
         for succ in block.successors():
-            if domtree.dominates(succ, block):
+            if dominates(succ, block):
                 loop = loops_by_header.setdefault(succ.bid, Loop(succ))
                 loop.back_edges.append(block)
                 _collect_body(loop, block, reachable)

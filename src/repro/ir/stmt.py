@@ -60,20 +60,29 @@ class SpecFlag(enum.Enum):
 
     @property
     def is_advanced_load(self) -> bool:
-        return self in (SpecFlag.LD_A, SpecFlag.LD_SA)
+        return self in _ADVANCED_LOADS
 
     @property
     def is_check(self) -> bool:
-        return self in (SpecFlag.LD_C, SpecFlag.LD_C_NC, SpecFlag.CHK_A, SpecFlag.CHK_A_NC)
+        return self in _CHECKS
 
     @property
     def is_branching_check(self) -> bool:
-        return self in (SpecFlag.CHK_A, SpecFlag.CHK_A_NC)
+        return self in _BRANCHING_CHECKS
 
     @property
     def keeps_entry(self) -> bool:
         """True for the ``.nc`` (not-clear) completers."""
-        return self in (SpecFlag.LD_C_NC, SpecFlag.CHK_A_NC, SpecFlag.NONE)
+        return self in _KEEPS_ENTRY
+
+
+# The flag classes, built once (a property reads one of them).
+_ADVANCED_LOADS = frozenset((SpecFlag.LD_A, SpecFlag.LD_SA))
+_CHECKS = frozenset(
+    (SpecFlag.LD_C, SpecFlag.LD_C_NC, SpecFlag.CHK_A, SpecFlag.CHK_A_NC)
+)
+_BRANCHING_CHECKS = frozenset((SpecFlag.CHK_A, SpecFlag.CHK_A_NC))
+_KEEPS_ENTRY = frozenset((SpecFlag.LD_C_NC, SpecFlag.CHK_A_NC, SpecFlag.NONE))
 
 
 class Stmt:

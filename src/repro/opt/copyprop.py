@@ -136,16 +136,20 @@ def propagate_copies_in_function(fn: Function) -> int:
     for block in fn.blocks:
         env = _Env()
         for stmt in block.stmts:
-            before = env.substituted
-            _rewrite_stmt(stmt, env)
-            if env.substituted != before:
-                replaced += 1
             recovery = getattr(stmt, "recovery", None)
-            if recovery:
-                # recovery executes exactly at this program point, so
-                # the same bindings hold (its rewrites are not counted)
-                for r in recovery:
-                    _rewrite_stmt(r, env)
+            # With no binding in force a rewrite returns every node as
+            # it is: skip it.
+            if env.bindings:
+                before = env.substituted
+                _rewrite_stmt(stmt, env)
+                if env.substituted != before:
+                    replaced += 1
+                if recovery:
+                    # recovery executes exactly at this program point,
+                    # so the same bindings hold (its rewrites are not
+                    # counted)
+                    for r in recovery:
+                        _rewrite_stmt(r, env)
 
             target = stmt_defines(stmt)
             if target is not None:

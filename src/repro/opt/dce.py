@@ -14,7 +14,7 @@ Three conservative ingredients:
 
 from __future__ import annotations
 
-from repro.analysis.liveness import compute_liveness, stmt_uses
+from repro.analysis.liveness import compute_liveness, stmt_use_mask
 from repro.ir.expr import ConstInt
 from repro.ir.function import Function
 from repro.ir.stmt import (
@@ -42,37 +42,44 @@ def _fold_constant_branches(fn: Function) -> int:
     return folded
 
 
-def _removable(stmt: Stmt, live_after: set[int]) -> bool:
-    if isinstance(stmt, Assign):
-        return (
-            stmt.spec_flag is SpecFlag.NONE
-            and stmt.target.is_temp
-            and stmt.target.id not in live_after
-        )
-    if isinstance(stmt, ConditionalReload):
-        return stmt.temp.id not in live_after
-    return False
-
-
 def _sweep_dead_assigns(fn: Function) -> int:
-    # Each statement's uses, read once: by the liveness solve and again
-    # by the sweep below.
-    uses_of = {stmt.sid: stmt_uses(stmt) for stmt in fn.iter_stmts()}
-    liveness = compute_liveness(fn, uses_of)
+    # Each statement's uses, read once as a bit set over the function's
+    # variables: by the liveness solve and again by the sweep below.
+    bits: dict[int, int] = {}
+    uses_of = {
+        stmt.sid: stmt_use_mask(stmt, bits)
+        for block in fn.blocks
+        for stmt in block.stmts
+    }
+    liveness = compute_liveness(fn, uses_of, bits)
     removed = 0
     for block in fn.blocks:
-        live: set[int] = set(liveness.live_outof(block))
+        live = liveness.live_out_mask(block)
+        stmts = block.stmts
+        kept: list[Stmt] = []
         # backward scan, deciding each statement against the liveness
-        # state *after* it
-        for stmt in reversed(list(block.stmts)):
-            if _removable(stmt, live):
-                block.remove(stmt)
-                removed += 1
-                continue
+        # state *after* it: a plain assignment to a register temporary,
+        # or a conditional reload, whose target is dead is removed
+        for stmt in reversed(stmts):
             target = stmt_defines(stmt)
             if target is not None:
-                live.discard(target.id)
-            live.update(uses_of[stmt.sid])
+                bit = bits.get(target.id, 0)
+                if not live & bit:
+                    kind = type(stmt)
+                    if kind is ConditionalReload or (
+                        kind is Assign
+                        and stmt.spec_flag is SpecFlag.NONE
+                        and target.is_temp
+                    ):
+                        stmt.block = None
+                        removed += 1
+                        continue
+                live &= ~bit
+            live |= uses_of[stmt.sid]
+            kept.append(stmt)
+        if len(kept) != len(stmts):
+            kept.reverse()
+            stmts[:] = kept
     return removed
 
 

@@ -14,6 +14,7 @@ to its recovery label.  Dominators use the same iterative scheme as
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from repro.speclint.diagnostics import Diagnostic, Severity
@@ -40,6 +41,14 @@ from repro.target.isa import (
     Un,
 )
 
+#: load kinds that arm an ALAT entry
+_ARMING = (LoadKind.ADVANCED, LoadKind.SPEC_ADVANCED)
+#: instructions whose write of a checked register is a computed
+#: redefinition
+_SUSPICIOUS = frozenset((MovI, Mov, Alu, Un, Lea, AllocH, CallF))
+#: instructions that end a block: the next one leads the next block
+_BLOCK_ENDS = frozenset((Br, Brnz, RetF, ChkA))
+
 
 def lint_program(program: MProgram) -> list[Diagnostic]:
     """Run the MIR-level rules over every function of ``program``."""
@@ -49,20 +58,9 @@ def lint_program(program: MProgram) -> list[Diagnostic]:
     return diags
 
 
-def _is_arming(instr: MInstr, reg: int) -> bool:
-    return (
-        isinstance(instr, Ld)
-        and instr.rd == reg
-        and instr.kind in (LoadKind.ADVANCED, LoadKind.SPEC_ADVANCED)
-    )
-
-
 def _is_check(instr: MInstr, reg: int) -> bool:
-    if isinstance(instr, LdC):
-        return instr.rd == reg
-    if isinstance(instr, ChkA):
-        return instr.rd == reg
-    return False
+    kind = type(instr)
+    return (kind is LdC or kind is ChkA) and instr.rd == reg
 
 
 def _writes(instr: MInstr, reg: int) -> bool:
@@ -70,78 +68,84 @@ def _writes(instr: MInstr, reg: int) -> bool:
 
 
 class _MirCFG:
-    """Basic blocks over a flat instruction list."""
+    """Basic blocks over a flat instruction list.  The edges and the
+    dominators are computed on first use: only SPEC007's dominance
+    test needs them."""
 
     def __init__(self, mf: MFunction) -> None:
         self.mf = mf
-        n = len(mf.instrs)
+        instrs = mf.instrs
+        n = len(instrs)
         leaders: set[int] = {0} if n else set()
         label_at: dict[str, int] = {}
-        for i, instr in enumerate(mf.instrs):
-            if isinstance(instr, Label):
+        for i, instr in enumerate(instrs):
+            kind = type(instr)
+            if kind is Label:
                 leaders.add(i)
                 label_at[instr.name] = i
-            if isinstance(instr, (Br, Brnz, RetF, ChkA)) and i + 1 < n:
+            elif kind in _BLOCK_ENDS and i + 1 < n:
                 leaders.add(i + 1)
         self.label_at = label_at
         self.starts = sorted(leaders)
-        self.block_of: dict[int, int] = {}
+        #: instruction index -> its block
+        self.block_of: list[int] = []
         for b, start in enumerate(self.starts):
             end = self.starts[b + 1] if b + 1 < len(self.starts) else n
-            for i in range(start, end):
-                self.block_of[i] = b
-        self.succs: dict[int, list[int]] = {b: [] for b in range(len(self.starts))}
+            self.block_of.extend([b] * (end - start))
+
+    @cached_property
+    def succs(self) -> dict[int, list[int]]:
+        instrs = self.mf.instrs
+        n = len(instrs)
+        succs: dict[int, list[int]] = {b: [] for b in range(len(self.starts))}
+
+        def edge(b: int, label: str) -> None:
+            target = self.label_at.get(label)
+            if target is not None:
+                succs[b].append(self.block_of[target])
+
         for b, start in enumerate(self.starts):
             end = self.starts[b + 1] if b + 1 < len(self.starts) else n
             if start == end:
                 continue
-            last = mf.instrs[end - 1]
+            last = instrs[end - 1]
+            kind = type(last)
             fallthrough = True
-            if isinstance(last, Br):
-                self._edge(b, last.label)
+            if kind is Br:
+                edge(b, last.label)
                 fallthrough = False
-            elif isinstance(last, Brnz):
-                self._edge(b, last.label)
-            elif isinstance(last, RetF):
+            elif kind is Brnz:
+                edge(b, last.label)
+            elif kind is RetF:
                 fallthrough = False
-            elif isinstance(last, ChkA):
-                self._edge(b, last.recovery_label)
+            elif kind is ChkA:
+                edge(b, last.recovery_label)
             if fallthrough and end < n:
-                self.succs[b].append(self.block_of[end])
-        self.preds: dict[int, list[int]] = {b: [] for b in self.succs}
-        for b, ss in self.succs.items():
-            for s in ss:
-                self.preds[s].append(b)
-        self._compute_dominators()
+                succs[b].append(self.block_of[end])
+        return succs
 
-    def _edge(self, b: int, label: str) -> None:
-        target = self.label_at.get(label)
-        if target is not None:
-            self.succs[b].append(self.block_of[target])
-
-    def _compute_dominators(self) -> None:
+    @cached_property
+    def idom(self) -> dict[int, int]:
+        succs = self.succs
+        preds: dict[int, list[int]] = {b: [] for b in succs}
+        for b, ss in succs.items():
+            for t in ss:
+                preds[t].append(b)
         # reverse postorder from block 0
         order: list[int] = []
-        seen: set[int] = set()
-
-        def dfs(b: int) -> None:
-            stack = [(b, iter(self.succs[b]))]
-            seen.add(b)
+        if self.starts:
+            seen = {0}
+            stack = [(0, iter(succs[0]))]
             while stack:
                 node, it = stack[-1]
-                advanced = False
-                for s in it:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append((s, iter(self.succs[s])))
-                        advanced = True
+                for t in it:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append((t, iter(succs[t])))
                         break
-                if not advanced:
+                else:
                     order.append(node)
                     stack.pop()
-
-        if self.starts:
-            dfs(0)
         rpo = list(reversed(order))
         index = {b: i for i, b in enumerate(rpo)}
         idom: dict[int, int] = {0: 0} if self.starts else {}
@@ -158,21 +162,22 @@ class _MirCFG:
         while changed:
             changed = False
             for b in rpo[1:]:
-                preds = [p for p in self.preds[b] if p in idom]
-                if not preds:
+                ps = [p for p in preds[b] if p in idom]
+                if not ps:
                     continue
-                new = preds[0]
-                for p in preds[1:]:
+                new = ps[0]
+                for p in ps[1:]:
                     new = intersect(p, new)
                 if idom.get(b) != new:
                     idom[b] = new
                     changed = True
-        self.idom = idom
+        return idom
 
     def dominates(self, a: int, b: int) -> bool:
         """Block-level dominance (reflexive); unreachable blocks
         dominate nothing."""
-        if a not in self.idom or b not in self.idom:
+        idom = self.idom
+        if a not in idom or b not in idom:
             return False
         cur = b
         while True:
@@ -180,22 +185,26 @@ class _MirCFG:
                 return True
             if cur == 0:
                 return False
-            cur = self.idom[cur]
+            cur = idom[cur]
 
     def dominates_instr(self, i: int, j: int) -> bool:
-        bi, bj = self.block_of.get(i), self.block_of.get(j)
-        if bi is None or bj is None:
+        n = len(self.block_of)
+        if not (0 <= i < n and 0 <= j < n):
             return False
+        bi, bj = self.block_of[i], self.block_of[j]
         if bi == bj:
             return i < j
-        return bi != bj and self.dominates(bi, bj)
+        return self.dominates(bi, bj)
 
 
 class _MirLint:
     def __init__(self, mf: MFunction) -> None:
         self.mf = mf
-        self.cfg = _MirCFG(mf)
         self.diags: list[Diagnostic] = []
+
+    @cached_property
+    def cfg(self) -> _MirCFG:
+        return _MirCFG(self.mf)
 
     def _report(self, rule: str, idx: int, message: str) -> None:
         instr = self.mf.instrs[idx] if 0 <= idx < len(self.mf.instrs) else None
@@ -211,31 +220,37 @@ class _MirLint:
         )
 
     def run(self) -> list[Diagnostic]:
-        self.rule_spec007()
-        self.rule_spec008()
+        # One scan finds the checks, each register's anchors (advanced
+        # loads, checks, invala.e) and the chk.a instructions: a
+        # function with no check and no chk.a has nothing to lint.
+        checks: list[tuple[int, int]] = []
+        anchors: dict[int, list[int]] = {}
+        for i, instr in enumerate(self.mf.instrs):
+            kind = type(instr)
+            if kind is LdC or kind is ChkA:
+                checks.append((i, instr.rd))
+            elif kind is InvalaE or (kind is Ld and instr.kind in _ARMING):
+                pass
+            else:
+                continue
+            anchors.setdefault(instr.rd, []).append(i)
+        if checks:
+            self.rule_spec007(checks, anchors)
+            self.rule_spec008()
         return self.diags
 
     # -- SPEC007: check anchoring over the machine CFG -------------------
 
-    def rule_spec007(self) -> None:
+    def rule_spec007(
+        self, checks: list[tuple[int, int]], anchors: dict[int, list[int]]
+    ) -> None:
         instrs = self.mf.instrs
-        checks = [
-            (i, instr.rd)
-            for i, instr in enumerate(instrs)
-            if isinstance(instr, (LdC, ChkA))
-        ]
         for ci, reg in checks:
-            anchors = [
-                i
-                for i, instr in enumerate(instrs)
-                if i != ci
-                and (
-                    _is_arming(instr, reg)
-                    or _is_check(instr, reg)
-                    or (isinstance(instr, InvalaE) and instr.rd == reg)
-                )
-            ]
-            if not any(self.cfg.dominates_instr(a, ci) for a in anchors):
+            if not any(
+                self.cfg.dominates_instr(a, ci)
+                for a in anchors[reg]
+                if a != ci
+            ):
                 self.diags.append(
                     Diagnostic(
                         rule="SPEC007",
@@ -252,10 +267,9 @@ class _MirLint:
                 )
 
         # a computed redefinition reaching a check without re-arm/sync
-        suspicious = (MovI, Mov, Alu, Un, Lea, AllocH, CallF)
         checked_regs = {reg for _, reg in checks}
         for i, instr in enumerate(instrs):
-            if not isinstance(instr, suspicious):
+            if type(instr) not in _SUSPICIOUS:
                 continue
             for reg in instr.writes():
                 if reg not in checked_regs:

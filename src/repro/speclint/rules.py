@@ -42,10 +42,13 @@ from repro.ir.stmt import (
     Call,
     ConditionalReload,
     InvalidateCheck,
+    SpecFlag,
     Stmt,
     Store,
 )
 from repro.speclint.diagnostics import Diagnostic, Severity
+
+_NONE: frozenset = frozenset()
 
 
 @dataclass
@@ -93,37 +96,43 @@ class _FunctionLint:
         self.alat_entries = alat_entries
         self.diags: list[Diagnostic] = []
 
-        #: sid -> (block, index) for every statement in a block
-        self.pos: dict[int, tuple[BasicBlock, int]] = {}
-        for block in fn.blocks:
-            for i, stmt in enumerate(block.stmts):
-                self.pos[stmt.sid] = (block, i)
-
         # per-temp statement inventories (keyed by variable id)
         self.arming: dict[int, list[Assign]] = {}
         self.checks: dict[int, list[Assign]] = {}
         self.invalas: dict[int, list[InvalidateCheck]] = {}
-        self.condreloads: dict[int, list[ConditionalReload]] = {}
         self.plain_defs: dict[int, list[Stmt]] = {}
-        for stmt in fn.iter_stmts():
-            if isinstance(stmt, Assign):
-                t = stmt.target.id
-                if stmt.spec_flag.is_advanced_load:
-                    self.arming.setdefault(t, []).append(stmt)
-                elif stmt.spec_flag.is_check:
-                    self.checks.setdefault(t, []).append(stmt)
-                else:
-                    self.plain_defs.setdefault(t, []).append(stmt)
-            elif isinstance(stmt, InvalidateCheck):
-                self.invalas.setdefault(stmt.temp.id, []).append(stmt)
-            elif isinstance(stmt, ConditionalReload):
-                self.condreloads.setdefault(stmt.temp.id, []).append(stmt)
-            elif isinstance(stmt, (Alloc, Call)):
-                target = getattr(stmt, "target", None) or getattr(
-                    stmt, "result", None
-                )
-                if target is not None:
-                    self.plain_defs.setdefault(target.id, []).append(stmt)
+        #: the other statements that repair a temp: conditional reloads
+        #: of it and the chk.a whose recovery reloads it
+        self.recovered: dict[int, list[Stmt]] = {}
+        plain_defs = self.plain_defs
+        for block in fn.blocks:
+            for stmt in block.stmts:
+                kind = type(stmt)
+                if kind is Assign:
+                    flag = stmt.spec_flag
+                    if flag is SpecFlag.NONE:
+                        inventory = plain_defs
+                    elif flag.is_advanced_load:
+                        inventory = self.arming
+                    elif flag.is_check:
+                        inventory = self.checks
+                        if stmt.recovery and flag.is_branching_check:
+                            for r in stmt.recovery:
+                                if isinstance(r, Assign):
+                                    self.recovered.setdefault(
+                                        r.target.id, []
+                                    ).append(stmt)
+                    else:
+                        inventory = plain_defs
+                    inventory.setdefault(stmt.target.id, []).append(stmt)
+                elif kind is InvalidateCheck:
+                    self.invalas.setdefault(stmt.temp.id, []).append(stmt)
+                elif kind is ConditionalReload:
+                    self.recovered.setdefault(stmt.temp.id, []).append(stmt)
+                elif kind is Alloc:
+                    plain_defs.setdefault(stmt.target.id, []).append(stmt)
+                elif kind is Call and stmt.result is not None:
+                    plain_defs.setdefault(stmt.result.id, []).append(stmt)
 
         #: temps participating in the ALAT protocol
         self.web_temps: set[int] = (
@@ -131,9 +140,27 @@ class _FunctionLint:
         )
         self._dep_cache: dict[int, frozenset[int]] = {}
         self._combined_cache: dict[int, frozenset[int]] = {}
+        #: sid -> temps the statement syncs (see :meth:`_is_sync_of`)
+        self._synced: dict[int, frozenset[int]] = {}
+        #: sid -> objects the statement may write (see :meth:`_writes`)
+        self._writes_of: dict[int, frozenset[int]] = {}
+        #: sid -> (variables the statement reads, temps it repairs),
+        #: read off a statement the first time a rule asks
+        self._facts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        #: loop header id -> the loop's statements in layout order
+        self._loop_stmts: dict[int, list[Stmt]] = {}
 
-    # Dominators and loops are computed on first use: a function with no
-    # ALAT protocol statement needs neither.
+    # Positions, dominators and loops are computed on first use: a
+    # function with no ALAT protocol statement needs none of them.
+
+    @cached_property
+    def pos(self) -> dict[int, tuple[BasicBlock, int]]:
+        """sid -> (block, index) for every statement in a block."""
+        return {
+            stmt.sid: (block, i)
+            for block in self.fn.blocks
+            for i, stmt in enumerate(block.stmts)
+        }
 
     @cached_property
     def domtree(self) -> DominatorTree:
@@ -142,6 +169,44 @@ class _FunctionLint:
     @cached_property
     def loops(self):
         return find_natural_loops(self.fn, self.domtree)
+
+    def _facts_of(self, stmt: Stmt) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(variables ``stmt`` reads, temps it repairs), computed once:
+        the path walks and the loop rule ask about many (temp,
+        statement) pairs."""
+        facts = self._facts.get(stmt.sid)
+        if facts is None:
+            reads = tuple(
+                e.var.id for e in stmt.expr_nodes() if type(e) is VarRead
+            )
+            kind = type(stmt)
+            if kind is Assign:
+                repairs: tuple[int, ...] = (stmt.target.id,)
+                if stmt.recovery and stmt.spec_flag.is_branching_check:
+                    # chk.a recovery redefines its reloads
+                    repairs += tuple(
+                        r.target.id for r in stmt.recovery
+                        if isinstance(r, Assign)
+                    )
+            elif kind is ConditionalReload:
+                repairs = (stmt.temp.id,)
+            elif kind is Alloc:
+                repairs = (stmt.target.id,)
+            elif kind is Call and stmt.result is not None:
+                repairs = (stmt.result.id,)
+            else:
+                repairs = ()
+            facts = self._facts[stmt.sid] = (reads, repairs)
+        return facts
+
+    def _loop_body(self, loop) -> list[Stmt]:
+        stmts = self._loop_stmts.get(loop.header.bid)
+        if stmts is None:
+            stmts = self._loop_stmts[loop.header.bid] = [
+                s for b in self.fn.blocks if b.bid in loop.blocks
+                for s in b.stmts
+            ]
+        return stmts
 
     # -- shared helpers --------------------------------------------------
 
@@ -204,38 +269,24 @@ class _FunctionLint:
                     work.append((succ, 0))
         return None
 
-    def _recovery_defs(self, stmt: Stmt) -> set[int]:
-        """Temp ids redefined by a branching check's recovery code."""
-        if not (
-            isinstance(stmt, Assign)
-            and stmt.spec_flag.is_branching_check
-            and stmt.recovery
-        ):
-            return set()
-        return {
-            r.target.id for r in stmt.recovery if isinstance(r, Assign)
-        }
-
     def _repairs(self, stmt: Stmt, temp_id: int) -> bool:
         """Does executing ``stmt`` re-establish ``temp == mem[home]``
-        (or redefine the temp, starting a new reasoning window)?"""
-        if isinstance(stmt, Assign) and stmt.target.id == temp_id:
-            return True
-        if isinstance(stmt, ConditionalReload) and stmt.temp.id == temp_id:
-            return True
-        if isinstance(stmt, (Alloc, Call)):
-            target = getattr(stmt, "target", None) or getattr(
-                stmt, "result", None
-            )
-            if target is not None and target.id == temp_id:
-                return True
-        return temp_id in self._recovery_defs(stmt)
+        (or redefine the temp, starting a new reasoning window)?  An
+        assignment, conditional reload, alloc or call result of the
+        temp does, and so does a chk.a whose recovery reloads it."""
+        return temp_id in self._facts_of(stmt)[1]
+
+    def _repairers(self, temp_id: int) -> list[Stmt]:
+        """Every statement for which :meth:`_repairs` holds."""
+        return (
+            self.arming.get(temp_id, [])
+            + self.checks.get(temp_id, [])
+            + self.plain_defs.get(temp_id, [])
+            + self.recovered.get(temp_id, [])
+        )
 
     def _reads_temp(self, stmt: Stmt, temp_id: int) -> bool:
-        return any(
-            isinstance(e, VarRead) and e.var.id == temp_id
-            for e in stmt.walk_exprs()
-        )
+        return temp_id in self._facts_of(stmt)[0]
 
     def _is_sync_of(self, stmt: Stmt, temp_id: int) -> bool:
         """A write that leaves the stored location holding the temp's
@@ -247,29 +298,42 @@ class _FunctionLint:
         forwards one stored value into every temp caching the location:
         ``t1 = e; t2 = e; *(q) = e``).  The run holds only assignments
         of ``e`` to temps ``e`` does not read, and self-copies."""
+        synced = self._synced.get(stmt.sid)
+        if synced is None:
+            synced = self._synced[stmt.sid] = self._synced_temps(stmt)
+        return temp_id in synced
+
+    def _synced_temps(self, stmt: Stmt) -> frozenset[int]:
+        """Every temp ``stmt`` syncs: the stored temp itself, and each
+        temp assigned in the run before it (the walk of
+        :meth:`_is_sync_of`, done once for all temps)."""
         if isinstance(stmt, Assign) and stmt.target.has_memory_home:
             value = stmt.expr
         elif isinstance(stmt, Store):
             value = stmt.value
         else:
-            return False
-        if isinstance(value, VarRead) and value.var.id == temp_id:
-            return True
-        text = str(value)
+            return _NONE
+        synced: set[int] = set()
+        if isinstance(value, VarRead):
+            synced.add(value.var.id)
+        text = None
         reads = {e.var.id for e in walk_expr(value) if isinstance(e, VarRead)}
         block, idx = self.pos[stmt.sid]
         for j in range(idx - 1, -1, -1):
             prev = block.stmts[j]
             if not isinstance(prev, Assign):
-                return False
+                break
             target = prev.target.id
             if isinstance(prev.expr, VarRead) and prev.expr.var.id == target:
                 continue
-            if target in reads or str(prev.expr) != text:
-                return False
-            if target == temp_id:
-                return True
-        return False
+            if target in reads:
+                break
+            if text is None:
+                text = str(value)
+            if str(prev.expr) != text:
+                break
+            synced.add(target)
+        return frozenset(synced)
 
     def _after(self, stmt: Stmt) -> tuple[BasicBlock, int]:
         block, idx = self.pos[stmt.sid]
@@ -292,7 +356,7 @@ class _FunctionLint:
         worklist: list[int] = []
         seen_vars: set[int] = {temp_id}
         for stmt in seeds:
-            for e in stmt.walk_exprs():
+            for e in stmt.expr_nodes():
                 if isinstance(e, VarRead) and e.var.is_temp:
                     worklist.append(e.var.id)
         while worklist:
@@ -304,7 +368,7 @@ class _FunctionLint:
                 deps.add(v)
                 continue
             for d in self.plain_defs.get(v, []):
-                for e in d.walk_exprs():
+                for e in d.expr_nodes():
                     if isinstance(e, VarRead) and e.var.is_temp:
                         worklist.append(e.var.id)
         result = frozenset(deps)
@@ -335,29 +399,44 @@ class _FunctionLint:
 
     def _invalidates(self, stmt: Stmt, temp_id: int) -> bool:
         """May executing ``stmt`` change memory the temp caches, without
-        restoring register/memory agreement?"""
+        restoring register/memory agreement?  Both must hold, so the
+        cheap question (may it write the temp's objects?) goes first."""
         if self.am is None:
             return False
         targets = self._combined_targets(temp_id)
-        if not targets:
+        if not targets or not self._writes(stmt) & targets:
             return False
-        if self._is_sync_of(stmt, temp_id):
-            return False
-        if isinstance(stmt, Store):
-            return bool(self._store_target_ids(stmt) & targets)
-        if isinstance(stmt, Assign) and stmt.target.has_memory_home:
-            obj = self.am.object_of_var(stmt.target)
-            return obj is not None and obj.id in targets
-        if isinstance(stmt, Call):
-            mod = self.am.call_mod(stmt.callee)
-            return bool({o.id for o in mod} & targets)
-        return False
+        return not self._is_sync_of(stmt, temp_id)
 
-    def _store_target_ids(self, stmt: Store) -> set[int]:
-        """Objects ``stmt`` may write, including the rewritten-address
-        fallback for promotion temps (see
-        :meth:`repro.alias.manager.AliasManager.store_write_ids`)."""
-        return set(self.am.store_write_ids(stmt, self.facts.var_by_temp))
+    @staticmethod
+    def _may_write(stmt: Stmt) -> bool:
+        """Is ``stmt`` a store, a call or a direct store (the only
+        statements :meth:`_writes` can find objects for)?"""
+        kind = type(stmt)
+        return kind is Store or kind is Call or (
+            kind is Assign and stmt.target.has_memory_home
+        )
+
+    def _writes(self, stmt: Stmt) -> frozenset[int]:
+        """Objects ``stmt`` may write: a store's (with the
+        rewritten-address fallback for promotion temps, see
+        :meth:`repro.alias.manager.AliasManager.store_write_ids`), a
+        direct store's variable, a call's mod set.  Asked once per
+        statement."""
+        writes = self._writes_of.get(stmt.sid)
+        if writes is None:
+            kind = type(stmt)
+            if kind is Store:
+                writes = self.am.store_write_ids(stmt, self.facts.var_by_temp)
+            elif kind is Assign and stmt.target.has_memory_home:
+                obj = self.am.object_of_var(stmt.target)
+                writes = frozenset((obj.id,)) if obj is not None else _NONE
+            elif kind is Call:
+                writes = frozenset(o.id for o in self.am.call_mod(stmt.callee))
+            else:
+                writes = _NONE
+            self._writes_of[stmt.sid] = writes
+        return writes
 
     # -- rules ------------------------------------------------------------
 
@@ -437,35 +516,48 @@ class _FunctionLint:
         """Every statement that may write a promoted temp's underlying
         memory (a speculated-away chi_s in particular) must be followed
         by a check on every path to every reuse of the temp."""
-        if self.am is None or not self.facts.targets_by_temp:
+        if (
+            self.am is None
+            or not self.facts.targets_by_temp
+            or not self.web_temps
+        ):
             return
+        # Only a statement that may write the temp's objects can
+        # invalidate it (see :meth:`_invalidates`).
+        writers = []
+        for block in self.fn.blocks:
+            for i, stmt in enumerate(block.stmts):
+                if self._may_write(stmt):
+                    writes = self._writes(stmt)
+                    if writes:
+                        writers.append((block, i, stmt, writes))
         for t in sorted(self.web_temps):
-            if not self._combined_targets(t):
+            targets = self._combined_targets(t)
+            if not targets:
                 continue
             tname = self._temp_name(t)
-            for block in self.fn.blocks:
-                for i, stmt in enumerate(block.stmts):
-                    if not self._invalidates(stmt, t):
-                        continue
+            for block, i, stmt, writes in writers:
+                if not writes & targets or self._is_sync_of(stmt, t):
+                    continue
 
-                    def visit(s: Stmt, t=t) -> Optional[str]:
-                        if self._repairs(s, t):
-                            return "stop"
-                        if self._reads_temp(s, t):
-                            return "hit"
-                        return None
+                def visit(s: Stmt, t=t) -> Optional[str]:
+                    if self._repairs(s, t):
+                        return "stop"
+                    if self._reads_temp(s, t):
+                        return "hit"
+                    return None
 
-                    hit = self._walk_forward(block, i + 1, visit)
-                    if hit is not None:
-                        self._report(
-                            "SPEC002",
-                            Severity.ERROR,
-                            hit,
-                            f"use of speculated temp {tname} is reachable "
-                            f"from the may-aliasing write at "
-                            f"{stmt.loc if stmt.loc else f'sid {stmt.sid}'} "
-                            f"with no intervening check",
-                        )
+                hit = self._walk_forward(block, i + 1, visit)
+                if hit is not None:
+                    self._report(
+                        "SPEC002",
+                        Severity.ERROR,
+                        hit,
+                        f"use of speculated temp {tname} is reachable "
+                        f"from the may-aliasing write at "
+                        f"{stmt.loc if stmt.loc else f'sid {stmt.sid}'} "
+                        f"with no intervening check",
+                    )
 
     def rule_spec003(self) -> None:
         """Branching checks carry well-formed recovery that re-executes
@@ -582,26 +674,29 @@ class _FunctionLint:
         if self.am is None or not self.facts.targets_by_temp or not self.arming:
             return
         for loop in self.loops:
-            for t in sorted(self.web_temps):
-                arming = self.arming.get(t, [])
-                if not arming:
-                    continue
+            in_loop = self._loop_body(loop)
+            for t in sorted(self.arming):
                 if any(
-                    self.pos[a.sid][0].bid in loop.blocks for a in arming
+                    self.pos[a.sid][0].bid in loop.blocks
+                    for a in self.arming[t]
                 ):
                     continue  # armed inside: not hoisted past this loop
-                in_loop = [
-                    s
-                    for b in self.fn.blocks
-                    if b.bid in loop.blocks
-                    for s in b.stmts
-                ]
+                # The three conditions, cheapest first: no in-loop
+                # repair (from the inventories), an in-loop write that
+                # invalidates, a use.
+                if any(
+                    self.pos[r.sid][0].bid in loop.blocks
+                    for r in self._repairers(t)
+                ):
+                    continue
+                if not any(
+                    self._invalidates(s, t)
+                    for s in in_loop
+                    if self._may_write(s)
+                ):
+                    continue
                 uses = [s for s in in_loop if self._reads_temp(s, t)]
                 if not uses:
-                    continue
-                if not any(self._invalidates(s, t) for s in in_loop):
-                    continue
-                if any(self._repairs(s, t) for s in in_loop):
                     continue
                 self._report(
                     "SPEC004",
@@ -661,14 +756,11 @@ class _FunctionLint:
             return  # nothing arms an entry: every armed set is empty
         armed = armed_by_stmt(self.fn)
         for loop in self.loops:
-            live: frozenset[int] = frozenset()
-            for block in self.fn.blocks:
-                if block.bid not in loop.blocks:
-                    continue
-                for stmt in block.stmts:
-                    facts = armed.get(stmt.sid, frozenset())
-                    if len(facts) > len(live):
-                        live = facts
+            live: frozenset[int] = _NONE
+            for stmt in self._loop_body(loop):
+                facts = armed.get(stmt.sid, _NONE)
+                if len(facts) > len(live):
+                    live = facts
             if len(live) > self.alat_entries:
                 anchor = loop.header.stmts[0] if loop.header.stmts else None
                 self._report(

@@ -108,16 +108,31 @@ def _collect_frame_vars(fn: Function) -> set[int]:
         if var.type.is_aggregate or var.is_address_taken:
             frame.add(var.id)
 
-    def scan(stmt: Stmt) -> None:
-        for e in stmt.expr_nodes():
-            if type(e) is AddrOf and e.var.id in own_ids:
+    # every expression of every statement and of its chk.a recovery
+    # code (which may hold branching checks of its own)
+    stack: list[Expr] = []
+    stmts = [stmt for block in fn.blocks for stmt in block.stmts]
+    while stmts:
+        stmt = stmts.pop()
+        stack.extend(stmt.exprs())
+        if type(stmt) is Assign and stmt.recovery:
+            stmts.extend(stmt.recovery)
+    pop, push = stack.pop, stack.append
+    while stack:
+        e = pop()
+        kind = type(e)
+        if kind is BinOp:
+            push(e.left)
+            push(e.right)
+        elif kind is Load:
+            push(e.addr)
+        elif kind is UnOp:
+            push(e.operand)
+        elif kind is AddrOf:
+            if e.var.id in own_ids:
                 frame.add(e.var.id)
-        if isinstance(stmt, Assign) and stmt.recovery:
-            for r in stmt.recovery:
-                scan(r)
-
-    for stmt in fn.iter_stmts():
-        scan(stmt)
+        elif kind is not VarRead and kind is not ConstInt and kind is not ConstFloat:
+            stack.extend(e.children())
     return frame
 
 
@@ -181,6 +196,8 @@ class _FunctionCodegen:
         reg = (max(self.var_reg.values()) + 1) if self.var_reg else 0
         self._scratch_base = reg
         self._scratch = reg
+        #: one past the highest scratch register allocated so far
+        self._scratch_top = reg
         self._label_counter = 0
         #: debug location of the IR statement being lowered; sticky, so
         #: glue instructions between located statements stay attributed
@@ -191,9 +208,10 @@ class _FunctionCodegen:
     # -- small helpers --------------------------------------------------
 
     def emit(self, instr):
+        # ``generate`` sizes the register frame once at the end
         if self._cur_loc is not None:
             instr.loc = self._cur_loc
-        return self.mf.emit(instr)
+        return self.mf.append(instr)
 
     def _fresh_scratch(self) -> int:
         r = self._scratch
@@ -201,6 +219,8 @@ class _FunctionCodegen:
         return r
 
     def _reset_scratch(self) -> None:
+        if self._scratch > self._scratch_top:
+            self._scratch_top = self._scratch
         self._scratch = self._scratch_base
 
     def _new_label(self, hint: str) -> str:
@@ -229,45 +249,47 @@ class _FunctionCodegen:
 
     def _eval(self, expr: Expr) -> int:
         """Lower ``expr``; returns the register holding its value."""
-        if isinstance(expr, ConstInt):
-            rd = self._fresh_scratch()
-            self.emit(MovI(rd, wrap_int(expr.value)))
-            return rd
-        if isinstance(expr, ConstFloat):
-            rd = self._fresh_scratch()
-            self.emit(MovI(rd, float(expr.value)))
-            return rd
-        if isinstance(expr, VarRead):
+        kind = type(expr)  # no expression class is subclassed
+        if kind is VarRead:
             var = expr.var
-            reg = self._reg_of(var)
+            reg = self.var_reg.get(var.id)
             if reg is not None:
                 return reg
             ra = self._var_addr(var)
             rd = self._fresh_scratch()
             self.emit(Ld(rd, ra, LoadKind.NORMAL, indirect=False, is_float=var.type.is_float))
             return rd
-        if isinstance(expr, AddrOf):
-            return self._var_addr(expr.var)
-        if isinstance(expr, Load):
+        if kind is ConstInt:
+            rd = self._fresh_scratch()
+            self.emit(MovI(rd, wrap_int(expr.value)))
+            return rd
+        if kind is BinOp:
+            if expr.op is BinOpKind.AND or expr.op is BinOpKind.OR:
+                return self._eval_logical(expr)
+            rs1 = self._eval(expr.left)
+            right = expr.right
+            if type(right) is ConstInt:
+                src2: object = wrap_int(right.value)
+            elif type(right) is ConstFloat:
+                src2 = float(right.value)
+            else:
+                src2 = ("r", self._eval(right))
+            rd = self._fresh_scratch()
+            is_float = expr.left.type.is_float or right.type.is_float
+            self.emit(Alu(expr.op, rd, rs1, src2, is_float=is_float))
+            return rd
+        if kind is Load:
             ra = self._eval(expr.addr)
             rd = self._fresh_scratch()
             self.emit(Ld(rd, ra, LoadKind.NORMAL, indirect=True, is_float=expr.type.is_float))
             return rd
-        if isinstance(expr, BinOp):
-            if expr.op is BinOpKind.AND or expr.op is BinOpKind.OR:
-                return self._eval_logical(expr)
-            rs1 = self._eval(expr.left)
-            if isinstance(expr.right, ConstInt):
-                src2: object = wrap_int(expr.right.value)
-            elif isinstance(expr.right, ConstFloat):
-                src2 = float(expr.right.value)
-            else:
-                src2 = ("r", self._eval(expr.right))
+        if kind is AddrOf:
+            return self._var_addr(expr.var)
+        if kind is ConstFloat:
             rd = self._fresh_scratch()
-            is_float = expr.left.type.is_float or expr.right.type.is_float
-            self.emit(Alu(expr.op, rd, rs1, src2, is_float=is_float))
+            self.emit(MovI(rd, float(expr.value)))
             return rd
-        if isinstance(expr, UnOp):
+        if kind is UnOp:
             rs = self._eval(expr.operand)
             rd = self._fresh_scratch()
             self.emit(Un(expr.op, rd, rs))
@@ -327,15 +349,29 @@ class _FunctionCodegen:
         self._reset_scratch()
         if stmt.loc is not None:
             self._cur_loc = stmt.loc
-        if isinstance(stmt, Assign):
+        kind = type(stmt)  # no statement class is subclassed
+        if kind is Assign:
             self._lower_assign(stmt)
-        elif isinstance(stmt, Store):
+        elif kind is Store:
             ra = self._eval(stmt.addr)
             rv = self._eval(stmt.value)
             self.emit(St(ra, rv))
-        elif isinstance(stmt, Call):
+        elif kind is Jump:
+            self.emit(Br(stmt.target.label))
+        elif kind is CondBranch:
+            rc = self._eval(stmt.cond)
+            self.emit(Brnz(rc, stmt.then_block.label))
+            self.emit(Br(stmt.else_block.label))
+        elif kind is Call:
             self._lower_call(stmt)
-        elif isinstance(stmt, Alloc):
+        elif kind is Print:
+            self.emit(PrintR(self._eval(stmt.expr)))
+        elif kind is Return:
+            if stmt.expr is not None:
+                self.emit(RetF(self._eval(stmt.expr)))
+            else:
+                self.emit(RetF())
+        elif kind is Alloc:
             rc = self._eval(stmt.count)
             words = stmt.elem_type.size_words()
             if words != 1:
@@ -345,27 +381,14 @@ class _FunctionCodegen:
             rd = self._fresh_scratch()
             self.emit(AllocH(rd, rc))
             self._store_var(stmt.target, rd, stmt.target.type)
-        elif isinstance(stmt, Print):
-            self.emit(PrintR(self._eval(stmt.expr)))
-        elif isinstance(stmt, EvalStmt):
+        elif kind is EvalStmt:
             self._eval(stmt.expr)
-        elif isinstance(stmt, InvalidateCheck):
+        elif kind is InvalidateCheck:
             reg = self._reg_of(stmt.temp)
             if reg is not None:
                 self.emit(InvalaE(reg))
-        elif isinstance(stmt, ConditionalReload):
+        elif kind is ConditionalReload:
             self._lower_conditional_reload(stmt)
-        elif isinstance(stmt, Return):
-            if stmt.expr is not None:
-                self.emit(RetF(self._eval(stmt.expr)))
-            else:
-                self.emit(RetF())
-        elif isinstance(stmt, Jump):
-            self.emit(Br(stmt.target.label))
-        elif isinstance(stmt, CondBranch):
-            rc = self._eval(stmt.cond)
-            self.emit(Brnz(rc, stmt.then_block.label))
-            self.emit(Br(stmt.else_block.label))
         else:
             raise CodegenError(f"{self.fn.name}: cannot lower statement {stmt!r}")
 
@@ -487,7 +510,19 @@ class _FunctionCodegen:
                 self.lower_stmt(stmt)
             self.emit(Br(res))
 
+        self._size_frame()
         return self.mf
+
+    def _size_frame(self) -> None:
+        """Size the register frame.  Every scratch register is allocated
+        for an instruction that writes it, and scratch registers lie
+        above every variable's, so a function that allocated one names
+        none above the highest; one that allocated none is scanned."""
+        self._reset_scratch()
+        if self._scratch_top > self._scratch_base:
+            self.mf.size_frame(self._scratch_top)
+        else:
+            self.mf.size_frame()
 
 
 def generate_machine_code(module: Module, obs=None) -> MProgram:

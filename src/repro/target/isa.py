@@ -360,13 +360,32 @@ class MFunction:
         self._decoded: Optional[DecodedFunction] = None
 
     def emit(self, instr: MInstr) -> MInstr:
+        self.append(instr)
+        self._cover(instr)
+        return instr
+
+    def append(self, instr: MInstr) -> MInstr:
+        """:meth:`emit` without sizing the register frame; the caller
+        calls :meth:`size_frame` once the function is complete."""
         self.instrs.append(instr)
         self._labels = None
         self._decoded = None
+        return instr
+
+    def size_frame(self, top: Optional[int] = None) -> None:
+        """Make ``nregs`` one past the highest register an instruction
+        names, as :meth:`emit` keeps it.  ``top`` is that bound when the
+        caller knows it; otherwise the instructions are scanned."""
+        if top is not None:
+            self.nregs = max(self.nregs, top)
+            return
+        for instr in self.instrs:
+            self._cover(instr)
+
+    def _cover(self, instr: MInstr) -> None:
         for reg in (*instr.reads(), *instr.writes()):
             if reg is not None and reg >= self.nregs:
                 self.nregs = reg + 1
-        return instr
 
     def label_index(self, name: str) -> int:
         """Instruction index of ``Label(name)`` (cached)."""

@@ -23,7 +23,6 @@ from repro.analysis.dataflow import (
     DataflowResult,
     Transfer,
 )
-from repro.analysis.liveness import LivenessInfo
 from repro.ir.cfg import BasicBlock
 from repro.ir.expr import VarRead
 from repro.ir.function import Function
@@ -159,6 +158,25 @@ def gen_kill_transfer(
         return g | (facts - k)
 
     return transfer
+
+
+class LivenessInfo:
+    """live_in / live_out sets of variable ids per block."""
+
+    def __init__(
+        self,
+        live_in: dict[int, frozenset[int]],
+        live_out: dict[int, frozenset[int]],
+        use_sets: dict[int, frozenset[int]],
+        def_sets: dict[int, frozenset[int]],
+    ) -> None:
+        self.live_in = live_in
+        self.live_out = live_out
+        self.use_sets = use_sets
+        self.def_sets = def_sets
+
+    def live_outof(self, block: BasicBlock) -> frozenset[int]:
+        return self.live_out.get(block.bid, frozenset())
 
 
 def _block_use_def(block: BasicBlock) -> tuple[set[int], set[int]]:

@@ -211,7 +211,7 @@ def test_liveness_walks_the_cfg_once(monkeypatch):
     instead of letting it walk the CFG a second time; the result is the
     one a solve that walks for itself reaches."""
     from repro.analysis import dataflow
-    from repro.analysis.liveness import _block_use_def
+    from tests.reference_liveness import _block_use_def
     from repro.ir.function import Function
 
     fn = loop_fn()

@@ -1,20 +1,24 @@
-"""The pressure analysis, liveness, the dead-code sweep and SSAPRE
-against the code they replaced.
+"""The pressure analysis, liveness, the dead-code sweep, speclint and
+SSAPRE against the code they replaced.
 
 ``tests/reference_pressure.py`` keeps the ALAT pressure analysis that
 built gen/kill for every statement and computed dominators and loops
 for every function; ``tests/reference_liveness.py`` keeps the liveness
 solve that walked every statement again in each DCE round, its solver,
-and the sweep's decision.  The compile tests run every kernel and 100
-generated programs under every mode of ``tests.corpus.compile_modes()``
-and, at every call the compiler makes, require of the passes in use:
+and the sweep's decision; ``tests/reference_speclint.py`` keeps speclint's
+IR and MIR rules.  The compile tests run every kernel, 100 generated
+programs, Figure 2 and the class-B program of ROADMAP item 1 under every
+mode of ``tests.corpus.compile_modes()`` and, at every call the compiler
+makes, require of the passes in use:
 
 * the same pressure report, field by field (every ``FunctionPressure``
   and ``CandidateReport``, the pair estimates in order, the peaks and
   the residue), the same demotion plan, and the same armed facts for
   speclint's SPEC006;
 * the same live-in and live-out set of every block;
-* the same statements removed in each DCE round, and the same count.
+* the same statements removed in each DCE round, and the same count;
+* the same speclint diagnostics, field by field and in order, from the
+  IR rules and from the MIR rules.
 
 ``tests/reference_ssapre.py`` keeps SSAPRE and candidate collection as
 they were before they computed each round's facts once.  The same
@@ -27,18 +31,27 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import random
 
 import pytest
 
+import repro.speclint
 from repro.analysis import alatpressure
+from repro.chaos.generator import generate_program
 from repro.errors import SpecLintError
 from repro.ir.stmt import InvalidateCheck
 from repro.opt import dce
 from repro.pipeline import compile_source
 from repro.pre import driver as pre_driver
+from repro.speclint import Severity
 from repro.target.asmprinter import format_program
 from repro.workloads.programs import BENCHMARKS, get_workload
-from tests import reference_liveness, reference_pressure, reference_ssapre
+from tests import (
+    reference_liveness,
+    reference_pressure,
+    reference_speclint,
+    reference_ssapre,
+)
 from tests.corpus import chaos_program, compile_modes, service_program
 
 #: generated programs per test, and tests per corpus
@@ -72,6 +85,8 @@ def checked_passes(monkeypatch):
     armed = alatpressure.armed_by_stmt
     liveness = dce.compute_liveness
     sweep = dce._sweep_dead_assigns
+    lint_ir = repro.speclint.lint_module
+    lint_mir = repro.speclint.lint_program
 
     def analyze_checked(module, *args, **kwargs):
         reference = reference_pressure.analyze_module_pressure(module, *args, **kwargs)
@@ -115,11 +130,35 @@ def checked_passes(monkeypatch):
         checked["removed"] += removed
         return removed
 
+    def lint_ir_checked(module, *args, **kwargs):
+        reference = reference_speclint.lint_module(module, *args, **kwargs)
+        result = lint_ir(module, *args, **kwargs)
+        assert diagnostic_fields(result) == diagnostic_fields(reference)
+        checked["speclint"] += 1
+        checked["lint_errors"] += sum(d.severity is Severity.ERROR for d in result)
+        return result
+
+    def lint_mir_checked(program):
+        reference = reference_speclint.lint_program(program)
+        result = lint_mir(program)
+        assert diagnostic_fields(result) == diagnostic_fields(reference)
+        checked["speclint_mir"] += 1
+        return result
+
     monkeypatch.setattr(alatpressure, "analyze_module_pressure", analyze_checked)
     monkeypatch.setattr(alatpressure, "armed_by_stmt", armed_checked)
     monkeypatch.setattr(dce, "compute_liveness", liveness_checked)
     monkeypatch.setattr(dce, "_sweep_dead_assigns", sweep_checked)
+    monkeypatch.setattr(repro.speclint, "lint_module", lint_ir_checked)
+    monkeypatch.setattr(repro.speclint, "lint_program", lint_mir_checked)
     return checked
+
+
+def diagnostic_fields(diags) -> list[tuple]:
+    return [
+        (d.rule, d.severity, d.message, d.function, d.loc, d.sid)
+        for d in diags
+    ]
 
 
 def compile_every_mode(source: str, train_args) -> None:
@@ -136,13 +175,25 @@ def compile_every_mode(source: str, train_args) -> None:
 
 
 def assert_every_check_ran(checked) -> None:
-    assert set(checked) >= {"pressure", "candidates", "armed", "liveness", "sweeps"}
+    assert set(checked) >= {
+        "pressure", "candidates", "armed", "liveness", "sweeps",
+        "speclint", "speclint_mir",
+    }
 
 
 def test_partial_redundancy(checked_passes):
     compile_every_mode(PARTIAL_REDUNDANCY, [6])
     assert_every_check_ran(checked_passes)
     assert checked_passes["invalas"] > 0
+
+
+def test_class_b_program(checked_passes):
+    """Chaos seed 1 #388, the class-B SPEC002 shape of ROADMAP item 1:
+    the one program here on which speclint reports an error."""
+    program = generate_program(random.Random("1:388"), 388)
+    compile_every_mode(program.source, program.train_args)
+    assert checked_passes["speclint"] == len(compile_modes())
+    assert checked_passes["lint_errors"] > 0
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)

@@ -241,6 +241,145 @@ def test_mir_recovery_missing_rejoin_branch():
     assert errors, "recovery without a rejoin branch must be flagged"
 
 
+# -- one planted defect for each rule no compilation trips -------------
+
+
+def only(diags, rule, severity):
+    found = [d for d in diags if d.rule == rule and d.severity is severity]
+    assert len(found) == 1, [d.format() for d in diags]
+    return found[0]
+
+
+def test_spec001_computed_redefinition_reaches_a_check():
+    """``pr2 = pr3`` planted right before ``pr2``'s ld.c.nc: the check
+    compares memory with a value memory never held."""
+    out = compile_spec(MISSPEC_SRC)
+    block, i, check = find_stmt(
+        out, lambda s: is_check(s) and not s.spec_flag.is_branching_check
+    )
+    source = find_stmt(
+        out, lambda s: isinstance(s, Assign) and s.target.name == "pr3"
+    )[2].target
+    plant = Assign(check.target, VarRead(source))
+    block.insert(i, plant)
+    diag = only(lint_output(out).diagnostics, "SPEC001", Severity.ERROR)
+    assert diag.function == "main"
+    assert diag.sid == check.sid
+    assert diag.message == (
+        f"check of {check.target.name} is reachable from the computed "
+        f"redefinition at sid {plant.sid} with no intervening sync store "
+        f"or re-arm"
+    )
+
+
+def test_spec001_check_without_an_advanced_load():
+    out = compile_spec(MISSPEC_SRC)
+    block, i, arming = find_stmt(
+        out,
+        lambda s: isinstance(s, Assign) and s.spec_flag is SpecFlag.LD_A,
+    )
+    del block.stmts[i]
+    _, _, check = find_stmt(
+        out, lambda s: is_check(s) and s.target is arming.target
+    )
+    diag = only(lint_output(out).diagnostics, "SPEC001", Severity.WARN)
+    assert (diag.function, diag.sid) == ("main", check.sid)
+    assert diag.message == (
+        f"check of {arming.target.name} is not dominated by an advanced "
+        f"load, invala.e, or earlier check of the same temp"
+    )
+
+
+def test_spec004_hoisted_load_loses_its_in_loop_check():
+    """Delete the loop's chk.a.nc: ``pi7``, armed by an ld.sa above the
+    loop, is still read after the store that may redirect its pointer."""
+    out = compile_spec(MISSPEC_SRC)
+    block, i, _ = find_stmt(
+        out, lambda s: is_check(s) and s.spec_flag.is_branching_check
+    )
+    del block.stmts[i]
+    _, _, use = find_stmt(
+        out,
+        lambda s: isinstance(s, Assign) and s.target.name == "s"
+        and "pi7" in str(s.expr),
+    )
+    diag = only(lint_output(out).diagnostics, "SPEC004", Severity.ERROR)
+    assert (diag.function, diag.sid, diag.loc) == ("main", use.sid, use.loc)
+    assert diag.message == (
+        "temp pi7 armed outside the loop at loop_head2 may be invalidated "
+        "inside it but has no in-loop check"
+    )
+
+
+def test_spec005_invala_moved_off_the_dominating_point():
+    """Figure 2: move the invala.e from the join into the branch that
+    arms the entry; the later check is still reachable from it, but no
+    longer dominated."""
+    from repro.ir.stmt import InvalidateCheck
+    from tests.test_pass_reference import PARTIAL_REDUNDANCY
+
+    out = compile_spec(PARTIAL_REDUNDANCY, rounds=1)
+    block, i, inv = find_stmt(out, lambda s: isinstance(s, InvalidateCheck))
+    arm_block, _, _ = find_stmt(
+        out,
+        lambda s: isinstance(s, Assign) and s.target is inv.temp
+        and s.spec_flag.is_advanced_load,
+    )
+    _, _, check = find_stmt(
+        out, lambda s: is_check(s) and s.target is inv.temp
+    )
+    del block.stmts[i]
+    arm_block.insert(0, inv)
+    diag = only(lint_output(out).diagnostics, "SPEC005", Severity.ERROR)
+    assert (diag.function, diag.sid) == ("main", inv.sid)
+    assert diag.message == (
+        f"invala.e of {inv.temp.name} reaches the check at {check.loc} "
+        f"without dominating it"
+    )
+
+
+def _mir_ld_c(out):
+    from repro.target.isa import LdC
+
+    fn = out.program.functions["main"]
+    return fn, next(i for i, x in enumerate(fn.instrs) if isinstance(x, LdC))
+
+
+def test_spec007_computed_redefinition_reaches_a_machine_check():
+    from repro.target.isa import MovI
+
+    out = compile_spec(MISSPEC_SRC)
+    fn, at = _mir_ld_c(out)
+    reg = fn.instrs[at].rd
+    fn.instrs.insert(at, MovI(reg, 0))
+    diag = only(lint_program(out.program), "SPEC007", Severity.ERROR)
+    assert (diag.function, diag.sid) == ("main", at + 1)
+    assert diag.message == (
+        f"check of r{reg} is reachable from the computed redefinition at "
+        f"instruction {at} with no intervening re-arm or sync store"
+    )
+
+
+def test_spec007_machine_check_without_an_anchor():
+    from repro.target.isa import Ld, LoadKind
+
+    out = compile_spec(MISSPEC_SRC)
+    fn, at = _mir_ld_c(out)
+    reg = fn.instrs[at].rd
+    arming = next(
+        i for i, x in enumerate(fn.instrs)
+        if isinstance(x, Ld) and x.rd == reg and x.kind is LoadKind.ADVANCED
+    )
+    del fn.instrs[arming]
+    diag = only(lint_program(out.program), "SPEC007", Severity.WARN)
+    assert (diag.function, diag.sid) == ("main", at - 1)
+    assert diag.loc == fn.instrs[at - 1].loc
+    assert diag.message == (
+        f"check of r{reg} is not dominated by an advanced load, invala.e, "
+        f"or earlier check of the same register"
+    )
+
+
 # -- legal compilations are clean (no false positives) -----------------
 
 
