@@ -30,6 +30,7 @@ import json
 import os
 import sys
 
+from repro.errors import ReproError
 from repro.obs import (
     HostProfiler,
     ProfileReport,
@@ -226,6 +227,16 @@ def _probe_output(path: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        # a source, lint or guest error (the message carries any
+        # line:col): one line, like a missing input
+        print(f"python -m repro: {args.file}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         with open(args.file) as f:
             source = f.read()

@@ -68,6 +68,7 @@ package builds the alias profile (paper section 3.1) from these events.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, Union
 
 from repro.errors import InterpError, InterpLimitExceeded
@@ -155,6 +156,14 @@ def int_mod(a: int, b: int) -> int:
         raise InterpError("integer modulo by zero")
     r = abs(a) % abs(b)  # the remainder takes the dividend's sign
     return wrap_int(-r if a < 0 else r)
+
+
+def float_to_int(v: Value) -> int:
+    """C-style ``(int)``: truncates toward zero, wrapped; inf and nan
+    have no integer value."""
+    if not -inf < v < inf:
+        raise InterpError(f"float-to-int conversion of {v}")
+    return wrap_int(int(v))
 
 
 def _as_int(v: Value) -> int:
@@ -433,7 +442,7 @@ _UNOPS: dict[UnOpKind, Callable[[Op], Op]] = {
     UnOpKind.NEG: _neg,
     UnOpKind.NOT: lambda a: lambda r: 0 if a(r) else 1,
     UnOpKind.I2F: lambda a: lambda r: float(a(r)),
-    UnOpKind.F2I: lambda a: lambda r: wrap_int(int(a(r))),
+    UnOpKind.F2I: lambda a: lambda r: float_to_int(a(r)),
 }
 
 

@@ -74,6 +74,7 @@ from repro.ir.interp import (
     _Block,
     _Code,
     _successors,
+    float_to_int,
     format_value,
     int_div,
     int_mod,
@@ -310,6 +311,7 @@ class _Generator:
             "LIMIT": f"interpreter exceeded {self.limit} steps",
             "wrap": wrap_int, "int_div": int_div, "int_mod": int_mod,
             "as_int": _as_int, "fmt": format_value, "neg": _neg,
+            "f2i": float_to_int,
             "address_error": _address_error, "null_error": _null_error,
             "store_error": _store_error, "void_error": _void_error,
             "negative_error": _negative_error, "STATS": interp.stats,
@@ -867,8 +869,8 @@ class _Generator:
             name = self.local()  # float() of an unbounded int may raise
             self.emit(f"{name} = float({a.text})")
             return _V(name, _FLOAT)
-        name = self.local()  # F2I: int() of inf or nan raises
-        self.emit(f"{name} = wrap(int({a.text}))")
+        name = self.local()  # F2I: inf and nan raise
+        self.emit(f"{name} = f2i({a.text})")
         return _V(name, _INT)
 
     # -- assembly -----------------------------------------------------------

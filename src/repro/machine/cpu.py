@@ -24,66 +24,46 @@ Execution
 Each function runs in its decoded form
 (:meth:`repro.target.isa.MFunction.decoded`: opcodes, resolved branch
 targets, read-register tuples, constant registers) with list-indexed
-register and ready files.  The simulator picks one of two loops over
-that form when it is constructed.  With no trace sink, ``RunProfile``,
-``FaultInjector`` or ``HostProfiler`` attached it runs
-:meth:`Simulator._run_fast`, which has no hooks at all and tiers up:
-hot loops and small hot functions run as generated Python
-(:mod:`repro.machine.translate`).  Otherwise it runs
-:meth:`Simulator._run_probed`: the same dispatch, never translated,
-plus calls into one :class:`Probe` that composes whatever is attached.
-Tracing and profiling never change simulator state, so with only those
-attached the loops produce identical counters.
+register and ready files.  The activation loop over that form is
+written once, as the source text ``_LOOP``, and compiled once per
+process for each set of *probe points* it is specialised to: the places
+where it calls out to something attached.  A :class:`Simulator` takes
+the variant for exactly what it has attached, as ``_activate``.  With
+nothing attached that is the tiering loop: no hooks, and hot loops and
+small hot functions run as generated Python
+(:mod:`repro.machine.translate`).  With a trace sink, ``RunProfile``,
+``FaultInjector`` or ``HostProfiler`` attached it is a loop that keeps
+``counters.instructions`` live, never translates and calls only the
+hooks that exist (:class:`Probe`): nine variants in all.  Tracing and
+profiling never change simulator state, so with only those attached
+every variant produces identical counters.
 """
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from math import inf
+from types import MethodType, SimpleNamespace
+from typing import Callable, Optional, Union
 
-from repro.errors import ConfigError, MachineError, MachineLimitExceeded
+from repro.errors import ConfigError, MachineError
 from repro.ir.expr import UnOpKind
-from repro.ir.interp import (
-    HEAP_BASE,
-    STACK_BASE,
-    format_value,
-    int_div,
-    int_mod,
-    wrap_int,
-)
+from repro.ir.interp import HEAP_BASE, STACK_BASE, int_div, int_mod, wrap_int
 from repro.machine import translate
 from repro.machine.alat import ALAT, ALATConfig
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.counters import Counters
 from repro.machine.rse import RegisterStackEngine, RSEConfig
-from repro.machine.translate import OP_REGION
 from repro.obs.profile import RunProfile
 from repro.obs.trace import NULL_TRACE, TraceContext
-from repro.target.isa import (
-    OP_ALLOC,
-    OP_ARITH,
-    OP_BR,
-    OP_BRNZ,
-    OP_CALL,
-    OP_CHKA,
-    OP_CMP,
-    OP_DIV,
-    OP_INVALA,
-    OP_LD,
-    OP_LD_A,
-    OP_LD_SA,
-    OP_LDC,
-    OP_LEA,
-    OP_MOD,
-    OP_MOV,
-    OP_PREDLD,
-    OP_PRINT,
-    OP_RET,
-    OP_ST,
-    OP_UN,
-    MFunction,
-    MProgram,
-)
+from repro.target import isa
+from repro.target.isa import OP_MOD, MFunction, MProgram
+
+# read only by the activation loop's source text (_LOOP)
+from repro.errors import MachineLimitExceeded  # noqa: F401
+from repro.ir.interp import format_value  # noqa: F401
+from repro.machine.translate import OP_REGION  # noqa: F401
 
 Value = Union[int, float]
 
@@ -189,31 +169,371 @@ def _unary(kind: UnOpKind, v: Value) -> Value:
     if kind is UnOpKind.I2F:
         return float(v)
     if kind is UnOpKind.F2I:
+        if not -inf < v < inf:
+            raise MachineError(f"float-to-int conversion of {v}")
         return wrap_int(int(v))
     raise MachineError(f"unsupported unary op {kind}")
 
 
-def _nop(*_args) -> None:
-    """A probe hook with nothing attached behind it."""
+#: The activation loop, written once.  A line that ends in ``# [p q]``
+#: is kept only in the variants with point ``p`` or ``q``, one that ends
+#: in ``# [!p]`` only in those without ``p``; a dropped line that opens
+#: a block drops the block.  The points are ``tier`` (nothing attached)
+#: or ``probe`` (anything), plus any of :class:`Probe`'s ``step``,
+#: ``profile`` and ``host``.  Linters cannot see into the text, so
+#: ``tests/test_sim_reference.py`` runs every variant against the loops
+#: it replaced (``tests/reference_sim.py``).
+_LOOP = '''
+def activation(self, mf, args):
+    """One activation of ``mf``.
+
+    The slot clock and the retired count live in locals and are
+    written back at calls, returns and faults (``in_call`` keeps a
+    callee's or a region's fault from being overwritten with the
+    caller's stale copies); with anything attached the count is also
+    written back at every instruction, for the observers.  With nothing
+    attached, calls of the function and taken back edges to each header
+    are counted; at ``translate.THRESHOLD`` the function (when small) or
+    the loop is translated, and the entry op at its first instruction
+    runs the translation.  Taken back edges also pick up the tier's code
+    again after a region handed an instruction back to the decoded
+    code."""
+    probe = self._probe  # [probe]
+    dec, regs, ready, serial, base = self._push_frame(mf, args)  # [!host]
+    dec, regs, ready, serial, base = probe.push_frame(mf, args)  # [host]
+    tier = dec.translations.get(self._tier_key)  # [tier]
+    if tier is None or tier.run is not self._run_token:  # [tier]
+        tier = translate.tier(dec, self._tier_key, self._run_token)
+    threshold = translate.THRESHOLD  # [tier]
+    tier.calls += 1  # [tier]
+    if tier.calls == threshold and len(dec.code) <= translate.MAX_FUNCTION:  # [tier]
+        tier.translate_function(self)
+    code = tier.code  # [tier]
+    heat = tier.heat  # [tier]
+    code = dec.code  # [probe]
+    instrs = dec.instrs  # [profile host]
+    mem = self.mem
+    counters = self.counters
+    alat = self.alat  # [!host]
+    alat = probe.alat  # [host]
+    snoop_store = alat.snoop_store
+    load_latency = self.cache.load_latency  # [!host]
+    store_touch = self.cache.store_touch  # [!host]
+    load_latency = probe.load_latency  # [host]
+    store_touch = probe.store_touch  # [host]
+    step = probe.step  # [step]
+    issued = probe.issued  # [profile host]
+    done = probe.done  # [host]
+    penalty, data, bind = probe.penalty, probe.data, probe.bind  # [profile]
+    w = self._w
+    bubble = self.config.branch_penalty * w
+    recovery = self.config.recovery_penalty
+    limit = self.config.max_instructions
+    time = self.time
+    n = counters.instructions
+    pc = 0
+    in_call = False
+    probe.enter()  # [host]
+    try:
+        while True:
+            try:
+                op, reads, a, b, c, d, e = code[pc]
+            except IndexError:
+                raise MachineError(dec.fault_at(pc)) from None
+            instr = instrs[pc]  # [profile host]
+            pc += 1
+            n += 1
+            counters.instructions = n  # [probe]
+            if n > limit:
+                raise MachineLimitExceeded(f"exceeded {limit} instructions")
+            step()  # [step]
+            # issue: wait for source operands, take one slot
+            t0 = time  # [profile host]
+            start = time
+            for r in reads:
+                if ready[r] > start:
+                    start = ready[r]
+            time = start + 1
+            # operand-stall + issue slots; penalty slots are added where
+            # they are charged, so the per-instruction sums tile the slot
+            # clock exactly (a callee attributes its own instructions)
+            issued(instr, time - t0)  # [profile host]
+
+            if op == OP_ARITH:
+                x = d(regs[b], regs[c])
+                if not _INT_MIN <= x <= _INT_MAX and isinstance(x, int):
+                    x = wrap_int(x)
+                regs[a] = x
+                ready[a] = start + w * e
+            elif op == OP_CMP:
+                regs[a] = 1 if d(regs[b], regs[c]) else 0
+                ready[a] = start + w * e
+            elif op == OP_MOV:
+                regs[a] = regs[b]
+                ready[a] = start + w
+            elif op == OP_LD:
+                addr = regs[b]
+                if addr <= 0 or isinstance(addr, float):
+                    raise _bad_address(addr, mf)
+                regs[a] = mem.get(addr, 0)
+                latency = load_latency(addr, d)
+                ready[a] = start + w * latency
+                counters.retired_loads += 1
+                counters.data_access_cycles += latency
+                data(instr, latency)  # [profile]
+                if c:
+                    counters.retired_indirect_loads += 1
+            elif op == OP_LEA:
+                regs[a] = base + b
+                ready[a] = start + w
+            elif op == OP_BR:
+                if a < pc:  # [tier]
+                    heat[a] += 1
+                    if heat[a] == threshold:
+                        tier.translate_loop(self, a)
+                    code = tier.code
+                pc = a
+                counters.branches += 1
+                time += bubble
+                penalty(instr, bubble)  # [profile]
+            elif op == OP_BRNZ:
+                counters.branches += 1
+                if regs[a]:
+                    if b < pc:  # [tier]
+                        heat[b] += 1
+                        if heat[b] == threshold:
+                            tier.translate_loop(self, b)
+                        code = tier.code
+                    pc = b
+                    time += bubble
+                    penalty(instr, bubble)  # [profile]
+            elif op == OP_ST:
+                addr = regs[a]
+                if addr <= 0 or isinstance(addr, float):
+                    raise _bad_address(addr, mf)
+                mem[addr] = regs[b]
+                snoop_store(addr)
+                store_touch(addr)
+                counters.retired_stores += 1
+            elif op == OP_LD_A or op == OP_LD_SA:
+                addr = regs[b]
+                if addr <= 0 or isinstance(addr, float):
+                    if op == OP_LD_A:
+                        raise _bad_address(addr, mf)
+                    # ld.sa never faults: a bad address defers (NaT
+                    # -> dummy 0) and arms no entry, so later checks
+                    # reload
+                    regs[a] = 0.0 if d else 0
+                    ready[a] = start + w
+                    done(instr)  # [host]
+                    continue
+                regs[a] = mem.get(addr, 0)
+                latency = load_latency(addr, d)
+                ready[a] = start + w * latency
+                counters.retired_loads += 1
+                counters.data_access_cycles += latency
+                data(instr, latency)  # [profile]
+                if c:
+                    counters.retired_indirect_loads += 1
+                counters.retired_advanced_loads += 1
+                bind((serial, a), instr)  # [profile]
+                alat.allocate((serial, a), addr)
+            elif op == OP_LDC:
+                counters.check_instructions += 1
+                tag = (serial, a)
+                if alat.check(tag, c):
+                    # Check succeeded: zero cost, the register
+                    # already holds the value (the paper's
+                    # "processed like no-ops").
+                    probe.check(tag, instr, True)  # [profile]
+                    done(instr)  # [host]
+                    continue
+                probe.check(tag, instr, False)  # [profile]
+                counters.check_failures += 1
+                addr = regs[b]
+                if addr <= 0 or isinstance(addr, float):
+                    # Check reached before any advanced load ran on
+                    # this path: the address register is dead; so
+                    # is the result.
+                    regs[a] = 0.0 if e else 0
+                    done(instr)  # [host]
+                    continue
+                regs[a] = mem.get(addr, 0)
+                latency = load_latency(addr, e)
+                ready[a] = start + w * latency
+                counters.retired_loads += 1
+                counters.data_access_cycles += latency
+                data(instr, latency)  # [profile]
+                if d:
+                    counters.retired_indirect_loads += 1
+                if not c:
+                    bind(tag, instr)  # [profile]
+                    alat.allocate(tag, addr)
+            elif op == OP_CHKA:
+                counters.check_instructions += 1
+                if not alat.check((serial, a), c):
+                    probe.check((serial, a), instr, False)  # [profile]
+                    counters.check_failures += 1
+                    counters.recovery_cycles += recovery
+                    time += recovery * w
+                    penalty(instr, recovery * w)  # [profile]
+                    probe.recovery((serial, a), instr, recovery)  # [profile]
+                    pc = b
+                else:  # [profile]
+                    probe.check((serial, a), instr, True)
+            elif op == OP_PREDLD:
+                if regs[b]:
+                    addr = regs[c]
+                    if addr <= 0 or isinstance(addr, float):
+                        raise _bad_address(addr, mf)
+                    regs[a] = mem.get(addr, 0)
+                    latency = load_latency(addr, e)
+                    ready[a] = start + w * latency
+                    counters.retired_loads += 1
+                    counters.predicated_reloads += 1
+                    counters.data_access_cycles += latency
+                    data(instr, latency)  # [profile]
+                    if d:
+                        counters.retired_indirect_loads += 1
+            elif op == OP_MOD or op == OP_DIV:
+                regs[a] = _divide(op, regs[b], regs[c])
+                ready[a] = start + w * e
+            elif op == OP_CALL:
+                counters.calls += 1
+                callee = self.program.function(a)
+                self.rse.call(callee.nregs)
+                call_args = [regs[r] for r in b]
+                self.time = time
+                counters.instructions = n
+                in_call = True
+                result = self._activate(callee, call_args)  # [!host]
+                result = probe.call(callee, call_args)  # [host]
+                in_call = False
+                time = self.time
+                n = counters.instructions
+                self.rse.ret()
+                if c is not None:
+                    if result is None:
+                        raise MachineError(
+                            f"void call used as value: {dec.instrs[pc - 1]}"
+                        )
+                    regs[c] = result
+                    ready[c] = time + w
+            elif op == OP_RET:
+                self.time = time
+                counters.instructions = n
+                done(instr)  # [host]
+                return regs[a] if a is not None else None
+            elif op == OP_REGION:  # [tier]
+                # not an instruction: undo the issue and run the
+                # translation from this pc
+                in_call = True
+                pc, time, n, result = a(
+                    self, regs, ready, base, serial, start, n - 1
+                )
+                in_call = False
+                if pc < 0:
+                    if pc == -1:
+                        self.time = time
+                        counters.instructions = n
+                        return result
+                    # the region handed back an instruction it does
+                    # not run (a fault, or the block that crosses the
+                    # limit): run it on the decoded code, up to the
+                    # next taken back edge
+                    pc = -2 - pc
+                    code = dec.code
+            elif op == OP_INVALA:
+                counters.explicit_invalidations += 1
+                self.alat.invalidate_entry((serial, a))
+            elif op == OP_UN:
+                regs[a] = _unary(c, regs[b])
+                ready[a] = start + w
+            elif op == OP_ALLOC:
+                words = int(regs[b])
+                if words < 0:
+                    raise MachineError(f"negative allocation: {dec.instrs[pc - 1]}")
+                regs[a] = self._heap_top
+                self._heap_top += max(1, words)
+                ready[a] = start + w
+            elif op == OP_PRINT:
+                self.output.append(format_value(regs[a]))
+            else:  # OP_FAULT: the decoder's message
+                raise MachineError(a)
+            done(instr)  # [host]
+    except BaseException as exc:
+        if not in_call:
+            self.time = time
+            counters.instructions = n
+        if exc.__class__ is RecursionError:
+            raise _overflow(mf) from None
+        raise
+    finally:
+        self._pop_frame(mf, base)  # [!host]
+        probe.pop_frame(mf, base)  # [host]
+'''
+
+
+#: the compiled variants of ``_LOOP``, by their points
+_LOOPS: dict[frozenset[str], Callable] = {}
+
+
+def _loop(points: frozenset[str]) -> Callable:
+    """``_LOOP`` with only the lines of ``points``, compiled on first
+    use."""
+    fn = _LOOPS.get(points)
+    if fn is not None:
+        return fn
+    lines: list[str] = []
+    cut = -1  # the indentation of a dropped block's header
+    for line in _LOOP.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if cut >= 0 and (indent > cut or not line.strip()):
+            continue
+        cut = -1
+        code, _, marker = line.partition("  # [")
+        if marker:
+            names = marker.rstrip("]")
+            if names.startswith("!"):
+                keep = points.isdisjoint(names[1:].split())
+            else:
+                keep = not points.isdisjoint(names.split())
+            if not keep:
+                cut = indent if code.endswith(":") else -1
+                continue
+            line = code
+        lines.append(line)
+    source = "\n".join(lines) + "\n"
+    filename = f"<activation {' '.join(sorted(points))}>"
+    # for tracebacks through the loop
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
+    )
+    scope: dict[str, Callable] = {}
+    # the loop reads the opcodes and this module's names, as bound now
+    exec(compile(source, filename, "exec"), {**vars(isa), **globals()}, scope)
+    fn = _LOOPS[points] = scope["activation"]
+    return fn
 
 
 class Probe:
-    """The probed loop's one instrumentation seam.
+    """The hooks of the probed loop, composed from what is attached.
 
-    Composes whatever the simulator has attached — trace snapshots,
-    ``RunProfile`` attribution, ``FaultInjector`` context switches and
-    ``HostProfiler`` buckets — into the hooks the loop calls:
+    ``points`` holds ``probe`` and the probe points that exist; the loop
+    is specialised to them, so it calls only these:
 
-    * per instruction: ``step()`` before issue, ``issued(instr, slots)``
-      after it and ``done(instr)`` after execution; each is None when
-      nothing is attached behind it;
-    * per event (guest attribution, no-ops without a profile):
-      ``penalty``, ``data``, ``check``, ``recovery`` and ``bind``;
-    * in place of component calls: ``alat_check``, ``alat_allocate``,
-      ``alat_snoop``, ``load_latency``, ``store_touch``, ``call``,
-      ``push_frame`` and ``pop_frame`` (timed into host buckets under a
-      host profiler, otherwise the plain methods), plus ``enter()``,
-      which starts an activation's host timeline (None without one).
+    * ``step``: ``step()`` before issue, for trace snapshots and a
+      flushing injector's context switches (``step`` is None without);
+    * ``profile`` (``RunProfile`` attribution): ``issued(instr, slots)``
+      after issue (``retire``), and ``penalty``, ``data``, ``check``,
+      ``recovery`` and ``bind`` where those are charged;
+    * ``host`` (``HostProfiler`` buckets, chained by timestamp):
+      ``enter()`` at an activation's start, ``issued`` (the
+      ``sim.issue`` bucket, after ``retire``), ``done(instr)`` after
+      execution (``sim.op.*``), ``call`` in place of the activation, and
+      timed stand-ins for the ALAT (``alat``), the cache
+      (``load_latency``, ``store_touch``) and frame setup
+      (``push_frame``, ``pop_frame``).
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -247,24 +567,20 @@ class Probe:
             self.step = context_switch
         else:
             self.step = None
-
-        self.penalty = prof.add_slots if prof is not None else _nop
-        self.data = prof.add_data if prof is not None else _nop
-        self.check = prof.check if prof is not None else _nop
-        self.recovery = prof.recovery if prof is not None else _nop
-        self.bind = prof.bind_tag if prof is not None else _nop
-        retire = prof.retire if prof is not None else None
-
+        self.points = frozenset(
+            name for name, present in (
+                ("probe", True), ("step", self.step is not None),
+                ("profile", prof is not None), ("host", hp is not None),
+            ) if present
+        )
+        retire = None
+        if prof is not None:
+            self.penalty, self.data, self.bind = (
+                prof.add_slots, prof.add_data, prof.bind_tag
+            )
+            self.check, self.recovery = prof.check, prof.recovery
+            retire = self.issued = prof.retire
         if hp is None:
-            self.issued = retire
-            self.done = None
-            self.enter = None
-            self.call = sim._run_probed
-            self.push_frame, self.pop_frame = sim._push_frame, sim._pop_frame
-            self.alat_check, self.alat_allocate = alat.check, alat.allocate
-            self.alat_snoop = alat.snoop_store
-            self.load_latency = cache.load_latency
-            self.store_touch = cache.store_touch
             return
 
         # Host buckets chain timestamps: each mark ends one bucket
@@ -297,7 +613,7 @@ class Probe:
             nonlocal mark
             saved = mark
             t = now()
-            result = sim._run_probed(callee, args)
+            result = sim._activate(callee, args)
             hp.take_sub()
             hp.defer(now() - t)
             mark = saved
@@ -306,9 +622,11 @@ class Probe:
         self.issued, self.done, self.enter, self.call = issued, done, enter, call
         self.push_frame = hp.timed(sim._push_frame, "sim.frame", nested=False)
         self.pop_frame = hp.timed(sim._pop_frame, "sim.frame", nested=False)
-        self.alat_check = hp.timed(alat.check, "sim.alat")
-        self.alat_allocate = hp.timed(alat.allocate, "sim.alat")
-        self.alat_snoop = hp.timed(alat.snoop_store, "sim.alat")
+        self.alat = SimpleNamespace(
+            check=hp.timed(alat.check, "sim.alat"),
+            allocate=hp.timed(alat.allocate, "sim.alat"),
+            snoop_store=hp.timed(alat.snoop_store, "sim.alat"),
+        )
         self.load_latency = hp.timed(cache.load_latency, "sim.cache")
         self.store_touch = hp.timed(cache.store_touch, "sim.cache")
 
@@ -357,14 +675,17 @@ class Simulator:
         if profile:
             self.profile = RunProfile(program, self._w)
             self._attach_profile_observer()
-        # The loop is chosen once: anything attached runs every
-        # activation through the probe, nothing attached runs none.
+        # The loop is chosen once: the tiering loop with nothing
+        # attached, else the probed loop for exactly what is attached.
         probed = (
             self.obs.enabled or profile or injector is not None
             or host_profiler is not None
         )
         self._probe = Probe(self) if probed else None
-        self._run_function = self._run_probed if probed else self._run_fast
+        #: one activation: the loop's variant for what is attached
+        self._activate = MethodType(
+            _loop(self._probe.points if probed else frozenset({"tier"})), self
+        )
         config = self.config
         #: tier-up counts are per run; translations are kept
         self._run_token = object()
@@ -431,7 +752,7 @@ class Simulator:
         self.rse.call(main.nregs)
         if hp is not None:
             hp.add("sim.run", hp.now() - _t0)
-        result = self._run_function(main, list(args or []))
+        result = self._activate(main, list(args or []))
         if hp is not None:
             _t0 = hp.now()
         self.counters.rse_cycles = self.rse.stats.rse_cycles
@@ -479,451 +800,6 @@ class Simulator:
         for w in range(mf.frame_words):
             mem.pop(base + w, None)
         self._stack_top = base
-
-    def _run_fast(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
-        """One activation on the hook-free loop.
-
-        The slot clock and the retired count live in locals and are
-        written back at calls, returns and faults (``in_call`` keeps a
-        callee's or a region's fault from being overwritten with the
-        caller's stale copies).  Calls of the function and taken back
-        edges to each header are counted; at ``translate.THRESHOLD`` the
-        function (when small) or the loop is translated, and the entry
-        op at its first instruction runs the translation.  Taken back
-        edges also pick up the tier's code again after a region handed
-        an instruction back to the decoded code."""
-        dec, regs, ready, serial, base = self._push_frame(mf, args)
-        tier = dec.translations.get(self._tier_key)
-        if tier is None or tier.run is not self._run_token:
-            tier = translate.tier(dec, self._tier_key, self._run_token)
-        threshold = translate.THRESHOLD
-        tier.calls += 1
-        if tier.calls == threshold and len(dec.code) <= translate.MAX_FUNCTION:
-            tier.translate_function(self)
-        code = tier.code
-        heat = tier.heat
-        mem = self.mem
-        counters = self.counters
-        alat = self.alat
-        snoop_store = alat.snoop_store
-        load_latency = self.cache.load_latency
-        store_touch = self.cache.store_touch
-        w = self._w
-        bubble = self.config.branch_penalty * w
-        recovery = self.config.recovery_penalty
-        limit = self.config.max_instructions
-        time = self.time
-        n = counters.instructions
-        pc = 0
-        in_call = False
-        try:
-            while True:
-                try:
-                    op, reads, a, b, c, d, e = code[pc]
-                except IndexError:
-                    raise MachineError(dec.fault_at(pc)) from None
-                pc += 1
-                n += 1
-                if n > limit:
-                    raise MachineLimitExceeded(f"exceeded {limit} instructions")
-                # issue: wait for source operands, take one slot
-                start = time
-                for r in reads:
-                    if ready[r] > start:
-                        start = ready[r]
-                time = start + 1
-
-                if op == OP_ARITH:
-                    x = d(regs[b], regs[c])
-                    if not _INT_MIN <= x <= _INT_MAX and isinstance(x, int):
-                        x = wrap_int(x)
-                    regs[a] = x
-                    ready[a] = start + w * e
-                elif op == OP_CMP:
-                    regs[a] = 1 if d(regs[b], regs[c]) else 0
-                    ready[a] = start + w * e
-                elif op == OP_MOV:
-                    regs[a] = regs[b]
-                    ready[a] = start + w
-                elif op == OP_LD:
-                    addr = regs[b]
-                    if addr <= 0 or isinstance(addr, float):
-                        raise _bad_address(addr, mf)
-                    regs[a] = mem.get(addr, 0)
-                    latency = load_latency(addr, d)
-                    ready[a] = start + w * latency
-                    counters.retired_loads += 1
-                    counters.data_access_cycles += latency
-                    if c:
-                        counters.retired_indirect_loads += 1
-                elif op == OP_LEA:
-                    regs[a] = base + b
-                    ready[a] = start + w
-                elif op == OP_BR:
-                    if a < pc:
-                        heat[a] += 1
-                        if heat[a] == threshold:
-                            tier.translate_loop(self, a)
-                        code = tier.code
-                    pc = a
-                    counters.branches += 1
-                    time += bubble
-                elif op == OP_BRNZ:
-                    counters.branches += 1
-                    if regs[a]:
-                        if b < pc:
-                            heat[b] += 1
-                            if heat[b] == threshold:
-                                tier.translate_loop(self, b)
-                            code = tier.code
-                        pc = b
-                        time += bubble
-                elif op == OP_ST:
-                    addr = regs[a]
-                    if addr <= 0 or isinstance(addr, float):
-                        raise _bad_address(addr, mf)
-                    mem[addr] = regs[b]
-                    snoop_store(addr)
-                    store_touch(addr)
-                    counters.retired_stores += 1
-                elif op == OP_LD_A or op == OP_LD_SA:
-                    addr = regs[b]
-                    if addr <= 0 or isinstance(addr, float):
-                        if op == OP_LD_A:
-                            raise _bad_address(addr, mf)
-                        # ld.sa never faults: a bad address defers (NaT
-                        # -> dummy 0) and arms no entry, so later checks
-                        # reload
-                        regs[a] = 0.0 if d else 0
-                        ready[a] = start + w
-                        continue
-                    regs[a] = mem.get(addr, 0)
-                    latency = load_latency(addr, d)
-                    ready[a] = start + w * latency
-                    counters.retired_loads += 1
-                    counters.data_access_cycles += latency
-                    if c:
-                        counters.retired_indirect_loads += 1
-                    counters.retired_advanced_loads += 1
-                    alat.allocate((serial, a), addr)
-                elif op == OP_LDC:
-                    counters.check_instructions += 1
-                    tag = (serial, a)
-                    if alat.check(tag, c):
-                        # Check succeeded: zero cost, the register
-                        # already holds the value (the paper's
-                        # "processed like no-ops").
-                        continue
-                    counters.check_failures += 1
-                    addr = regs[b]
-                    if addr <= 0 or isinstance(addr, float):
-                        # Check reached before any advanced load ran on
-                        # this path: the address register is dead; so
-                        # is the result.
-                        regs[a] = 0.0 if e else 0
-                        continue
-                    regs[a] = mem.get(addr, 0)
-                    latency = load_latency(addr, e)
-                    ready[a] = start + w * latency
-                    counters.retired_loads += 1
-                    counters.data_access_cycles += latency
-                    if d:
-                        counters.retired_indirect_loads += 1
-                    if not c:
-                        alat.allocate(tag, addr)
-                elif op == OP_CHKA:
-                    counters.check_instructions += 1
-                    if not alat.check((serial, a), c):
-                        counters.check_failures += 1
-                        counters.recovery_cycles += recovery
-                        time += recovery * w
-                        pc = b
-                elif op == OP_PREDLD:
-                    if regs[b]:
-                        addr = regs[c]
-                        if addr <= 0 or isinstance(addr, float):
-                            raise _bad_address(addr, mf)
-                        regs[a] = mem.get(addr, 0)
-                        latency = load_latency(addr, e)
-                        ready[a] = start + w * latency
-                        counters.retired_loads += 1
-                        counters.predicated_reloads += 1
-                        counters.data_access_cycles += latency
-                        if d:
-                            counters.retired_indirect_loads += 1
-                elif op == OP_MOD or op == OP_DIV:
-                    regs[a] = _divide(op, regs[b], regs[c])
-                    ready[a] = start + w * e
-                elif op == OP_CALL:
-                    counters.calls += 1
-                    callee = self.program.function(a)
-                    self.rse.call(callee.nregs)
-                    call_args = [regs[r] for r in b]
-                    self.time = time
-                    counters.instructions = n
-                    in_call = True
-                    result = self._run_fast(callee, call_args)
-                    in_call = False
-                    time = self.time
-                    n = counters.instructions
-                    self.rse.ret()
-                    if c is not None:
-                        if result is None:
-                            raise MachineError(
-                                f"void call used as value: {dec.instrs[pc - 1]}"
-                            )
-                        regs[c] = result
-                        ready[c] = time + w
-                elif op == OP_RET:
-                    self.time = time
-                    counters.instructions = n
-                    return regs[a] if a is not None else None
-                elif op == OP_REGION:
-                    # not an instruction: undo the issue and run the
-                    # translation from this pc
-                    in_call = True
-                    pc, time, n, result = a(
-                        self, regs, ready, base, serial, start, n - 1
-                    )
-                    in_call = False
-                    if pc < 0:
-                        if pc == -1:
-                            self.time = time
-                            counters.instructions = n
-                            return result
-                        # the region handed back an instruction it does
-                        # not run (a fault, or the block that crosses the
-                        # limit): run it on the decoded code, up to the
-                        # next taken back edge
-                        pc = -2 - pc
-                        code = dec.code
-                else:
-                    self._execute_rare(dec, pc, regs, ready, serial, start)
-        except BaseException as exc:
-            if not in_call:
-                self.time = time
-                counters.instructions = n
-            if exc.__class__ is RecursionError:
-                raise _overflow(mf) from None
-            raise
-        finally:
-            self._pop_frame(mf, base)
-
-    def _run_probed(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
-        """One activation on the probed loop: :meth:`_run_fast`'s
-        dispatch with every instrumentation point going through the
-        :class:`Probe`.  ``counters.instructions`` stays live here, so
-        observers and snapshots see the retiring instruction."""
-        probe = self._probe
-        dec, regs, ready, serial, base = probe.push_frame(mf, args)
-        code, instrs = dec.code, dec.instrs
-        mem = self.mem
-        counters = self.counters
-        step, issued, done = probe.step, probe.issued, probe.done
-        penalty, data, bind = probe.penalty, probe.data, probe.bind
-        alat_check, alat_allocate = probe.alat_check, probe.alat_allocate
-        alat_snoop = probe.alat_snoop
-        load_latency, store_touch = probe.load_latency, probe.store_touch
-        w = self._w
-        bubble = self.config.branch_penalty * w
-        recovery = self.config.recovery_penalty
-        limit = self.config.max_instructions
-        time = self.time
-        pc = 0
-        in_call = False
-        if probe.enter is not None:
-            probe.enter()
-        try:
-            while True:
-                try:
-                    op, reads, a, b, c, d, e = code[pc]
-                except IndexError:
-                    raise MachineError(dec.fault_at(pc)) from None
-                instr = instrs[pc]
-                pc += 1
-                counters.instructions += 1
-                if counters.instructions > limit:
-                    raise MachineLimitExceeded(f"exceeded {limit} instructions")
-                if step is not None:
-                    step()
-                t0 = time
-                start = time
-                for r in reads:
-                    if ready[r] > start:
-                        start = ready[r]
-                time = start + 1
-                if issued is not None:
-                    # operand-stall + issue slots; penalty slots are
-                    # added where they are charged, so the per-instruction
-                    # sums tile the slot clock exactly (a callee
-                    # attributes its own instructions)
-                    issued(instr, time - t0)
-
-                if op == OP_ARITH:
-                    x = d(regs[b], regs[c])
-                    if not _INT_MIN <= x <= _INT_MAX and isinstance(x, int):
-                        x = wrap_int(x)
-                    regs[a] = x
-                    ready[a] = start + w * e
-                elif op == OP_CMP:
-                    regs[a] = 1 if d(regs[b], regs[c]) else 0
-                    ready[a] = start + w * e
-                elif op == OP_MOV:
-                    regs[a] = regs[b]
-                    ready[a] = start + w
-                elif op == OP_LD or op == OP_LD_A or op == OP_LD_SA:
-                    addr = regs[b]
-                    if addr <= 0 or isinstance(addr, float):
-                        if op != OP_LD_SA:
-                            raise _bad_address(addr, mf)
-                        regs[a] = 0.0 if d else 0
-                        ready[a] = start + w
-                    else:
-                        regs[a] = mem.get(addr, 0)
-                        latency = load_latency(addr, d)
-                        ready[a] = start + w * latency
-                        counters.retired_loads += 1
-                        counters.data_access_cycles += latency
-                        data(instr, latency)
-                        if c:
-                            counters.retired_indirect_loads += 1
-                        if op != OP_LD:
-                            counters.retired_advanced_loads += 1
-                            bind((serial, a), instr)
-                            alat_allocate((serial, a), addr)
-                elif op == OP_LEA:
-                    regs[a] = base + b
-                    ready[a] = start + w
-                elif op == OP_BR:
-                    pc = a
-                    counters.branches += 1
-                    time += bubble
-                    penalty(instr, bubble)
-                elif op == OP_BRNZ:
-                    counters.branches += 1
-                    if regs[a]:
-                        pc = b
-                        time += bubble
-                        penalty(instr, bubble)
-                elif op == OP_ST:
-                    addr = regs[a]
-                    if addr <= 0 or isinstance(addr, float):
-                        raise _bad_address(addr, mf)
-                    mem[addr] = regs[b]
-                    alat_snoop(addr)
-                    store_touch(addr)
-                    counters.retired_stores += 1
-                elif op == OP_LDC:
-                    counters.check_instructions += 1
-                    tag = (serial, a)
-                    hit = alat_check(tag, c)
-                    probe.check(tag, instr, hit)
-                    if not hit:
-                        counters.check_failures += 1
-                        addr = regs[b]
-                        if addr <= 0 or isinstance(addr, float):
-                            regs[a] = 0.0 if e else 0
-                        else:
-                            regs[a] = mem.get(addr, 0)
-                            latency = load_latency(addr, e)
-                            ready[a] = start + w * latency
-                            counters.retired_loads += 1
-                            counters.data_access_cycles += latency
-                            data(instr, latency)
-                            if d:
-                                counters.retired_indirect_loads += 1
-                            if not c:
-                                bind(tag, instr)
-                                alat_allocate(tag, addr)
-                elif op == OP_CHKA:
-                    counters.check_instructions += 1
-                    tag = (serial, a)
-                    hit = alat_check(tag, c)
-                    probe.check(tag, instr, hit)
-                    if not hit:
-                        counters.check_failures += 1
-                        counters.recovery_cycles += recovery
-                        time += recovery * w
-                        penalty(instr, recovery * w)
-                        probe.recovery(tag, instr, recovery)
-                        pc = b
-                elif op == OP_PREDLD:
-                    if regs[b]:
-                        addr = regs[c]
-                        if addr <= 0 or isinstance(addr, float):
-                            raise _bad_address(addr, mf)
-                        regs[a] = mem.get(addr, 0)
-                        latency = load_latency(addr, e)
-                        ready[a] = start + w * latency
-                        counters.retired_loads += 1
-                        counters.predicated_reloads += 1
-                        counters.data_access_cycles += latency
-                        data(instr, latency)
-                        if d:
-                            counters.retired_indirect_loads += 1
-                elif op == OP_MOD or op == OP_DIV:
-                    regs[a] = _divide(op, regs[b], regs[c])
-                    ready[a] = start + w * e
-                elif op == OP_CALL:
-                    counters.calls += 1
-                    callee = self.program.function(a)
-                    self.rse.call(callee.nregs)
-                    call_args = [regs[r] for r in b]
-                    self.time = time
-                    in_call = True
-                    result = probe.call(callee, call_args)
-                    in_call = False
-                    time = self.time
-                    self.rse.ret()
-                    if c is not None:
-                        if result is None:
-                            raise MachineError(
-                                f"void call used as value: {instr}"
-                            )
-                        regs[c] = result
-                        ready[c] = time + w
-                elif op == OP_RET:
-                    self.time = time
-                    if done is not None:
-                        done(instr)
-                    return regs[a] if a is not None else None
-                else:
-                    self._execute_rare(dec, pc, regs, ready, serial, start)
-                if done is not None:
-                    done(instr)
-        except BaseException as exc:
-            if not in_call:
-                self.time = time
-            if exc.__class__ is RecursionError:
-                raise _overflow(mf) from None
-            raise
-        finally:
-            probe.pop_frame(mf, base)
-
-    def _execute_rare(
-        self, dec, pc: int, regs: list, ready: list, serial: int, start: int
-    ) -> None:
-        """The opcodes too rare to dispatch inline (shared by both
-        loops); ``pc`` is already past the instruction."""
-        op, _reads, a, b, c, _d, _e = dec.code[pc - 1]
-        w = self._w
-        if op == OP_INVALA:
-            self.counters.explicit_invalidations += 1
-            self.alat.invalidate_entry((serial, a))
-        elif op == OP_UN:
-            regs[a] = _unary(c, regs[b])
-            ready[a] = start + w
-        elif op == OP_ALLOC:
-            words = int(regs[b])
-            if words < 0:
-                raise MachineError(f"negative allocation: {dec.instrs[pc - 1]}")
-            regs[a] = self._heap_top
-            self._heap_top += max(1, words)
-            ready[a] = start + w
-        elif op == OP_PRINT:
-            self.output.append(format_value(regs[a]))
-        else:  # OP_FAULT: the decoder's message
-            raise MachineError(a)
 
 
 def run_machine(

@@ -1,6 +1,7 @@
 """The simulator's translated tier: hot regions as generated Python.
 
-:meth:`repro.machine.cpu.Simulator._run_fast` interprets a function's
+The simulator's tiering loop (``Simulator._activate`` with nothing
+attached, :mod:`repro.machine.cpu`) interprets a function's
 decoded code (:class:`repro.target.isa.DecodedFunction`).  It counts
 taken back edges per loop header and calls per function; when a count
 reaches :data:`THRESHOLD` it asks this module for a translation of that
@@ -109,7 +110,7 @@ def context(sim) -> tuple:
         sim.mem.get, sim.mem, sim.alat.check, sim.alat.allocate,
         sim.alat.snoop_store, sim.alat.invalidate_entry,
         sim.cache.load_latency, sim.cache.store_touch, sim.rse.call,
-        sim.rse.ret, sim._run_fast, sim.output.append,
+        sim.rse.ret, sim._activate, sim.output.append,
     )
 
 

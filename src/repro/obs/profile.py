@@ -103,9 +103,10 @@ class RunProfile:
     The hot-loop methods (:meth:`retire`, :meth:`add_slots`,
     :meth:`add_data`) key by instruction object identity — one dict
     lookup per retired instruction.  The simulator's
-    :class:`~repro.machine.cpu.Probe` binds them directly as its
-    attribution hooks, so they run only on the probed loop; an
-    unprofiled run never reaches this class.
+    :class:`~repro.machine.cpu.Probe` binds them directly as the hooks
+    of the ``profile`` probe point, which only the variants of the
+    simulator's loop with that point call; an unprofiled run never
+    reaches this class.
     """
 
     def __init__(self, program, issue_width: int) -> None:

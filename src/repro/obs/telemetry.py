@@ -16,9 +16,10 @@ Three pieces:
   issue/operand-stall segment (``sim.issue``), the cache and ALAT
   models (``sim.cache``, ``sim.alat``), frame setup/teardown
   (``sim.frame``, ``interp.frame``), and whatever the pipeline bracket
-  could not attribute (``sim.other``).  Opt-in: the simulator reaches
-  the profiler only from its probed loop (through
-  :class:`repro.machine.cpu.Probe`), so an unprofiled run pays nothing.
+  could not attribute (``sim.other``).  Opt-in: only the variants of
+  the simulator's loop with the ``host`` probe point call the profiler
+  (through the hooks :class:`repro.machine.cpu.Probe` composes), so an
+  unprofiled run pays nothing.
   Deliberately *not* ``sys.setprofile`` — that would slow the loop ~10x
   and distort exactly what it measures.
 

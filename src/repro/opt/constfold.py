@@ -8,6 +8,7 @@ free in this IR, so dropping an operand is always sound).
 
 from __future__ import annotations
 
+from math import inf
 from typing import Optional, Union
 
 from repro.errors import InterpError
@@ -154,7 +155,9 @@ def _fold_unop(expr: UnOp) -> Optional[Expr]:
         return _make_const(0 if value else 1, expr)
     if expr.op is UnOpKind.I2F:
         return ConstFloat(float(value))
-    if expr.op is UnOpKind.F2I:
+    if expr.op is UnOpKind.F2I and -inf < value < inf:
+        # inf and nan have no integer: left to run time, like a
+        # division by zero
         return _make_const(wrap_int(int(value)), expr)
     return None
 

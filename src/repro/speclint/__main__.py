@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ReproError
 from repro.pipeline import (
     CompilerOptions,
     OptLevel,
@@ -114,6 +115,13 @@ def _analyze(
     return diags
 
 
+def _error(label: str, reason) -> int:
+    """Report an unusable input in one line, as ``python -m repro``
+    does; exit 2."""
+    print(f"python -m repro.speclint: {label}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     modes = [SpecMode(m.strip()) for m in args.modes.split(",") if m.strip()]
@@ -121,8 +129,11 @@ def main(argv: list[str] | None = None) -> int:
 
     targets: list[tuple[str, str, list[int]]] = []
     for path in args.files:
-        with open(path) as f:
-            targets.append((path, f.read(), list(args.train_args)))
+        try:
+            with open(path) as f:
+                targets.append((path, f.read(), list(args.train_args)))
+        except OSError as exc:
+            return _error(path, exc.strerror or exc)
     if args.workloads:
         from repro.workloads.programs import BENCHMARKS, get_workload
 
@@ -135,7 +146,10 @@ def main(argv: list[str] | None = None) -> int:
 
     all_diags: list[Diagnostic] = []
     for label, source, train in targets:
-        diags = _analyze(label, source, train, modes, rounds, args.tv)
+        try:
+            diags = _analyze(label, source, train, modes, rounds, args.tv)
+        except ReproError as exc:
+            return _error(label, exc)
         all_diags.extend(diags)
         status = (
             "clean"

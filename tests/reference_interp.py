@@ -502,6 +502,8 @@ class Interpreter:
         if expr.op is UnOpKind.I2F:
             return float(v)
         if expr.op is UnOpKind.F2I:
+            if v != v or v in (float("inf"), float("-inf")):
+                raise InterpError(f"float-to-int conversion of {v}")
             return wrap_int(int(v))
         raise InterpError(f"unknown unop {expr.op}")
 

@@ -110,3 +110,59 @@ def test_unreadable_directory_is_one_line_error_exit_2(tmp_path, capsys):
     code, _out, err = run_cli(capsys, [str(tmp_path), "--args", "5"])
     assert code == 2
     assert len(err.strip().splitlines()) == 1
+
+
+#: sources whose compile or run fails, and where the message points
+FAILING = {
+    "parse": ("int main() {\n  int x = ;\n  return 0;\n}\n",
+              ": 2:11: unexpected token ';'"),
+    "semantic": ("int main() {\n  float f = 1.5;\n  return 3 % f;\n}\n",
+                 ": 3:12: % requires integer operands"),
+    # the profiling run (n = 1) never divides; the simulated run does
+    "guest division by zero": (
+        "int main(int n) {\n  int z = 0;\n  if (n > 5) { z = 10 / (n - n); }\n"
+        "  return z;\n}\n",
+        ": integer division by zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_source_and_guest_errors_are_one_line_exit_2(
+    name, tmp_path, capsys
+):
+    source, where = FAILING[name]
+    path = tmp_path / "bad.mc"
+    path.write_text(source)
+    code, out, err = run_cli(
+        capsys, [str(path), "--args", "10", "--train-args", "1"]
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"python -m repro: {path}{where}"]
+
+
+def test_speclint_missing_file_is_one_line_exit_2(tmp_path, capsys):
+    from repro.speclint.__main__ import main as speclint_main
+
+    missing = tmp_path / "nope.mc"
+    code = speclint_main([str(missing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"python -m repro.speclint: {missing}: No such file or directory"
+    ]
+
+
+def test_speclint_parse_error_is_one_line_exit_2(tmp_path, capsys):
+    from repro.speclint.__main__ import main as speclint_main
+
+    path = tmp_path / "bad.mc"
+    path.write_text(FAILING["parse"][0])
+    code = speclint_main([str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"python -m repro.speclint: {path}{FAILING['parse'][1]}"
+    ]

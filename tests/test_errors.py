@@ -106,3 +106,65 @@ def test_deep_guest_recursion_is_a_typed_error_on_both_engines():
     # recursion that fits still completes on both
     assert run_program(DEEP, [100]).exit_value == 100
     assert output.run([100]).exit_value == 100
+
+
+#: ``(int)`` of a float with no integer value: a constant the folder
+#: must leave alone, and inf and nan reached inside a loop (n > 9)
+NON_FINITE = {
+    "inf": """
+int main(int n) {
+    int k = 0;
+    if (n > 5) { k = (int)(1.0e308 * 10.0); }
+    return k;
+}
+""",
+    "-inf": """
+int main(int n) {
+    float x = 0.0 - 1.0e300;
+    int s = 0;
+    int i = 0;
+    while (i < n) { s = s + (int)(x / 1.0e300); x = x * 10.0; i = i + 1; }
+    return s;
+}
+""",
+    "nan": """
+int main(int n) {
+    float x = 1.0e300;
+    int s = 0;
+    int i = 0;
+    while (i < n) { float y = x * 1.0; s = s + (int)((y - x) / 1.0e300); x = x * 10.0; i = i + 1; }
+    return s;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("threshold", [1, 256])
+@pytest.mark.parametrize("value", sorted(NON_FINITE))
+def test_float_to_int_of_a_non_finite_value_is_a_typed_error(
+    value, threshold, monkeypatch
+):
+    """On both engines and every tier: the interpreter's closures and
+    translated regions, and the simulator's tiering loop (translating
+    everything at threshold 1), probed loop and translated regions."""
+    from repro.ir import interp
+    from repro.machine import translate
+    from repro.pipeline import compile_source
+    from repro.workloads.runner import BASELINE, SPECULATIVE
+
+    monkeypatch.setattr(interp, "THRESHOLD", threshold)
+    monkeypatch.setattr(translate, "THRESHOLD", threshold)
+    source = NON_FINITE[value]
+    message = f"^float-to-int conversion of {value}$"
+    assert run_program(source, [3]).exit_value is not None
+    with pytest.raises(InterpError, match=message):
+        run_program(source, [20])
+    for options in (BASELINE(), SPECULATIVE()):
+        output = compile_source(source, options, train_args=[3])
+        assert output.run([3]).exit_value == run_program(source, [3]).exit_value
+        with pytest.raises(InterpError, match=message):
+            output.interpret([20])
+        with pytest.raises(MachineError, match=message):
+            output.run([20])
+        with pytest.raises(MachineError, match=message):
+            output.run([20], profile=True)  # the probed loop
