@@ -30,7 +30,7 @@ import json
 import os
 import sys
 
-from repro.errors import ReproError
+from repro.errors import MachineError, ReproError
 from repro.obs import (
     HostProfiler,
     ProfileReport,
@@ -231,7 +231,11 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except ReproError as exc:
         # a source, lint or guest error (the message carries any
-        # line:col): one line, like a missing input
+        # line:col): one line, like a missing input, after whatever the
+        # guest printed before it faulted
+        if isinstance(exc, MachineError):
+            for line in exc.output:
+                print(line)
         print(f"python -m repro: {args.file}: {exc}", file=sys.stderr)
         return 2
 
@@ -282,20 +286,10 @@ def _run(args: argparse.Namespace) -> int:
                 # non-speculative mode); the analysis is pure, so run
                 # it on demand for the dump.
                 from repro.analysis.alatpressure import (
-                    analyze_module_pressure,
+                    analyze_output_pressure,
                 )
-                from repro.speclint import facts_from_pre_stats
 
-                facts = facts_from_pre_stats(
-                    output.pre_stats, output.alias_manager
-                )
-                pressure = analyze_module_pressure(
-                    output.module,
-                    options.machine.alat,
-                    am=output.alias_manager,
-                    profile=output.profile,
-                    targets_by_temp=facts.targets_by_temp,
-                )
+                pressure = analyze_output_pressure(output)
             dot = pressure_to_dot(pressure)
             if args.dump_pressure_dot == "-":
                 print(dot)

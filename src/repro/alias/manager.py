@@ -279,9 +279,6 @@ class AliasManager:
         vvar = self._vvar_by_class.get(rep)
         return [vvar] if vvar is not None else []
 
-    def all_virtual_vars(self) -> list[VirtualVariable]:
-        return list(self._vvar_by_class.values())
-
     def class_objects(self, vvar: VirtualVariable) -> frozenset[MemObject]:
         """All objects in a virtual variable's alias class."""
         if self._class_objects is None:

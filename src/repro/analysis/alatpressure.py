@@ -921,6 +921,27 @@ def analyze_module_pressure(
     return mp
 
 
+def analyze_output_pressure(output, prob_source=None) -> ModulePressure:
+    """:func:`analyze_module_pressure` of one compilation (a
+    :class:`repro.pipeline.driver.CompileOutput`): its final module,
+    its machine's ALAT, its alias manager and profile, and the promoted
+    temps' targets its PRE statistics record.  ``prob_source`` as for
+    :func:`analyze_function_pressure`."""
+    # Local import: repro.speclint reaches the pipeline, which imports
+    # this module.
+    from repro.speclint import facts_from_pre_stats
+
+    facts = facts_from_pre_stats(output.pre_stats, output.alias_manager)
+    return analyze_module_pressure(
+        output.module,
+        output.options.machine.alat,
+        am=output.alias_manager,
+        profile=output.profile,
+        targets_by_temp=facts.targets_by_temp,
+        prob_source=prob_source,
+    )
+
+
 # -- calibration harness --------------------------------------------------
 
 #: |predicted - actual| bound on the loop-weighted check-miss rate
@@ -966,7 +987,6 @@ def calibrate_workload(name: str) -> CalibrationRow:
     module, simulate on the ref input, and face the two off."""
     # Local imports: the pipeline layer imports repro.analysis.
     from repro.pipeline.options import PromotionGate
-    from repro.speclint import facts_from_pre_stats
     from repro.workloads.runner import SPECULATIVE
     from repro.workloads.programs import get_workload
     from repro.pipeline import compile_source
@@ -980,14 +1000,7 @@ def calibrate_workload(name: str) -> CalibrationRow:
         train_args=list(workload.train_args),
         name=name,
     )
-    facts = facts_from_pre_stats(output.pre_stats, output.alias_manager)
-    mp = analyze_module_pressure(
-        output.module,
-        output.options.machine.alat,
-        am=output.alias_manager,
-        profile=output.profile,
-        targets_by_temp=facts.targets_by_temp,
-    )
+    mp = analyze_output_pressure(output)
     stats = output.run(list(workload.ref_args)).alat_stats
     checks = stats.check_hits + stats.check_misses
     plan = mp.demotion_plan()

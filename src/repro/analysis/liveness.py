@@ -21,7 +21,6 @@ from repro.ir.cfg import BasicBlock
 from repro.ir.expr import _LEAF_KINDS, BinOp, Load, UnOp, VarRead
 from repro.ir.function import Function
 from repro.ir.stmt import ConditionalReload, Stmt, stmt_defines
-from repro.ir.symbols import Variable
 
 #: variable id -> its bit (a one-bit int), numbered on first sight
 VarBits = dict[int, int]
@@ -70,9 +69,6 @@ class LivenessInfo:
 
     def live_outof(self, block: BasicBlock) -> frozenset[int]:
         return self.live_out.get(block.bid, frozenset())
-
-    def is_live_into(self, var: Variable, block: BasicBlock) -> bool:
-        return var.id in self.live_into(block)
 
 
 def stmt_use_mask(stmt: Stmt, bits: VarBits) -> int:

@@ -541,7 +541,7 @@ def compare_workload(name: str) -> ComparisonRow:
     the profiler) whose outputs are differentially checked against the
     unoptimised interpreter."""
     # Local imports: the pipeline/workloads layers import repro.analysis.
-    from repro.analysis.alatpressure import analyze_module_pressure
+    from repro.analysis.alatpressure import analyze_output_pressure
     from repro.pipeline import compile_source
     from repro.pipeline.options import PromotionGate
     from repro.speclint import facts_from_pre_stats
@@ -564,24 +564,11 @@ def compare_workload(name: str) -> ComparisonRow:
         name=name,
     )
     am = output.alias_manager
-    facts = facts_from_pre_stats(output.pre_stats, am)
-    kwargs = dict(
-        alat=output.options.machine.alat,
-        am=am,
-        targets_by_temp=facts.targets_by_temp,
-    )
-    mp_prof = analyze_module_pressure(
-        output.module,
-        profile=output.profile,
-        prob_source=ProfileProbSource(output.profile, am),
-        **kwargs,
-    )
-    mp_stat = analyze_module_pressure(
-        output.module,
-        prob_source=StaticProbSource(
-            ProbAliasEstimator(output.module, am)
-        ),
-        **kwargs,
+    mp_prof = analyze_output_pressure(output)
+    # A given source prices every pair, so the profile the analysis
+    # also receives is not read.
+    mp_stat = analyze_output_pressure(
+        output, StaticProbSource(ProbAliasEstimator(output.module, am))
     )
 
     plan_prof = mp_prof.demotion_plan()
@@ -597,6 +584,7 @@ def compare_workload(name: str) -> ComparisonRow:
     # Brier score of the static store estimates against the profiled
     # 0/1 ground truth, over the pairs the training run can actually
     # ground (stores it executed).
+    facts = facts_from_pre_stats(output.pre_stats, am)
     brier_sum = 0.0
     scored = 0
     for fp in mp_stat.functions.values():

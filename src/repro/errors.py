@@ -95,7 +95,13 @@ class CodegenError(ReproError):
 
 
 class MachineError(ReproError):
-    """Runtime fault in the machine simulator."""
+    """Runtime fault in the machine simulator.
+
+    A fault that leaves :meth:`repro.machine.cpu.Simulator.run` carries
+    ``output``, the lines the guest printed before it.
+    """
+
+    output: tuple[str, ...] = ()
 
 
 class MachineLimitExceeded(MachineError):

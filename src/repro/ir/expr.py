@@ -273,16 +273,6 @@ def expr_nodes(roots: tuple[Expr, ...]) -> list[Expr]:
     return out
 
 
-def expr_reads_memory(expr: Expr) -> bool:
-    """True when evaluating ``expr`` performs at least one memory load."""
-    for node in walk_expr(expr):
-        if isinstance(node, Load):
-            return True
-        if isinstance(node, VarRead) and node.var.has_memory_home:
-            return True
-    return False
-
-
 def clone_expr(expr: Expr) -> Expr:
     """Deep-copy an expression tree, giving every node a fresh eid.
 

@@ -233,11 +233,6 @@ BOOL = BoolType()
 VOID = VoidType()
 
 
-def pointer_to(ty: Type) -> PointerType:
-    """Convenience constructor for pointer types."""
-    return PointerType(ty)
-
-
 def element_type(ty: Type) -> Type:
     """The type obtained by dereferencing ``ty``.
 

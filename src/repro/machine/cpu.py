@@ -752,7 +752,11 @@ class Simulator:
         self.rse.call(main.nregs)
         if hp is not None:
             hp.add("sim.run", hp.now() - _t0)
-        result = self._activate(main, list(args or []))
+        try:
+            result = self._activate(main, list(args or []))
+        except MachineError as exc:
+            exc.output = tuple(self.output)
+            raise
         if hp is not None:
             _t0 = hp.now()
         self.counters.rse_cycles = self.rse.stats.rse_cycles
@@ -800,19 +804,3 @@ class Simulator:
         for w in range(mf.frame_words):
             mem.pop(base + w, None)
         self._stack_top = base
-
-
-def run_machine(
-    program: MProgram,
-    args: Optional[list[Value]] = None,
-    config: Optional[MachineConfig] = None,
-    obs: Optional[TraceContext] = None,
-    profile: bool = False,
-    injector=None,
-    host_profiler=None,
-) -> MachineResult:
-    """Convenience wrapper."""
-    return Simulator(
-        program, config, obs=obs, profile=profile, injector=injector,
-        host_profiler=host_profiler,
-    ).run(args)

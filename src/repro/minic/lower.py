@@ -501,13 +501,13 @@ def lower_program(info: ProgramInfo) -> Module:
 
 
 #: The ASTs of the last few distinct sources.  A source is usually
-#: compiled several times in a row (the oracle, then each mode; the
-#: fallback ladder), and each repeat reuses the first parse.  Sharing
-#: the AST is safe because only sema writes to its nodes, and it writes
-#: every annotation lowering reads (``type``, ``symbol``, ``struct``,
-#: ``field``) before lowering reads it.  Two compiles of one source
-#: must therefore not interleave on threads; nothing in the package
-#: compiles on threads.  A parse error is not cached.
+#: compiled several times in a row (the oracle, then each mode), and
+#: each repeat reuses the first parse.  Sharing the AST is safe because
+#: only sema writes to its nodes, and it writes every annotation
+#: lowering reads (``type``, ``symbol``, ``struct``, ``field``) before
+#: lowering reads it.  Two compiles of one source must therefore not
+#: interleave on threads; nothing in the package compiles on threads.
+#: A parse error is not cached.
 _parse_memo = functools.lru_cache(maxsize=4)(parse_program)
 
 

@@ -66,9 +66,6 @@ Event schema (documented in DESIGN.md §"Trace schema"):
                           detail: geometry clamps carry ``field`` /
                           ``before`` / ``after``; dynamic faults carry
                           ``tag`` / ``addr`` / ``dropped``)
-``pipeline.fallback``     graceful degradation retried a compilation
-                          conservatively (``error``, ``failed``,
-                          ``retry``)
 ``rse.spill/fill``        register-stack traffic (``regs``, ``cycles``)
 ``counters.snapshot``     periodic counter time-series sample
 ``sim.begin/end``         one simulated run

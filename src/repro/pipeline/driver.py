@@ -21,12 +21,10 @@ exactly like instrumenting the unoptimised binary, as the authors did.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.alias.manager import AliasManager
-from repro.errors import ConfigError, SourceError, SpecLintError
 from repro.ir.interp import InterpResult, run_module
 from repro.ir.module import Module
 from repro.ir.stmt import Stmt, Store
@@ -116,25 +114,18 @@ def _run_pressure_gate(
     is final, and before cleanup so demoted reloads get tidied like any
     other code.  Register numbers (and so predicted set indices) are the
     same deterministic assignment codegen will use."""
-    from repro.analysis.alatpressure import analyze_module_pressure
+    from repro.analysis.alatpressure import analyze_output_pressure
     from repro.analysis.probalias import make_prob_source
-    from repro.speclint import facts_from_pre_stats
     from repro.speclint.diagnostics import Diagnostic, Severity
 
-    facts = facts_from_pre_stats(output.pre_stats, output.alias_manager)
-    prob_source = make_prob_source(
-        opts.alias_prob.value,
-        output.module,
-        output.alias_manager,
-        output.profile,
-    )
-    pressure = analyze_module_pressure(
-        output.module,
-        opts.machine.alat,
-        am=output.alias_manager,
-        profile=output.profile,
-        targets_by_temp=facts.targets_by_temp,
-        prob_source=prob_source,
+    pressure = analyze_output_pressure(
+        output,
+        make_prob_source(
+            opts.alias_prob.value,
+            output.module,
+            output.alias_manager,
+            output.profile,
+        ),
     )
     output.pressure = pressure
     plan = pressure.demotion_plan()
@@ -210,14 +201,10 @@ class CompileOutput:
     alias_manager: Optional[AliasManager] = None
     profile: Optional[AliasProfile] = None
     pre_stats: dict[str, FunctionPREStats] = field(default_factory=dict)
+    #: ``PRESSURE`` warnings from the ``pressure`` phase and
     #: speculation-safety findings from the ``speclint`` phase (empty
-    #: when the analyzer is off or the compilation is clean), plus one
-    #: ``FALLBACK`` diagnostic per graceful-degradation retry taken.
+    #: when neither has anything to report)
     diagnostics: list = field(default_factory=list)
-    #: True when an internal error forced a conservative recompilation;
-    #: ``options`` then reflects the configuration that actually built
-    #: the program, not the one requested.
-    fallback: bool = False
     #: static ALAT pressure analysis from the ``pressure`` phase (None
     #: when the gate is off or the compilation does not speculate)
     pressure: Optional[object] = None
@@ -309,6 +296,10 @@ def compile_source(
     ``obs`` threads a :class:`repro.obs.TraceContext` through every
     phase (timers, speculation decisions, codegen stats); omitted, a
     fresh disabled context is used so phase wall times still accumulate.
+
+    Every error leaves with its own type and message: a source error,
+    a strict speclint finding, a bad configuration and an internal
+    compiler error alike.
     """
     opts = options or CompilerOptions()
     obs = obs if obs is not None else TraceContext()
@@ -326,68 +317,7 @@ def compile_source(
             )
             info["train_args"] = list(train_args or [])
 
-    attempts = [opts] + (_fallback_ladder(opts) if opts.fallback else [])
-    fallback_diags: list = []
-    for i, attempt in enumerate(attempts):
-        # Optimisation phases mutate the module in place, so every retry
-        # re-lowers from source.
-        attempt_module = module if i == 0 else compile_to_ir(source, name)
-        try:
-            output = _compile_module(
-                attempt_module, attempt, profile, name, obs
-            )
-        except (SourceError, SpecLintError, ConfigError):
-            # User-facing verdicts, not internal crashes: a source error
-            # or bad configuration will not compile any better at -O0,
-            # and papering over a speclint finding would defeat it.
-            raise
-        except Exception as exc:
-            if i + 1 >= len(attempts):
-                raise
-            retry = attempts[i + 1]
-            obs.event(
-                "pipeline.fallback",
-                error=f"{type(exc).__name__}: {exc}",
-                failed=attempt.describe(),
-                retry=retry.describe(),
-            )
-            from repro.speclint.diagnostics import Diagnostic, Severity
-
-            fallback_diags.append(
-                Diagnostic(
-                    rule="FALLBACK",
-                    severity=Severity.WARN,
-                    message=(
-                        f"internal error under {attempt.describe()} "
-                        f"({type(exc).__name__}: {exc}); retried with "
-                        f"{retry.describe()}"
-                    ),
-                    function="<pipeline>",
-                )
-            )
-            continue
-        output.fallback = i > 0
-        if fallback_diags:
-            output.diagnostics = fallback_diags + output.diagnostics
-        return output
-    raise AssertionError("unreachable: attempts is never empty")
-
-
-def _fallback_ladder(opts: CompilerOptions) -> list[CompilerOptions]:
-    """Conservative retry configurations, in order: drop speculation
-    first, then step the optimisation level down to -O1 and -O0.  Every
-    rung disables further fallback bookkeeping knobs that could
-    themselves fail the same way (speculation, extra rounds)."""
-    ladder = []
-    base = dataclasses.replace(
-        opts, spec_mode=SpecMode.NONE, rounds=1, fallback=False
-    )
-    if opts.spec_mode is not SpecMode.NONE or opts.rounds != 1:
-        ladder.append(base)
-    for level in (OptLevel.O1, OptLevel.O0):
-        if opts.opt_level > level:
-            ladder.append(dataclasses.replace(base, opt_level=level))
-    return ladder
+    return _compile_module(module, opts, profile, name, obs)
 
 
 def _compile_module(
@@ -406,24 +336,30 @@ def _compile_module(
 
     if opts.opt_level >= OptLevel.O2:
         with obs.phase("alias"):
-            am = AliasManager(module, opts.alias_analysis, opts.use_type_filter)
+            am = AliasManager(module, opts.alias_analysis)
         output.alias_manager = am
         decider = None
-        pre_opts = PREOptions(
-            speculative=False,
-            loop_speculation=opts.loop_speculation,
-            alat_partial=opts.alat_partial,
-        )
+        pre_opts = PREOptions(speculative=False)
         if opts.opt_level >= OptLevel.O3:
-            if opts.spec_mode is SpecMode.PROFILE:
-                assert profile is not None
-                decider = make_profile_decider(profile)
+            if opts.spec_mode in (SpecMode.PROFILE, SpecMode.HEURISTIC):
+                # the paper's ALAT speculation
+                pre_opts = PREOptions(speculative=True)
+            else:
+                # The -O3 baseline (PRE with control speculation, the
+                # ld.s-style loop hoisting ORC's conventional PRE
+                # performs) and ablation B's software scheme: Nicolau
+                # software checks for the data speculation, on scalar
+                # variables only, as in ORC (section 5 notes the
+                # software scheme compares explicit addresses, which is
+                # only practical for named scalars).
                 pre_opts = PREOptions(
                     speculative=True,
-                    loop_speculation=opts.loop_speculation,
-                    alat_partial=opts.alat_partial,
-                    softcheck=False,
+                    softcheck=True,
+                    indirect_speculation=False,
                 )
+            if opts.spec_mode in (SpecMode.PROFILE, SpecMode.SOFTWARE):
+                assert profile is not None
+                decider = make_profile_decider(profile)
             elif opts.spec_mode is SpecMode.HEURISTIC:
                 estimator = None
                 if opts.alias_prob is not AliasProbSource.PROFILE:
@@ -434,37 +370,8 @@ def _compile_module(
 
                     estimator = ProbAliasEstimator(module, am)
                 decider = make_heuristic_decider(am, estimator=estimator)
-                pre_opts = PREOptions(
-                    speculative=True,
-                    loop_speculation=opts.loop_speculation,
-                    alat_partial=opts.alat_partial,
-                    softcheck=False,
-                )
-            elif opts.spec_mode is SpecMode.SOFTWARE:
-                assert profile is not None
-                decider = make_profile_decider(profile)
-                pre_opts = PREOptions(
-                    speculative=True,
-                    loop_speculation=opts.loop_speculation,
-                    alat_partial=False,
-                    softcheck=True,
-                    indirect_speculation=False,  # scalars only [30]
-                )
             else:
-                # -O3 baseline: PRE with control speculation (ld.s-style
-                # loop hoisting, which ORC's conventional PRE performs)
-                # plus Nicolau software checks for the data speculation —
-                # on scalar variables only, as in ORC (section 5 notes
-                # the software scheme compares explicit addresses, which
-                # is only practical for named scalars).
                 decider = _all_stores_decider
-                pre_opts = PREOptions(
-                    speculative=True,
-                    loop_speculation=opts.loop_speculation,
-                    alat_partial=False,
-                    softcheck=True,
-                    indirect_speculation=False,
-                )
         with obs.phase("pre") as info:
             for fn in module.iter_functions():
                 fn_decider = decider
@@ -503,7 +410,7 @@ def _compile_module(
             with obs.phase("pressure") as info:
                 _run_pressure_gate(output, opts, obs, info)
 
-    if opts.opt_level >= OptLevel.O1 and opts.cleanup:
+    if opts.opt_level >= OptLevel.O1:
         from repro.opt import cleanup_module
 
         with obs.phase("cleanup"):

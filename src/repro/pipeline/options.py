@@ -15,6 +15,12 @@ The treatment adds ALAT-based alias speculation on top.  The matrix:
 promotion (ALAT checks) on top of the chosen level; ``SOFTWARE`` runs
 the same speculation decisions through the Nicolau-style compare/reload
 scheme instead of the ALAT (ablation B).
+
+Always on where they apply, and not options: scalar cleanup after
+promotion (``O1`` up), the type-based alias filter (``O2`` up), loop
+speculation (``ld.sa``, Figure 3, whenever promotion speculates) and
+the ``invala.e`` scheme for partial redundancy (Figure 2, under ALAT
+speculation).
 """
 
 from __future__ import annotations
@@ -89,16 +95,8 @@ class CompilerOptions:
     opt_level: OptLevel = OptLevel.O3
     spec_mode: SpecMode = SpecMode.NONE
     alias_analysis: AliasAnalysisKind = AliasAnalysisKind.ANDERSEN
-    use_type_filter: bool = True
-    #: hoist loop-invariant speculative loads (ld.sa, Figure 3)
-    loop_speculation: bool = True
-    #: invala.e scheme for partial redundancy (Figure 2)
-    alat_partial: bool = True
     #: promotion rounds (2 enables cascaded pointer chains, section 2.4)
     rounds: int = 1
-    #: scalar cleanup (constant folding, copy propagation, DCE) after
-    #: promotion — applied identically in every mode at O1+
-    cleanup: bool = True
     #: speculation-safety analyzer (repro.speclint) after codegen
     speclint: SpecLintMode = SpecLintMode.STRICT
     #: static ALAT pressure gate on speculative promotion (off|warn|on);
@@ -108,23 +106,14 @@ class CompilerOptions:
     #: ``SpecMode.HEURISTIC``, the speculation decider):
     #: profile|static|hybrid
     alias_prob: AliasProbSource = AliasProbSource.PROFILE
-    #: graceful degradation: on an internal error in an optimisation
-    #: phase, retry the compilation conservatively (spec off, then lower
-    #: opt levels) instead of failing the run.  Differential harnesses
-    #: set this False so compiler bugs surface instead of self-healing.
-    fallback: bool = True
     machine: MachineConfig = field(default_factory=MachineConfig)
-
-    @property
-    def wants_speculation(self) -> bool:
-        return self.spec_mode is not SpecMode.NONE
 
     def describe(self) -> str:
         """A name for the compiled program: every field that changes it
         and is off its default is named, so two option sets share a
-        name only when they compile alike (``fallback`` and
-        ``speclint`` only act on failures; ``machine`` is keyed
-        separately wherever runs are identified)."""
+        name only when they compile alike (``speclint`` only acts on
+        failures; ``machine`` is keyed separately wherever runs are
+        identified)."""
         parts = [f"-O{int(self.opt_level)}"]
         if self.spec_mode is not SpecMode.NONE:
             parts.append(f"spec={self.spec_mode.value}")
@@ -134,13 +123,5 @@ class CompilerOptions:
             parts.append(f"rounds={self.rounds}")
         if self.promotion_gate is not PromotionGate.WARN:
             parts.append(f"gate={self.promotion_gate.value}")
-        for on, name in (
-            (self.use_type_filter, "no-type-filter"),
-            (self.loop_speculation, "no-loop-spec"),
-            (self.alat_partial, "no-alat-partial"),
-            (self.cleanup, "no-cleanup"),
-        ):
-            if not on:
-                parts.append(name)
         parts.append(self.alias_analysis.value)
         return " ".join(parts)

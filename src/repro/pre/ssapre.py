@@ -53,12 +53,11 @@ CHAOS_DISABLE_CHECK_REWRITE = False
 class PREOptions:
     """Knobs for one promotion run."""
 
-    #: base-version (speculative) matching in Rename
+    #: base-version (speculative) matching in Rename; also hoists
+    #: non-down-safe loop-header Phis (inserted loads become ld.sa) and,
+    #: without ``softcheck``, keeps partially redundant classes
+    #: available through the ALAT (Figure 2: invala.e + ld.c at use)
     speculative: bool = False
-    #: hoist non-down-safe loop-header Phis (inserted loads become ld.sa)
-    loop_speculation: bool = True
-    #: Figure 2 scheme: invala.e + ld.c-at-use for partial redundancy
-    alat_partial: bool = True
     #: use Nicolau-style software address checks instead of ALAT checks
     softcheck: bool = False
     #: allow alias speculation on indirect references (*p).  The ALAT
@@ -88,11 +87,6 @@ class PREResult:
     invalidates: int = 0
     left_saves: int = 0
     cascade_upgrades: int = 0
-
-    @property
-    def eliminated_loads(self) -> int:
-        """Static count of load occurrences replaced by register reads."""
-        return self.reloads
 
     @property
     def changed(self) -> bool:
@@ -545,7 +539,7 @@ class SSAPRE:
         # non-bottom operands come from inside the loop pattern is
         # hoistable; treat it as down-safe but remember that insertions
         # become control-speculative (ld.sa).
-        if self.opts.speculative and self.opts.loop_speculation:
+        if self.opts.speculative:
             for phi in self.phis.values():
                 if phi.down_safe:
                     continue
@@ -601,7 +595,7 @@ class SSAPRE:
 
         # Figure 2 scheme: partially redundant classes kept available
         # through the ALAT instead of inserting on cold paths.
-        if self.opts.speculative and self.opts.alat_partial and not self.opts.softcheck:
+        if self.opts.speculative and not self.opts.softcheck:
             for phi in self.phis.values():
                 if phi.will_be_avail:
                     continue

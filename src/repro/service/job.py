@@ -163,15 +163,10 @@ def options_to_dict(opts) -> dict:
         "opt_level": int(opts.opt_level),
         "spec_mode": opts.spec_mode.value,
         "alias_analysis": opts.alias_analysis.value,
-        "use_type_filter": opts.use_type_filter,
-        "loop_speculation": opts.loop_speculation,
-        "alat_partial": opts.alat_partial,
         "rounds": opts.rounds,
-        "cleanup": opts.cleanup,
         "speclint": opts.speclint.value,
         "promotion_gate": opts.promotion_gate.value,
         "alias_prob": opts.alias_prob.value,
-        "fallback": opts.fallback,
         "machine": dataclasses.asdict(opts.machine),
     }
 
@@ -213,7 +208,7 @@ def options_from_dict(d: Optional[dict]):
     ):
         if key in d:
             kwargs[key] = enum_cls(d.pop(key))
-    kwargs.update(d)  # remaining plain fields (bools, rounds)
+    kwargs.update(d)  # the remaining plain field (rounds)
 
     if machine_d is not None:
         md = dict(machine_d)

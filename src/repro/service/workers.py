@@ -83,7 +83,6 @@ def _run_compile(payload: dict, ctx: dict) -> tuple[dict, dict]:
         "counters": machine.counters.as_dict(),
         "output": list(machine.output),
         "exit_value": machine.exit_value,
-        "fallback": output.fallback,
     }
     host = build_host_metrics(machine, output.obs)
     # Wall ms per phase the job ran (``wall_ms`` is their sum): host

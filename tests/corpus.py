@@ -21,7 +21,7 @@ def compile_modes() -> list[CompilerOptions]:
     campaign's modes (``SPECULATIVE()`` and the first campaign mode
     compile alike)."""
     software = CompilerOptions(
-        opt_level=OptLevel.O3, spec_mode=SpecMode.SOFTWARE, fallback=False
+        opt_level=OptLevel.O3, spec_mode=SpecMode.SOFTWARE
     )
     return [BASELINE(), SPECULATIVE(), STATIC_SPECULATIVE(), software] + default_modes()
 

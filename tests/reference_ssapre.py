@@ -555,7 +555,7 @@ class SSAPRE:
         # hoistable; treat it as down-safe but remember that insertions
         # become control-speculative (ld.sa).
         self._control_spec_phis: set[int] = set()
-        if self.opts.speculative and self.opts.loop_speculation:
+        if self.opts.speculative:
             for phi in self.phis.values():
                 if phi.down_safe:
                     continue
@@ -612,7 +612,7 @@ class SSAPRE:
 
         # Figure 2 scheme: partially redundant classes kept available
         # through the ALAT instead of inserting on cold paths.
-        if self.opts.speculative and self.opts.alat_partial and not self.opts.softcheck:
+        if self.opts.speculative and not self.opts.softcheck:
             for phi in self.phis.values():
                 if phi.will_be_avail:
                     continue

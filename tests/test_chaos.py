@@ -1,5 +1,5 @@
 """The chaos harness: fault injection, differential campaign, reduction,
-graceful pipeline degradation, and the tolerant workload matrix."""
+internal compiler errors, and the tolerant workload matrix."""
 
 from __future__ import annotations
 
@@ -58,9 +58,7 @@ AGGRESSIVE = FaultPlan(
 def _compile_canonical():
     return compile_source(
         SELF_TEST_PROGRAM.source,
-        CompilerOptions(
-            opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, fallback=False
-        ),
+        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
         train_args=list(SELF_TEST_PROGRAM.train_args),
     )
 
@@ -512,7 +510,6 @@ def test_seed1_reduced_crash_compiles_and_matches_oracle(name):
     oracle = run_program(source, list(ref))
     options = CompilerOptions(
         opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, rounds=2,
-        fallback=False,
     )
     result = compile_source(source, options, train_args=list(train)).run(
         list(ref)
@@ -522,7 +519,7 @@ def test_seed1_reduced_crash_compiles_and_matches_oracle(name):
 
 
 # ---------------------------------------------------------------------------
-# graceful pipeline degradation
+# internal compiler errors
 # ---------------------------------------------------------------------------
 
 CANONICAL = SELF_TEST_PROGRAM.source
@@ -532,59 +529,34 @@ def _boom(*args, **kwargs):
     raise RuntimeError("synthetic internal compiler error")
 
 
-def test_fallback_recovers_and_reports(monkeypatch):
-    import repro.pipeline.driver as driver
-
-    monkeypatch.setattr(driver, "run_load_pre", _boom)
-    sink = MemorySink()
-    out = compile_source(
-        CANONICAL,
-        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
-        train_args=[10],
-        obs=TraceContext(sink),
-    )
-    assert out.fallback
-    assert out.options.opt_level == OptLevel.O1
-    events = sink.of_type("pipeline.fallback")
-    assert len(events) == 2  # -O3/profile failed, then -O3/none failed
-    assert "RuntimeError" in events[0]["error"]
-    assert [d for d in out.diagnostics if d.rule == "FALLBACK"]
-    # and the degraded program is still correct
-    reference = run_program(CANONICAL, [150])
-    result = out.run([150])
-    assert result.output == reference.output
-    assert result.exit_value == reference.exit_value
-
-
-def test_fallback_disabled_propagates_internal_error(monkeypatch):
+def test_internal_compiler_error_propagates(monkeypatch):
     import repro.pipeline.driver as driver
 
     monkeypatch.setattr(driver, "run_load_pre", _boom)
     with pytest.raises(RuntimeError, match="synthetic"):
         compile_source(
             CANONICAL,
-            CompilerOptions(
-                opt_level=OptLevel.O3,
-                spec_mode=SpecMode.PROFILE,
-                fallback=False,
-            ),
+            CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
             train_args=[10],
         )
 
 
 def test_fallback_never_masks_source_errors():
     with pytest.raises(ParseError):
-        compile_source("int main( {", CompilerOptions(fallback=True))
+        compile_source("int main( {", CompilerOptions())
 
 
-def test_no_fallback_on_clean_compilations():
-    out = compile_source(
-        CANONICAL,
-        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
-        train_args=[10],
-    )
-    assert not out.fallback
-    assert not [d for d in out.diagnostics if d.rule == "FALLBACK"]
+def test_speclint_cli_fails_on_internal_compiler_error(monkeypatch, tmp_path):
+    """The crash leaves ``main`` uncaught, so ``python -m repro.speclint
+    --strict`` prints its traceback and exits 1 instead of passing."""
+    import repro.pipeline.driver as driver
+    from repro.speclint.__main__ import main as speclint_main
+
+    monkeypatch.setattr(driver, "run_load_pre", _boom)
+    path = tmp_path / "canonical.mc"
+    path.write_text(CANONICAL)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        speclint_main(["--strict", str(path)])
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,20 @@ def test_source_and_guest_errors_are_one_line_exit_2(
     assert err.splitlines() == [f"python -m repro: {path}{where}"]
 
 
+def test_guest_output_before_a_fault_reaches_stdout(tmp_path, capsys):
+    path = tmp_path / "fault.mc"
+    path.write_text(
+        "int main(int n) { print(n); print(n + 1); int z = n - n; "
+        "return 10 / z; }\n"
+    )
+    code, out, err = run_cli(capsys, [str(path), "--args", "3", "--spec", "none"])
+    assert code == 2
+    assert out == "3\n4\n"
+    assert err.splitlines() == [
+        f"python -m repro: {path}: integer division by zero"
+    ]
+
+
 def test_speclint_missing_file_is_one_line_exit_2(tmp_path, capsys):
     from repro.speclint.__main__ import main as speclint_main
 

@@ -34,19 +34,17 @@ def test_speculation_composes_with_cascade_and_cleanup():
     args = [30]
     ref = run_module(compile_to_ir(w.source), args)
     for rounds in (1, 2):
-        for cleanup in (True, False):
-            out = compile_source(
-                w.source,
-                CompilerOptions(
-                    opt_level=OptLevel.O3,
-                    spec_mode=SpecMode.PROFILE,
-                    rounds=rounds,
-                    cleanup=cleanup,
-                ),
-                train_args=list(w.train_args),
-            )
-            res = out.run(args)
-            assert res.output == ref.output, (rounds, cleanup)
+        out = compile_source(
+            w.source,
+            CompilerOptions(
+                opt_level=OptLevel.O3,
+                spec_mode=SpecMode.PROFILE,
+                rounds=rounds,
+            ),
+            train_args=list(w.train_args),
+        )
+        res = out.run(args)
+        assert res.output == ref.output, rounds
 
 
 def test_counters_internally_consistent():

@@ -236,7 +236,7 @@ def test_dce_never_removes_alloc():
 # -- end-to-end ------------------------------------------------------------------
 
 
-def test_cleanup_reduces_instructions():
+def test_cleanup_reduces_instructions(monkeypatch):
     src = """
     int main(int n) {
         int a = 2 + 3;
@@ -247,8 +247,11 @@ def test_cleanup_reduces_instructions():
         return 0;
     }
     """
-    on = compile_source(src, CompilerOptions(opt_level=OptLevel.O2, cleanup=True))
-    off = compile_source(src, CompilerOptions(opt_level=OptLevel.O2, cleanup=False))
+    options = CompilerOptions(opt_level=OptLevel.O2)
+    on = compile_source(src, options)
+    # the pipeline reads the cleanup pass from repro.opt when it runs it
+    monkeypatch.setattr("repro.opt.cleanup_module", lambda module: None)
+    off = compile_source(src, options)
     r_on, r_off = on.run([4]), off.run([4])
     assert r_on.output == r_off.output == ["9"]
     assert r_on.counters.instructions < r_off.counters.instructions

@@ -121,9 +121,6 @@ def test_describe_names_every_option_set_apart():
     # the paper's two configurations keep their names
     assert BASELINE().describe() == "-O3 andersen"
     assert SPECULATIVE().describe() == "-O3 spec=profile andersen"
-    off = CompilerOptions(use_type_filter=False, loop_speculation=False,
-                          alat_partial=False, cleanup=False)
-    assert off.describe() != CompilerOptions().describe()
 
 
 def test_machine_config_threading():

@@ -427,9 +427,7 @@ def test_recovery_counters_consistent(seed, ref_arg, train_arg):
     program = generate_program(seed)
     out = compile_source(
         program.source,
-        CompilerOptions(
-            opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE, fallback=False
-        ),
+        CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.PROFILE),
         train_args=[train_arg],
     )
     for plan in (None, FaultPlan(name="stress", seed=seed,

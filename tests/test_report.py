@@ -46,7 +46,7 @@ def _real_run():
     obs = TraceContext(track_memory=True)
     try:
         options = CompilerOptions(
-            opt_level=OptLevel.O3, spec_mode=SpecMode.HEURISTIC, fallback=False
+            opt_level=OptLevel.O3, spec_mode=SpecMode.HEURISTIC
         )
         output = compile_source(PROGRAM, options, obs=obs)
         host = HostProfiler()

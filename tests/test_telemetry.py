@@ -44,9 +44,7 @@ int main(int n) {
 
 
 def spec_options() -> CompilerOptions:
-    return CompilerOptions(
-        opt_level=OptLevel.O3, spec_mode=SpecMode.HEURISTIC, fallback=False
-    )
+    return CompilerOptions(opt_level=OptLevel.O3, spec_mode=SpecMode.HEURISTIC)
 
 
 # -- spans ---------------------------------------------------------------

@@ -65,8 +65,7 @@ def test_runner_cache_keys_on_full_options():
         return {
             "baseline": BASELINE(),
             "speculative": SPECULATIVE(),
-            "x": CompilerOptions(opt_level=level, spec_mode=SpecMode.NONE,
-                                 fallback=False),
+            "x": CompilerOptions(opt_level=level, spec_mode=SpecMode.NONE),
         }
 
     o3 = run_benchmark("vortex", modes=modes(OptLevel.O3))
